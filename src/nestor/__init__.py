@@ -15,9 +15,10 @@ from .errors import (BracketFailure, ConfigError, Degenerate, EmptyBand,
 from .geometry import (Domain, Quadrature, TargetInterval, annulus_domain,
                        box_domain, interval_domain, paraboloid_domain,
                        pie_slice_domain)
-from .levelsets import (GradH, SurfaceIntegralResult, grad_h, is_tangential,
-                        level_set_sizes, normal_velocity, split_function,
-                        sublevel_mass, surface_integral)
+from .levelsets import (GradH, LevelSet, SurfaceIntegralResult, grad_h,
+                        is_tangential, level_set, level_set_sizes,
+                        normal_velocity, split_function, sublevel_mass,
+                        surface_integral)
 from .model import (DensityPair, Model, NondegeneracyCertificate,
                     certify_nondegeneracy, region_mass, target_cdf,
                     target_quantile)
@@ -30,10 +31,9 @@ from .oracle import (DiscreteInstance, DiscretePlan,
 from .pseudoindex import (IndexForm, Rearrangement1D, detect_index_form,
                           reduce_and_solve_1d, verify_1d_ode)
 from .scenarios import Scenario, build, holder_probe, list_scenarios
-from .solver import (MatchSolution, SplitCurve, balance_residual,
-                     map_gradient, optimal_map, pushforward_distance,
-                     solve_model, solve_split_curve, source_payoff,
-                     target_payoff)
+from .solver import (SplitCurve, balance_residual, map_gradient,
+                     optimal_map, pushforward_distance, solve_split_curve,
+                     source_payoff)
 from .surplus import SurplusBundle, arc_surplus, bilinear_surplus, \
     polynomial_surplus
 

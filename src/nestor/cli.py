@@ -39,7 +39,7 @@ from . import solver as sv
 from .errors import ConfigError, NestorError
 from .geometry import (Quadrature, TargetInterval, annulus_domain, box_domain,
                        interval_domain, paraboloid_domain, pie_slice_domain)
-from .levelsets import EmptyBand
+from .levelsets import EmptyBand, level_set, surface_integral
 from .model import DensityPair, Model
 from .oracle import (compare_with_map, cyclical_monotonicity_audit,
                      sample_instance, solve_transport)
@@ -210,28 +210,26 @@ def _write_json(path: str, payload: dict):
 
 
 def _dump_level_set(model, curve, y: float, out_dir: str):
-    """Diagnostic dump of one indifference set: the clipped contour
-    polyline for planar tensor grids, band points otherwise."""
-    k = float(curve.k_at(y))
+    """Diagnostic dump of the ``auto`` samples of one indifference set: the
+    clipped contour polyline (segment, x1, x2) on planar tensor grids, band
+    points with their surface measure (x1..xm, measure) otherwise.  A level
+    set with no samples gives a header-only file."""
     tag = format(y, ".6g").replace("-", "m").replace(".", "p")
-    path = os.path.join(out_dir, f"levelset_{tag}.csv")
-    if model.domain.dim == 2 and model.grid.spacing is not None:
-        from .levelsets import _contour_segments
-        segments, _ = _contour_segments(model, y, k)
-        seg_id = np.repeat(np.arange(segments.shape[0]), 2)
+    try:
+        ls = level_set(model, y, curve.k_at(y))
+        estimator = ls.estimator
+    except EmptyBand as exc:
+        ls, estimator = None, exc.estimator
+    if estimator == "contour2d":
+        header = ["segment", "x1", "x2"]
+        segments = np.empty((0, 2, 2)) if ls is None else ls.segments
         flat = segments.reshape(-1, 2)
-        _write_csv(path, ["segment", "x1", "x2"],
-                   [seg_id, flat[:, 0], flat[:, 1]])
+        cols = [np.repeat(np.arange(segments.shape[0]), 2),
+                flat[:, 0], flat[:, 1]]
     else:
-        from .levelsets import band_epsilon
-        sl = model.slice_at(y)
-        eps = band_epsilon(model, sl)
-        mask = np.abs(sl.sy - k) < eps
-        pts = model.grid.points[mask]
-        cols = [pts[:, j] for j in range(model.domain.dim)]
-        _write_csv(path, [f"x{j + 1}" for j in range(model.domain.dim)]
-                   + ["s_y", "weight"],
-                   cols + [sl.sy[mask], model.grid.weights[mask]])
+        header = [f"x{j + 1}" for j in range(model.domain.dim)] + ["measure"]
+        cols = [] if ls is None else list(ls.points.T) + [ls.measure]
+    _write_csv(os.path.join(out_dir, f"levelset_{tag}.csv"), header, cols)
 
 
 def _print_report(report):
@@ -291,7 +289,6 @@ def run(config: dict, out_dir: str = None) -> int:
     # per-node diagnostics for curve.csv
     areas = np.full(curve.y_grid.size, np.nan)
     residuals = np.full(curve.y_grid.size, np.nan)
-    from .levelsets import surface_integral
     for i, y in enumerate(curve.y_grid):
         try:
             areas[i] = surface_integral(model, float(y), float(curve.k_plus[i]),
@@ -430,8 +427,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--y-nodes", type=int, default=None)
     p.add_argument("--tol-mass", type=float, default=None)
-    p.add_argument("--epsilon-band", type=float, default=None)
-    p.add_argument("--estimator", choices=["band", "contour2d"], default=None)
+    p.add_argument("--epsilon-band", type=float, default=None,
+                   help="band half-width for the curve.csv area column only")
+    p.add_argument("--estimator", choices=["band", "contour2d"], default=None,
+                   help="estimator for the curve.csv area column only; k', "
+                   "the balance residual and the speed diagnostics use the "
+                   "auto sampler")
     p.add_argument("--require-nested", action="store_true")
     p.add_argument("--dump-level", type=float, action="append",
                    dest="dump_levels", metavar="Y",

@@ -19,8 +19,12 @@ class OutOfRange(NestorError):
 
 
 class EmptyBand(NestorError):
-    """No quadrature point fell inside the level-set band; the level is
-    outside the domain or the band half-width is too small."""
+    """The level-set sampler found no sample: the level is outside the
+    domain or the band half-width is too small; names the estimator."""
+
+    def __init__(self, message, estimator=None):
+        super().__init__(message)
+        self.estimator = estimator
 
 
 class Degenerate(NestorError):

@@ -3,22 +3,26 @@ partial derivatives, and surface integrals over indifference sets.
 
 The indifference set of (y, k) is the hypersurface {x : s_y(x, y) = k};
 its sublevel set drives the splitting equation h(y, k) = mu[{s_y <= k}] -
-G(y).  Two estimators are provided for surface integrals:
+G(y).  Every surface integral over it is a sum over the samples of
+``level_set(model, y, k, estimator)``: points x_j carrying surface measure
+dA_j, so that sum_j phi(x_j) dA_j -> integral_{s_y = k} phi dH^{m-1}.  Two
+estimators are provided:
 
-* band: a co-area estimator.  With K_eps a unit-mass triangular kernel,
-
-      sum_i w_i phi(x_i) |grad_x s_y(x_i)| K_eps(s_y(x_i) - k)
-          ->  integral_{s_y = k} phi dH^{m-1}.
-
-  On tensor grids the kernel half-width defaults to twice the per-cell
-  variation of s_y, which keeps the band a few cells thick.  The
-  triangular kernel (rather than a flat window) is what makes midpoint
-  sums of grid-aligned bands exact and the estimator smooth in (y, k);
-  a flat window would jitter by a whole grid column.
+* band: a co-area estimator.  The samples are the quadrature points with
+  |s_y - k| < eps and dA_i = w_i |grad_x s_y(x_i)| K_eps(s_y(x_i) - k),
+  with K_eps a unit-mass triangular kernel.  On tensor grids the kernel
+  half-width defaults to twice the per-cell variation of s_y, which keeps
+  the band a few cells thick.  The triangular kernel (rather than a flat
+  window) is what makes midpoint sums of grid-aligned bands exact and the
+  estimator smooth in (y, k); a flat window would jitter by a whole grid
+  column.  Boundary-adjacent samples are flagged.
 
 * contour2d (m = 2 only): marching-squares extraction of the polyline
-  {s_y = k} on the node grid, clipped to the domain, integrated segment
-  by segment.
+  {s_y = k} on the node grid, clipped to the domain; the samples are the
+  segment midpoints and dA is the segment length.
+
+``estimator="auto"`` picks contour2d on planar tensor grids and band
+otherwise.  An empty level set raises EmptyBand.
 
 Sublevel masses use a sub-cell linear ramp instead of a binary indicator
 so that h is smooth in k at fixed resolution; the ramp width is the span
@@ -91,7 +95,7 @@ def split_function(model: Model, y: float, k):
 
 
 # ---------------------------------------------------------------------------
-# band kernel
+# the level-set sampler
 # ---------------------------------------------------------------------------
 
 def band_epsilon(model: Model, sl: SurplusSlice, factor: float = 2.0) -> float:
@@ -103,13 +107,77 @@ def band_epsilon(model: Model, sl: SurplusSlice, factor: float = 2.0) -> float:
     return factor * h * float(np.max(sl.gnorm))
 
 
-def _band_kernel(sl: SurplusSlice, k: float, epsilon: float):
-    t = np.abs(sl.sy - k)
-    inside = t < epsilon
-    kernel = np.zeros_like(sl.sy)
-    kernel[inside] = (1.0 - t[inside] / epsilon) / epsilon
-    return kernel, int(np.count_nonzero(inside))
+@dataclass(frozen=True)
+class LevelSet:
+    """Samples of the indifference set {s_y(., y) = k}.
 
+    Sample j sits at ``points[j]`` and carries surface measure
+    ``measure[j]``; ``f``, ``grad``, ``gnorm`` and ``syy`` are the source
+    density, grad_x s_y, its norm and s_yy there.  ``boundary`` flags band
+    samples in boundary-adjacent cells and ``segments`` holds the contour
+    polyline; each is None for the other estimator.
+    """
+    estimator: str                  # "band" | "contour2d"
+    epsilon: float                  # band half-width; 0 for contour2d
+    points: np.ndarray              # (S, m)
+    measure: np.ndarray             # (S,)
+    f: np.ndarray                   # (S,)
+    grad: np.ndarray                # (S, m)
+    gnorm: np.ndarray               # (S,)
+    syy: np.ndarray                 # (S,)
+    boundary: Optional[np.ndarray]  # (S,) bool, band only
+    segments: Optional[np.ndarray]  # (S, 2, 2), contour2d only
+
+
+def level_set(model: Model, y: float, k: float, estimator: str = "auto",
+              epsilon: Optional[float] = None) -> LevelSet:
+    """Sample the indifference set {s_y(., y) = k}.
+
+    ``auto`` uses the extracted contour on planar tensor grids, which stays
+    accurate when the level set passes a domain corner (the band there
+    sweeps up a blob of small-|s_y - k| points that are nowhere near the
+    hypersurface), and the band elsewhere.  ``epsilon`` overrides the band
+    half-width.  Raises EmptyBand when no sample falls on the level set.
+    """
+    y = float(y)
+    k = float(k)
+    if estimator == "auto":
+        estimator = "contour2d" if (model.domain.dim == 2
+                                    and model.grid.spacing is not None) else "band"
+    if estimator == "contour2d":
+        segments = _contour_segments(model, y, k)
+        if segments.shape[0] == 0:
+            raise EmptyBand(f"level {k:g} has no contour inside the domain",
+                            estimator=estimator)
+        points = segments.mean(axis=1)
+        grad = np.asarray(model.surplus.grad_x_s_y(points, y), dtype=float)
+        return LevelSet(
+            estimator=estimator, epsilon=0.0, points=points,
+            measure=np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1),
+            f=model.f_at(points), grad=grad, gnorm=np.linalg.norm(grad, axis=1),
+            syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
+            boundary=None, segments=segments)
+    if estimator != "band":
+        raise ValueError(f"unknown estimator {estimator!r}")
+    sl = model.slice_at(y)
+    eps = band_epsilon(model, sl) if epsilon is None else float(epsilon)
+    t = np.abs(sl.sy - k)
+    idx = np.flatnonzero(t < eps)
+    if idx.size == 0:
+        raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}",
+                        estimator=estimator)
+    gnorm = sl.gnorm[idx]
+    kernel = (1.0 - t[idx] / eps) / eps
+    return LevelSet(
+        estimator=estimator, epsilon=eps, points=model.grid.points[idx],
+        measure=model.grid.weights[idx] * gnorm * kernel,
+        f=model.f_vals[idx], grad=sl.grad[idx], gnorm=gnorm, syy=sl.syy[idx],
+        boundary=model.grid.boundary_adjacent[idx], segments=None)
+
+
+# ---------------------------------------------------------------------------
+# reductions over the sampler
+# ---------------------------------------------------------------------------
 
 def surface_integral(model: Model, y: float, k: float,
                      integrand: Optional[Callable] = None,
@@ -121,20 +189,12 @@ def surface_integral(model: Model, y: float, k: float,
     default result is the surface area A.  Raises EmptyBand when the level
     set misses the domain (or epsilon is too small).
     """
-    if estimator == "contour2d":
-        return _contour_integral(model, y, k, integrand)
-    if estimator != "band":
-        raise ValueError(f"unknown estimator {estimator!r}")
-    sl = model.slice_at(float(y))
-    eps = band_epsilon(model, sl) if epsilon is None else float(epsilon)
-    kernel, count = _band_kernel(sl, float(k), eps)
-    if count == 0:
-        raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}")
-    phi = np.ones_like(sl.sy) if integrand is None else \
-        np.asarray(integrand(model.grid.points), dtype=float)
-    value = float(np.sum(model.grid.weights * phi * sl.gnorm * kernel))
-    return SurfaceIntegralResult(value=value, band_count=count, epsilon=eps,
-                                 estimator="band")
+    ls = level_set(model, y, k, estimator, epsilon)
+    values = ls.measure if integrand is None else \
+        ls.measure * np.asarray(integrand(ls.points), dtype=float)
+    return SurfaceIntegralResult(value=float(np.sum(values)),
+                                 band_count=ls.points.shape[0],
+                                 epsilon=ls.epsilon, estimator=ls.estimator)
 
 
 def grad_h(model: Model, y: float, k: float,
@@ -144,40 +204,11 @@ def grad_h(model: Model, y: float, k: float,
 
         h_k =  integral_{s_y=k} f / |grad_x s_y| dH^{m-1}
         h_y = -g(y) - integral_{s_y=k} f s_yy / |grad_x s_y| dH^{m-1}
-
-    With the band kernel the 1/|grad| in the integrand cancels the |grad|
-    of the co-area weight.  For planar tensor grids the default is the
-    extracted contour, which stays accurate when the level set passes a
-    domain corner (the band there sweeps up a blob of small-|s_y - k|
-    points that are nowhere near the hypersurface).
     """
-    y = float(y)
-    k = float(k)
-    if estimator == "auto":
-        estimator = "contour2d" if (model.domain.dim == 2
-                                    and model.grid.spacing is not None) else "band"
-    g_y = float(model.g_at(y)[0])
-    if estimator == "contour2d":
-        segments, _ = _contour_segments(model, y, k)
-        if segments.shape[0] == 0:
-            raise EmptyBand(f"level {k:g} has no contour inside the domain")
-        mids = segments.mean(axis=1)
-        lengths = np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1)
-        f_mid = model.f_at(mids)
-        gnorm = np.linalg.norm(
-            np.asarray(model.surplus.grad_x_s_y(mids, y), dtype=float), axis=1)
-        syy = np.asarray(model.surplus.s_yy(mids, y), dtype=float)
-        h_k = float(np.sum(lengths * f_mid / gnorm))
-        flux = float(np.sum(lengths * f_mid * syy / gnorm))
-        return GradH(h_y=-g_y - flux, h_k=h_k)
-    sl = model.slice_at(y)
-    eps = band_epsilon(model, sl) if epsilon is None else float(epsilon)
-    kernel, count = _band_kernel(sl, k, eps)
-    if count == 0:
-        raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}")
-    h_k = float(np.sum(model.point_mass * kernel))
-    flux = float(np.sum(model.point_mass * sl.syy * kernel))
-    return GradH(h_y=-g_y - flux, h_k=h_k)
+    ls = level_set(model, y, k, estimator, epsilon)
+    h_k = float(np.sum(ls.measure * ls.f / ls.gnorm))
+    flux = float(np.sum(ls.measure * ls.f * ls.syy / ls.gnorm))
+    return GradH(h_y=-float(model.g_at(y)[0]) - flux, h_k=h_k)
 
 
 def normal_velocity(model: Model, y: float, k: float, kprime: float,
@@ -201,16 +232,9 @@ def boundary_band_fraction(model: Model, y: float, k: float,
     Large values mean the indifference set hugs the domain boundary; the
     derivative formulas for k are unreliable there.
     """
-    sl = model.slice_at(float(y))
-    eps = band_epsilon(model, sl) if epsilon is None else float(epsilon)
-    kernel, count = _band_kernel(sl, float(k), eps)
-    if count == 0:
-        raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}")
-    contrib = model.grid.weights * sl.gnorm * kernel
-    total = float(np.sum(contrib))
-    if total <= 0:
-        return 1.0
-    return float(np.sum(contrib[model.grid.boundary_adjacent])) / total
+    ls = level_set(model, y, k, "band", epsilon)
+    total = float(np.sum(ls.measure))
+    return float(np.sum(ls.measure[ls.boundary])) / total if total > 0 else 1.0
 
 
 def default_tangential_threshold(model: Model) -> float:
@@ -238,29 +262,24 @@ def level_set_sizes(model: Model, y: float, k: float,
     """Area A = H^{m-1}[X(y,k)] and boundary measure B = H^{m-2} of its
     trace on the domain boundary.
 
-    B comes from counting endpoints of the clipped contour when m = 2 and
-    from a boundary-collar band estimate (requires the boundary-normal
-    oracle) when m >= 3; it is None when unavailable.
+    A is the band estimate.  B comes from counting endpoints of the
+    clipped contour when m = 2 and from a boundary-collar band estimate
+    (requires the boundary-normal oracle) when m >= 3; it is None when
+    unavailable.
     """
-    res = surface_integral(model, y, k, epsilon=epsilon, estimator="band")
-    a_val = res.value
+    ls = level_set(model, y, k, "band", epsilon)
     b_val = None
     m = model.domain.dim
     if m == 1:
         b_val = 0.0
     elif m == 2:
-        segs, endpoint_count = _contour_segments(model, y, k)
-        if segs.shape[0]:
-            b_val = float(endpoint_count)
+        segments = _contour_segments(model, y, k)
+        if segments.shape[0]:
+            b_val = float(_chain_ends(model, segments))
     elif model.domain.boundary_normal is not None and model.grid.spacing is not None:
-        sl = model.slice_at(float(y))
-        eps = band_epsilon(model, sl) if epsilon is None else float(epsilon)
-        kernel, _ = _band_kernel(sl, float(k), eps)
         collar = float(np.max(model.grid.spacing))
-        mask = model.grid.boundary_adjacent
-        b_val = float(np.sum(
-            model.grid.weights[mask] * sl.gnorm[mask] * kernel[mask])) / collar
-    return {"A": a_val, "B": b_val,
+        b_val = float(np.sum(ls.measure[ls.boundary])) / collar
+    return {"A": float(np.sum(ls.measure)), "B": b_val,
             "tangential": is_tangential(model, y, k, epsilon)}
 
 
@@ -313,11 +332,9 @@ def _cell_segments(T, xs, ys, i, j):
 
 
 def _contour_segments(model: Model, y: float, k: float):
-    """Clipped polyline of {s_y(., y) = k}; returns (segments, #chain ends).
-
-    Segments is an (S, 2, 2) array of endpoint pairs; clipping against the
-    implicit domain runs as one vectorized bisection over all segments
-    with a single inside endpoint.
+    """Clipped polyline of {s_y(., y) = k} as an (S, 2, 2) array of
+    endpoint pairs; clipping against the implicit domain runs as one
+    vectorized bisection over all segments with a single inside endpoint.
     """
     if model.domain.dim != 2 or model.grid.spacing is None:
         raise ValueError("contour2d estimator needs a 2-d tensor grid")
@@ -336,7 +353,7 @@ def _contour_segments(model: Model, y: float, k: float):
     for i, j in np.argwhere(mixed):
         raw.extend(_cell_segments(T, xs, ys, i, j))
     if not raw:
-        return np.empty((0, 2, 2)), 0
+        return np.empty((0, 2, 2))
     raw = np.asarray(raw, dtype=float)  # (S, 2, 2)
 
     in_p = model.domain.contains(raw[:, 0, :])
@@ -358,31 +375,17 @@ def _contour_segments(model: Model, y: float, k: float):
             b = np.where(ok, b, mid)
         cut = inside_pt + a[:, None] * (outside_pt - inside_pt)
         clipped = np.stack([inside_pt, cut], axis=1)
-    segments = np.concatenate([full, clipped], axis=0)
-    if segments.shape[0] == 0:
-        return segments, 0
+    return np.concatenate([full, clipped], axis=0)
 
-    # chain ends = points used by exactly one segment (grid-edge exits and
-    # clip cuts), counted after rounding to kill float jitter
+
+def _chain_ends(model: Model, segments: np.ndarray) -> int:
+    """Number of contour chain ends: points used by exactly one segment
+    (grid-edge exits and clip cuts), counted after rounding to kill float
+    jitter."""
     counts: dict = {}
     scale = max(model.domain.scale, 1.0)
     for p, q in segments:
         for pt in (p, q):
             key = (round(pt[0] / scale, 9), round(pt[1] / scale, 9))
             counts[key] = counts.get(key, 0) + 1
-    n_ends = sum(1 for v in counts.values() if v == 1)
-    return segments, n_ends
-
-
-def _contour_integral(model: Model, y: float, k: float,
-                      integrand: Optional[Callable]) -> SurfaceIntegralResult:
-    segments, _ = _contour_segments(model, y, k)
-    if segments.shape[0] == 0:
-        raise EmptyBand(f"level {k:g} has no contour inside the domain")
-    mids = segments.mean(axis=1)
-    lengths = np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1)
-    phi = np.ones(segments.shape[0]) if integrand is None else \
-        np.asarray(integrand(mids), dtype=float)
-    total = float(np.sum(lengths * phi))
-    return SurfaceIntegralResult(value=total, band_count=segments.shape[0],
-                                 epsilon=0.0, estimator="contour2d")
+    return sum(1 for v in counts.values() if v == 1)

@@ -5,8 +5,10 @@ balance residuals downstream are free of normalization bias), caches the
 target CDF on a fine grid with monotone interpolation, and certifies
 non-degeneracy |grad_x s_y| > 0 on demand.
 
-Everything is immutable after construction and evaluators are pure, so
-models can be shared freely across workers.
+A Model is not immutable: ``slice_at`` keeps a small FIFO cache of
+surplus slices, and ``certificate`` and ``surplus_scale`` are computed on
+first use and stored.  None of this is locked, so one Model must not be
+called from several threads at once; give each thread its own Model.
 """
 
 from __future__ import annotations

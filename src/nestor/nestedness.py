@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyBand, NoBoundaryOracle
-from .levelsets import band_epsilon
+from .levelsets import level_set, surface_integral
 from .model import Model
 from .solver import SplitCurve, count_sign_changes, splitting_profile
 
@@ -130,37 +130,14 @@ def check_sublevel_monotonicity(model: Model, curve: SplitCurve,
 # criterion 2: dynamic (normal-speed) criterion
 # ---------------------------------------------------------------------------
 
-def _band_speed_stats(model: Model, curve: SplitCurve, i_node: int):
-    """(min, max, argmin point) of k'(y) - s_yy over samples of the
-    indifference set of node i.
-
-    On planar tensor grids the samples are midpoints of the extracted
-    contour, which stays on the level set even where it terminates at a
-    domain corner; elsewhere a band of quadrature points is used (near a
-    corner the band also sweeps up points that merely have small
-    |s_y - k| without lying near the hypersurface, so it is only a
-    fallback).
-    """
+def _speed_stats(model: Model, curve: SplitCurve, i_node: int):
+    """(min, max, argmin point) of k'(y) - s_yy over the ``auto`` level-set
+    samples of the indifference set of node i."""
     y = float(curve.y_grid[i_node])
-    k = float(curve.k_plus[i_node])
-    kp = float(curve.kprime[i_node])
-    if model.domain.dim == 2 and model.grid.spacing is not None:
-        from .levelsets import _contour_segments
-        segments, _ = _contour_segments(model, y, k)
-        if segments.shape[0] == 0:
-            raise EmptyBand(f"level set of node y={y:g} misses the domain")
-        mids = segments.mean(axis=1)
-        vals = kp - np.asarray(model.surplus.s_yy(mids, y), dtype=float)
-        j = int(np.argmin(vals))
-        return float(vals[j]), float(np.max(vals)), mids[j].copy()
-    sl = model.slice_at(y)
-    eps = band_epsilon(model, sl)
-    mask = np.abs(sl.sy - k) < eps
-    if not np.any(mask):
-        raise EmptyBand(f"no band points at node y={y:g}")
-    vals = kp - sl.syy[mask]
+    ls = level_set(model, y, float(curve.k_plus[i_node]))
+    vals = float(curve.kprime[i_node]) - ls.syy
     j = int(np.argmin(vals))
-    return float(vals[j]), float(np.max(vals)), model.grid.points[mask][j].copy()
+    return float(vals[j]), float(np.max(vals)), ls.points[j].copy()
 
 
 def _speed_resolution_floor(model: Model) -> float:
@@ -209,7 +186,7 @@ def dynamic_criterion(model: Model, curve: SplitCurve,
             skipped += 1
             continue
         try:
-            lo, hi, x_min = _band_speed_stats(model, curve, i)
+            lo, hi, x_min = _speed_stats(model, curve, i)
         except EmptyBand:
             skipped += 1
             continue
@@ -282,24 +259,23 @@ def unique_splitting_check(model: Model,
 
 def transversality_diagnostic(model: Model, curve: SplitCurve,
                               y_nodes: Optional[np.ndarray] = None) -> float:
-    """min over boundary-band samples of 1 - (n_X . n_levelset)^2; values
-    near 0 flag tangential intersections with the domain boundary."""
+    """min over boundary-adjacent band samples of 1 - (n_X . n_levelset)^2;
+    values near 0 flag tangential intersections with the domain boundary."""
     if model.domain.boundary_normal is None:
         raise NoBoundaryOracle("domain carries no boundary-normal oracle")
     if y_nodes is None:
         y_nodes = curve.y_grid[:: max(1, curve.y_grid.size // 41)]
     best = np.inf
     for y in y_nodes:
-        y = float(y)
-        k = float(curve.k_at(y))
-        sl = model.slice_at(y)
-        eps = band_epsilon(model, sl)
-        mask = (np.abs(sl.sy - k) < eps) & model.grid.boundary_adjacent
+        try:
+            ls = level_set(model, y, curve.k_at(float(y)), "band")
+        except EmptyBand:
+            continue
+        mask = ls.boundary
         if not np.any(mask):
             continue
-        pts = model.grid.points[mask]
-        n_x = np.atleast_2d(model.domain.boundary_normal(pts))
-        n_level = sl.grad[mask] / sl.gnorm[mask][:, None]
+        n_x = np.atleast_2d(model.domain.boundary_normal(ls.points[mask]))
+        n_level = ls.grad[mask] / ls.gnorm[mask][:, None]
         dots = np.sum(n_x * n_level, axis=1)
         best = min(best, float(np.min(1.0 - dots ** 2)))
     return 1.0 if best is np.inf or not np.isfinite(best) else best
@@ -307,8 +283,8 @@ def transversality_diagnostic(model: Model, curve: SplitCurve,
 
 def speed_limit(model: Model, curve: SplitCurve,
                 region_y: Optional[tuple] = None) -> float:
-    """ell = min over sampled nodes (within region_y) and band samples of
-    k' - s_yy; ell > 0 bounds the Lipschitz constant of the map by
+    """ell = min over sampled nodes (within region_y) and level-set samples
+    of k' - s_yy; ell > 0 bounds the Lipschitz constant of the map by
     sup|grad_x s_y| / ell."""
     idx = np.arange(curve.y_grid.size)
     if region_y is not None:
@@ -318,7 +294,7 @@ def speed_limit(model: Model, curve: SplitCurve,
     best = np.inf
     for i in idx:
         try:
-            lo_val, _, _ = _band_speed_stats(model, curve, int(i))
+            lo_val, _, _ = _speed_stats(model, curve, int(i))
         except EmptyBand:
             continue
         best = min(best, lo_val)
@@ -330,7 +306,6 @@ def kprime_bound_gap(model: Model, curve: SplitCurve,
     """Evaluate the a.e. bound
         |k'(y)| <= sup|s_yy| + g(y) sup|grad_x s_y / f| / A(y)
     at sampled non-tangential nodes; returns (|k'| values, bound values)."""
-    from .levelsets import surface_integral
     if y_nodes is None:
         keep = ~curve.tangential_flags
         y_nodes = curve.y_grid[keep][:: max(1, int(np.sum(keep)) // 41)]

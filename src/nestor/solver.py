@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
-from .levelsets import band_epsilon, grad_h, is_tangential, sublevel_mass
+from .levelsets import grad_h, is_tangential, level_set, sublevel_mass
 from .model import Model, target_cdf
 
 
@@ -113,18 +113,6 @@ class SplitCurve:
         """Whether the solved levels increase with y (equivalently, whether
         the target payoff v is convex); recorded, not required."""
         return bool(np.all(np.diff(self.k_plus) >= -1e-12))
-
-
-@dataclass
-class MatchSolution:
-    """Solved matching: curve, payoffs, map evaluator and diagnostics."""
-
-    curve: SplitCurve
-    v_values: np.ndarray
-    map: Callable            # (N, m) points -> (N,) targets
-    u: Callable              # (N, m) points -> (N,) payoffs
-    u_argmax: Callable       # (N, m) points -> (N,) maximizing targets
-    diagnostics: dict
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +226,15 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
                       y_lo=model.target.y_lo, y_hi=model.target.y_hi)
 
 
-def target_payoff(curve: SplitCurve) -> np.ndarray:
-    """v on the curve grid: cumulative integral of k with v(y_lo) = 0."""
-    return curve.v_values
-
-
 # ---------------------------------------------------------------------------
 # map evaluation
 # ---------------------------------------------------------------------------
 
-def _sy_matrix(model: Model, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """s_y(x_i, y_j) for all rows i and grid values j."""
-    cols = [np.asarray(model.surplus.s_y(x, float(yj)), dtype=float)
-            for yj in ys]
+def _surplus_matrix(evaluate: Callable, x: np.ndarray,
+                    ys: np.ndarray) -> np.ndarray:
+    """evaluate(x_i, y_j) for all rows i and grid values j, where evaluate
+    is one of the surplus evaluators (s or s_y)."""
+    cols = [np.asarray(evaluate(x, float(yj)), dtype=float) for yj in ys]
     return np.stack(cols, axis=1)
 
 
@@ -304,7 +288,7 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
     kv = curve.k_plus
     for start in range(0, x.shape[0], chunk):
         xb = x[start:start + chunk]
-        phi = _sy_matrix(model, xb, ys) - kv[None, :]
+        phi = _surplus_matrix(model.surplus.s_y, xb, ys) - kv[None, :]
         idx, has_any, all_pos = _bracket_roots(phi)
         res = np.where(all_pos, curve.y_hi, curve.y_lo)
         rows = np.nonzero(has_any)[0]
@@ -486,7 +470,7 @@ def source_payoff(model: Model, curve: Optional[SplitCurve], x: np.ndarray,
         y_lo, y_hi = model.target.y_lo, model.target.y_hi
         y_nodes = model.target.interior_grid(257)
     v_nodes = np.asarray(v_fn(y_nodes), dtype=float)
-    vals = _sy_matrix_s(model, x, y_nodes) - v_nodes[None, :]
+    vals = _surplus_matrix(model.surplus.s, x, y_nodes) - v_nodes[None, :]
     best = np.argmax(vals, axis=1)
     a = np.where(best > 0, y_nodes[np.maximum(best - 1, 0)], y_lo)
     b = np.where(best < y_nodes.size - 1,
@@ -501,11 +485,6 @@ def source_payoff(model: Model, curve: Optional[SplitCurve], x: np.ndarray,
     if single:
         return float(u_val[0]), float(y_star[0])
     return u_val, y_star
-
-
-def _sy_matrix_s(model: Model, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    cols = [np.asarray(model.surplus.s(x, float(yj)), dtype=float) for yj in ys]
-    return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -534,37 +513,19 @@ def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray,
     return out[0] if single else out
 
 
-def balance_residual(model: Model, curve: SplitCurve, y: float,
-                     epsilon: Optional[float] = None) -> float:
+def balance_residual(model: Model, curve: SplitCurve, y: float) -> float:
     """g(y) minus the level-set balance integral
 
-        integral_{X(y,k(y))} (k'(y) - s_yy) f / |grad_x s_y| dH^{m-1};
+        integral_{X(y,k(y))} (k'(y) - s_yy) f / |grad_x s_y| dH^{m-1}
 
-    small residuals certify the solved curve.  k' is taken from the slope
-    of the interpolated curve, not from the -h_y/h_k formula, so the check
-    is an independent closure of the mass balance rather than an identity
-    of the band kernel with itself."""
-    from .levelsets import _band_kernel, _contour_segments
+    over the ``auto`` level-set samples; small residuals certify the solved
+    curve.  k' is taken from the slope of the interpolated curve, not from
+    the -h_y/h_k formula, so the check is an independent closure of the
+    mass balance rather than an identity of the estimator with itself."""
     y = float(y)
-    k = curve.k_at(y)
+    ls = level_set(model, y, curve.k_at(y))
     kp = curve.kprime_at(y, from_interpolant=True)
-    if model.domain.dim == 2 and model.grid.spacing is not None:
-        segments, _ = _contour_segments(model, y, k)
-        if segments.shape[0] == 0:
-            raise EmptyBand(f"level set at y={y:g} misses the domain")
-        mids = segments.mean(axis=1)
-        lengths = np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1)
-        gnorm = np.linalg.norm(
-            np.asarray(model.surplus.grad_x_s_y(mids, y), dtype=float), axis=1)
-        syy = np.asarray(model.surplus.s_yy(mids, y), dtype=float)
-        integral = float(np.sum(lengths * model.f_at(mids) * (kp - syy) / gnorm))
-        return float(model.g_at(y)[0]) - integral
-    sl = model.slice_at(y)
-    eps = band_epsilon(model, sl) if epsilon is None else float(epsilon)
-    kernel, count = _band_kernel(sl, k, eps)
-    if count == 0:
-        raise EmptyBand(f"no band points at y={y:g}, k={k:g}")
-    integral = float(np.sum(model.point_mass * (kp - sl.syy) * kernel))
+    integral = float(np.sum(ls.measure * ls.f * (kp - ls.syy) / ls.gnorm))
     return float(model.g_at(y)[0]) - integral
 
 
@@ -611,51 +572,3 @@ def pushforward_distance(model: Model, curve: SplitCurve,
                          on_multiple="first")
     return weighted_ks_distance(model, f_vals, pm)
 
-
-def solve_model(model: Model, y_grid: Optional[np.ndarray] = None,
-                n_nodes: int = 257, tol_mass: float = 1e-6,
-                with_diagnostics: bool = False) -> MatchSolution:
-    """Convenience pipeline: split curve, payoffs, map, basic diagnostics."""
-    curve = solve_split_curve(model, y_grid=y_grid, tol_mass=tol_mass,
-                              n_nodes=n_nodes)
-    v_vals = curve.v_values
-
-    def map_fn(x, method="by-level", **kw):
-        return optimal_map(model, curve, x, method=method, **kw)
-
-    def u_fn(x):
-        return source_payoff(model, curve, x)[0]
-
-    def u_arg_fn(x):
-        return source_payoff(model, curve, x)[1]
-
-    diagnostics = {}
-    if with_diagnostics:
-        from .levelsets import level_set_sizes
-        inner = curve.y_grid[(curve.y_grid > model.target.y_lo
-                              + 0.02 * model.target.length)
-                             & (curve.y_grid < model.target.y_hi
-                                - 0.02 * model.target.length)]
-        sample = inner[:: max(1, inner.size // 32)]
-        areas = []
-        residuals = []
-        for y in sample:
-            try:
-                areas.append(level_set_sizes(model, float(y),
-                                             curve.k_at(float(y)))["A"])
-                residuals.append(balance_residual(model, curve, float(y)))
-            except EmptyBand:
-                areas.append(np.nan)
-                residuals.append(np.nan)
-        from .nestedness import speed_limit
-        diagnostics = {
-            "diag_y": sample,
-            "area": np.array(areas),
-            "balance_residual": np.array(residuals),
-            "speed_limit": speed_limit(model, curve),
-            "pushforward_distance": pushforward_distance(model, curve),
-            "k_nondecreasing": curve.k_nondecreasing,
-        }
-
-    return MatchSolution(curve=curve, v_values=v_vals, map=map_fn, u=u_fn,
-                         u_argmax=u_arg_fn, diagnostics=diagnostics)

@@ -171,3 +171,49 @@ def test_every_tolerance_settable_and_echoed(tmp_path):
     assert set(DEFAULT_TOLERANCES) <= set(summary["tolerances"])
     assert summary["tolerances"]["splitting_deadband"] == 2e-3
     assert summary["tolerances"]["scan_nodes"] == 101
+
+
+def test_dump_level_2d_writes_contour_segments(tmp_path):
+    assert run_main(["solve", "paraboloid-segment", "--resolution", "64",
+                     "--y-nodes", "33", "--dump-level", "0.5",
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "levelset_0p5.csv").read_text().splitlines()
+    assert lines[0] == "segment,x1,x2"
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert rows.shape[0] >= 2
+    # two endpoints per segment, ids 0, 0, 1, 1, ...
+    assert np.array_equal(rows[:, 0], np.repeat(np.arange(rows.shape[0] // 2), 2))
+    # s_y = x1 on the bowl, so the level set at y is the chord x1 = y^(2/3)
+    assert np.max(np.abs(rows[:, 1] - 0.5 ** (2 / 3))) < 1e-2
+
+
+def test_dump_level_band_writes_samples_with_measure(tmp_path):
+    assert run_main(["solve", "uniform-1d", "--y-nodes", "65",
+                     "--dump-level", "0.5", "--out", str(tmp_path)]) == 0
+    rows = np.genfromtxt(tmp_path / "levelset_0p5.csv", delimiter=",",
+                         names=True)
+    assert rows.dtype.names == ("x1", "measure")
+    assert np.max(np.abs(rows["x1"] - 0.5)) < 0.01
+    # the level set is one point, whose counting measure is 1
+    assert abs(np.sum(rows["measure"]) - 1.0) < 1e-3
+
+
+def test_dump_level_missing_level_is_header_only(tmp_path):
+    from nestor.cli import _dump_level_set
+    from nestor.geometry import (Quadrature, TargetInterval, box_domain,
+                                 interval_domain)
+    from nestor.model import Model
+    from nestor.solver import SplitCurve
+    from nestor.surplus import bilinear_surplus
+    cases = [(box_domain([0, 0], [1, 1]), [1.0, 0.0], 32, "segment,x1,x2"),
+             (interval_domain(), [1.0], 256, "x1,measure")]
+    for i, (domain, direction, res, header) in enumerate(cases):
+        model = Model(domain, TargetInterval(0, 1), bilinear_surplus(direction),
+                      quadrature=Quadrature("tensor", res))
+        # a level far above max s_y = 1 never meets the domain
+        far = SplitCurve.from_function(model.target, np.linspace(0, 1, 9),
+                                       lambda y: 50.0 + 0 * y)
+        out = tmp_path / str(i)
+        out.mkdir()
+        _dump_level_set(model, far, 0.5, str(out))
+        assert (out / "levelset_0p5.csv").read_text() == header + "\n"

@@ -4,9 +4,9 @@ import pytest
 from nestor.errors import Degenerate, EmptyBand
 from nestor.geometry import (Quadrature, TargetInterval, annulus_domain,
                              box_domain, interval_domain, paraboloid_domain)
-from nestor.levelsets import (grad_h, is_tangential, level_set_sizes,
-                              normal_velocity, split_function, sublevel_mass,
-                              surface_integral)
+from nestor.levelsets import (grad_h, is_tangential, level_set,
+                              level_set_sizes, normal_velocity, split_function,
+                              sublevel_mass, surface_integral)
 from nestor.model import Model, target_cdf
 from nestor.surplus import arc_surplus, bilinear_surplus
 
@@ -33,6 +33,45 @@ def bowl():
 def disk():
     return Model(annulus_domain(0.0), TargetInterval(-np.pi, np.pi),
                  arc_surplus())
+
+
+@pytest.fixture(scope="module")
+def cube():
+    return Model(box_domain([0, 0, 0], [1, 1, 1]), TargetInterval(0, 1),
+                 bilinear_surplus([1, 0, 0]), quadrature=Quadrature("tensor", 24))
+
+
+@pytest.fixture(scope="module")
+def square_mc():
+    return Model(box_domain([0, 0], [1, 1]), TargetInterval(0, 1),
+                 bilinear_surplus([1, 0]),
+                 quadrature=Quadrature("monte-carlo", 20_000, seed=1))
+
+
+@pytest.mark.parametrize("name, y, k, auto", [
+    ("square", 0.5, 0.5, "contour2d"),
+    ("bowl", 0.3, 0.5, "contour2d"),
+    ("disk", 0.0, 0.0, "contour2d"),
+    ("seg1d", 0.5, 0.5, "band"),
+    ("cube", 0.5, 0.5, "band"),
+    ("square_mc", 0.5, 0.5, "band"),
+])
+def test_level_set_sampler(request, name, y, k, auto):
+    model = request.getfixturevalue(name)
+    assert level_set(model, y, k).estimator == auto
+    estimators = ["band", "contour2d"] if auto == "contour2d" else ["band"]
+    for est in estimators:
+        ls = level_set(model, y, k, estimator=est)
+        assert ls.estimator == est
+        assert ls.measure.sum() == surface_integral(model, y, k,
+                                                    estimator=est).value
+        assert ls.points.shape == (ls.measure.size, model.domain.dim)
+        with pytest.raises(EmptyBand) as err:
+            level_set(model, y, 50.0, estimator=est)
+        assert err.value.estimator == est
+    if auto == "band":
+        with pytest.raises(ValueError):
+            level_set(model, y, k, estimator="contour2d")
 
 
 def test_sublevel_mass_examples(seg1d, bowl):
