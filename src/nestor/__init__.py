@@ -17,8 +17,8 @@ from .geometry import (Domain, Quadrature, TargetInterval, annulus_domain,
                        pie_slice_domain)
 from .levelsets import (GradH, LevelSet, SurfaceIntegralResult, grad_h,
                         is_tangential, level_set, level_set_sizes,
-                        normal_velocity, split_function, sublevel_mass,
-                        surface_integral)
+                        normal_velocity, split_function, sublevel_levels,
+                        sublevel_mass, surface_integral)
 from .model import (DensityPair, Model, NondegeneracyCertificate,
                     certify_nondegeneracy, region_mass, target_cdf,
                     target_quantile)

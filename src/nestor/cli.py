@@ -286,17 +286,22 @@ def run(config: dict, out_dir: str = None) -> int:
     v_vals = curve.v_values
     summary["k_nondecreasing"] = curve.k_nondecreasing
 
-    # per-node diagnostics for curve.csv
+    # per-node diagnostics for curve.csv; an empty level set leaves its cell NaN
     areas = np.full(curve.y_grid.size, np.nan)
     residuals = np.full(curve.y_grid.size, np.nan)
+    empty = {"area": 0, "balance_residual": 0}
     for i, y in enumerate(curve.y_grid):
         try:
             areas[i] = surface_integral(model, float(y), float(curve.k_plus[i]),
                                         epsilon=tol["epsilon_band"],
                                         estimator=tol["estimator"]).value
+        except EmptyBand:
+            empty["area"] += 1
+        try:
             residuals[i] = sv.balance_residual(model, curve, float(y))
         except EmptyBand:
-            pass
+            empty["balance_residual"] += 1
+    summary["empty_level_sets"] = empty
 
     if config["outputs"]["curve_csv"]:
         _write_csv(os.path.join(out_dir, "curve.csv"),

@@ -27,7 +27,9 @@ otherwise.  An empty level set raises EmptyBand.
 Sublevel masses use a sub-cell linear ramp instead of a binary indicator
 so that h is smooth in k at fixed resolution; the ramp width is the span
 of s_y across one cell, which reproduces the exact cut-cell volume
-fraction for grid-aligned level sets.
+fraction for grid-aligned level sets.  The ramp mass is piecewise linear
+in k, and ``sublevel_levels`` inverts it exactly from its sorted
+breakpoints (a weighted quantile on Monte Carlo grids).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import Degenerate, EmptyBand
+from .errors import BracketFailure, Degenerate, EmptyBand
 from .model import Model, SurplusSlice, target_cdf
 
 
@@ -61,18 +63,66 @@ class GradH:
 # ---------------------------------------------------------------------------
 
 def _sublevel_fractions(sl: SurplusSlice, k):
-    """Per-point fraction of the cell lying in {s_y <= k} (linear ramp)."""
+    """Per-point fraction of the cell lying in {s_y <= k} (linear ramp);
+    one column per level when k is an array."""
     k = np.asarray(k, dtype=float)
+    sy = sl.sy if k.ndim == 0 else sl.sy[:, None]
     if sl.span is None:  # Monte Carlo: binary indicator
-        if k.ndim == 0:
-            return (sl.sy <= k).astype(float)
-        return (sl.sy[:, None] <= k[None, :]).astype(float)
+        return (sy <= k).astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
-        if k.ndim == 0:
-            t = (k - sl.sy) / sl.span
-        else:
-            t = (k[None, :] - sl.sy[:, None]) / sl.span[:, None]
+        t = (k - sy) / (sl.span if k.ndim == 0 else sl.span[:, None])
     return np.clip(t + 0.5, 0.0, 1.0)
+
+
+def cumulative_mass(sy: np.ndarray, mass: np.ndarray):
+    """sy in ascending order, and cum with cum[j] the mass of the j
+    smallest values: the binary sublevel mass at k is
+    cum[searchsorted(sorted, k, "right")]."""
+    order = np.argsort(sy, kind="stable")
+    return sy[order], np.concatenate([[0.0], np.cumsum(mass[order])])
+
+
+def _mass_knots(model: Model, sl: SurplusSlice):
+    """Knots (k_j, M_j) of the sublevel mass M(k): M is linear between
+    consecutive knots, 0 before the first and the total after the last;
+    two knots at one k make a jump (the binary indicator)."""
+    if sl.span is None:
+        sy, cum = cumulative_mass(sl.sy, model.point_mass)
+        return np.repeat(sy, 2), np.repeat(cum, 2)[1:-1]
+    # each ramp adds slope w_i f_i / span_i between s_y,i -/+ span_i / 2
+    slope = model.point_mass / sl.span
+    knots = np.concatenate([sl.sy - 0.5 * sl.span, sl.sy + 0.5 * sl.span])
+    order = np.argsort(knots, kind="stable")
+    knots = knots[order]
+    rate = np.cumsum(np.concatenate([slope, -slope])[order])
+    mass = np.concatenate([[0.0], np.cumsum(rate[:-1] * np.diff(knots))])
+    return knots, np.maximum.accumulate(mass)
+
+
+def _invert_knots(knots, mass, target: float, side: str) -> float:
+    """Smallest k with M(k) >= target (side "left") or largest k with
+    M(k) <= target (side "right"); +-inf when no knot bounds it."""
+    j = int(np.searchsorted(mass, target, side))
+    if j in (0, mass.size):
+        return -np.inf if j == 0 else np.inf
+    a, b = knots[j - 1], knots[j]
+    if a == b and side == "right":  # a jump: M(a) already exceeds target
+        return float(np.nextafter(a, -np.inf))
+    return float(a + (target - mass[j - 1]) / (mass[j] - mass[j - 1]) * (b - a))
+
+
+def sublevel_levels(model: Model, y: float, lo_mass: float, hi_mass: float):
+    """The smallest k with sublevel_mass(model, y, k) >= lo_mass and the
+    largest k with mass <= hi_mass (-inf or +inf when every k qualifies),
+    from one sort of the ramp breakpoints and one interpolation each.
+    Raises BracketFailure when hi_mass < 0 or lo_mass exceeds the total."""
+    total = float(np.sum(model.point_mass))
+    if hi_mass < 0 or lo_mass > total:
+        raise BracketFailure(f"sublevel mass never enters [{lo_mass:.6g}, "
+                             f"{hi_mass:.6g}] (total mass {total:.6g})")
+    knots, mass = _mass_knots(model, model.slice_at(float(y)))
+    return (_invert_knots(knots, mass, lo_mass, "left"),
+            _invert_knots(knots, mass, hi_mass, "right"))
 
 
 def sublevel_mass(model: Model, y: float, k):
@@ -380,12 +430,9 @@ def _contour_segments(model: Model, y: float, k: float):
 
 def _chain_ends(model: Model, segments: np.ndarray) -> int:
     """Number of contour chain ends: points used by exactly one segment
-    (grid-edge exits and clip cuts), counted after rounding to kill float
-    jitter."""
-    counts: dict = {}
+    (grid-edge exits and clip cuts), counted after quantizing to 1e-9 of
+    the domain scale to kill float jitter."""
     scale = max(model.domain.scale, 1.0)
-    for p, q in segments:
-        for pt in (p, q):
-            key = (round(pt[0] / scale, 9), round(pt[1] / scale, 9))
-            counts[key] = counts.get(key, 0) + 1
-    return sum(1 for v in counts.values() if v == 1)
+    keys = np.rint(segments.reshape(-1, 2) / scale * 1e9).astype(np.int64)
+    _, counts = np.unique(keys, axis=0, return_counts=True)
+    return int(np.sum(counts == 1))

@@ -1,14 +1,14 @@
 """Nested solve: the split curve k(y), payoffs, and the optimal map.
 
 For each y the level k(y) splits the population proportionately,
-mu[{s_y(., y) <= k}] = G(y); monotone bisection on the split function h
-finds the maximal root interval [k^-, k^+].  The target-side payoff is
-v(y) = integral of k, the source-side payoff is its generalized conjugate
-u(x) = sup_y s(x, y) - v(y), and the map F sends x to the y whose
-indifference set passes through x.  F is evaluated either by rooting
-s_y(x, y) = k(y) ("by-level") or by re-solving the proportional-splitting
-equation at x ("by-splitting"); the two agree exactly when the model is
-nested.
+mu[{s_y(., y) <= k}] = G(y); the sublevel mass is piecewise linear in k,
+so its exact inverse gives the maximal root interval [k^-, k^+].  The
+target-side payoff is v(y) = integral of k, the source-side payoff is its
+generalized conjugate u(x) = sup_y s(x, y) - v(y), and the map F sends x
+to the y whose indifference set passes through x.  F is evaluated either
+by rooting s_y(x, y) = k(y) ("by-level") or by re-solving the
+proportional-splitting equation at x ("by-splitting"); the two agree
+exactly when the model is nested.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
-from .levelsets import grad_h, is_tangential, level_set, sublevel_mass
+from .errors import EmptyBand, NonNested, ZeroSpeed
+from .levelsets import (cumulative_mass, grad_h, is_tangential, level_set,
+                        sublevel_levels, sublevel_mass)
 from .model import Model, target_cdf
 
 
@@ -119,37 +120,15 @@ class SplitCurve:
 # split-curve solve
 # ---------------------------------------------------------------------------
 
-def _bisect_mass(masses: Callable, target: float, lo: float, hi: float,
-                 tol_mass: float, k_atol: float):
-    """Root of masses(k) - target for a continuous non-decreasing function
-    with a sign change on [lo, hi]."""
-    f_lo = masses(lo) - target
-    f_hi = masses(hi) - target
-    if f_lo > tol_mass or f_hi < -tol_mass:
-        raise BracketFailure(
-            f"split function has no sign change on [{lo:g}, {hi:g}] "
-            f"(h values {f_lo:.3e}, {f_hi:.3e})")
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        f_mid = masses(mid) - target
-        if abs(f_mid) <= tol_mass or (b - a) <= k_atol:
-            return mid, a, b
-        if f_mid > 0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b), a, b
-
-
 def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
                       tol_mass: float = 1e-6, n_nodes: int = 257,
                       tangential_threshold: Optional[float] = None) -> SplitCurve:
-    """Solve h(y, k(y)) = 0 at every node by monotone bisection.
+    """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
-    Nodes flagged tangential (level set hugging the domain boundary) get
-    one-sided difference-quotient derivatives instead of -h_y/h_k, whose
-    hypotheses fail there.
+    k_minus and k_plus are the edges of {k : |h(y, k)| <= tol_mass},
+    clamped to the padded range of s_y.  Nodes flagged tangential (level
+    set hugging the domain boundary) get one-sided difference-quotient
+    derivatives instead of -h_y/h_k, whose hypotheses fail there.
     """
     model.require_nondegenerate()
     if y_grid is None:
@@ -163,57 +142,27 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     plateau = np.zeros(n, dtype=bool)
 
     for i, y in enumerate(y_grid):
-        sl = model.slice_at(float(y))
-        k_lo = float(np.min(sl.sy))
-        k_hi = float(np.max(sl.sy))
-        k_range = max(k_hi - k_lo, 1e-12)
+        y = float(y)
+        sl = model.slice_at(y)
+        k_range = max(float(np.ptp(sl.sy)), 1e-12)
         pad = 1e-3 * k_range + 10 * float(np.max(sl.span)) if sl.span is not None \
             else 1e-2 * k_range
-        k_lo -= pad
-        k_hi += pad
-        g_target = target_cdf(model, float(y))
-        masses = lambda k: sublevel_mass(model, float(y), k)  # noqa: E731
-        k_atol = 1e-13 * k_range
-        k0, _, _ = _bisect_mass(masses, g_target, k_lo, k_hi, tol_mass, k_atol)
-
-        # edges of the numerical zero set {|h| <= tol_mass}
-        a, b = k_lo, k0
-        for _ in range(60):
-            if b - a <= k_atol:
-                break
-            mid = 0.5 * (a + b)
-            if masses(mid) - g_target >= -tol_mass:
-                b = mid
-            else:
-                a = mid
-        k_minus[i] = b
-        a, b = k0, k_hi
-        for _ in range(60):
-            if b - a <= k_atol:
-                break
-            mid = 0.5 * (a + b)
-            if masses(mid) - g_target <= tol_mass:
-                a = mid
-            else:
-                b = mid
-        k_plus[i] = a
-        gap_tol = 1e-4 * k_range
-        plateau[i] = (k_plus[i] - k_minus[i]) > gap_tol
+        g_target = target_cdf(model, y)
+        k_minus[i], k_plus[i] = np.clip(
+            sublevel_levels(model, y, g_target - tol_mass, g_target + tol_mass),
+            np.min(sl.sy) - pad, np.max(sl.sy) + pad)
+        plateau[i] = k_plus[i] - k_minus[i] > 1e-4 * k_range
 
         try:
-            tangential[i] = is_tangential(model, float(y), k_plus[i],
+            tangential[i] = is_tangential(model, y, k_plus[i],
                                           threshold=tangential_threshold)
-        except EmptyBand:
-            tangential[i] = True
-        if not tangential[i]:
-            try:
-                gh = grad_h(model, float(y), k_plus[i])
+            if not tangential[i]:
+                gh = grad_h(model, y, k_plus[i])
+                tangential[i] = gh.h_k <= 0
                 if gh.h_k > 0:
                     kprime[i] = -gh.h_y / gh.h_k
-                else:
-                    tangential[i] = True
-            except EmptyBand:
-                tangential[i] = True
+        except EmptyBand:
+            tangential[i] = True
 
     # difference quotients at tangential nodes (one-sided at the ends)
     fd = np.gradient(k_plus, y_grid)
@@ -324,12 +273,10 @@ def splitting_profile(model: Model, x: np.ndarray,
     psi = np.empty((x.shape[0], y_scan.size))
     for j, yj in enumerate(y_scan):
         sy = np.asarray(model.surplus.s_y(pts, float(yj)), dtype=float)
-        order = np.argsort(sy, kind="stable")
-        cum = np.cumsum(model.point_mass[order])
+        sy_sorted, cum = cumulative_mass(sy, model.point_mass)
         kv = np.asarray(model.surplus.s_y(x, float(yj)), dtype=float)
-        idx = np.searchsorted(sy[order], kv, side="right")
-        mass = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        psi[:, j] = mass - target_cdf(model, float(yj))
+        idx = np.searchsorted(sy_sorted, kv, side="right")
+        psi[:, j] = cum[idx] - target_cdf(model, float(yj))
     return psi
 
 

@@ -198,6 +198,19 @@ def test_dump_level_band_writes_samples_with_measure(tmp_path):
     assert abs(np.sum(rows["measure"]) - 1.0) < 1e-3
 
 
+def test_empty_area_band_keeps_balance_residual(tmp_path):
+    # a 1e-12 band catches no quadrature point, so every area is NaN; the
+    # balance residual uses its own sampler and must not be wiped with it
+    assert run_main(["solve", "uniform-1d", "--epsilon-band", "1e-12",
+                     "--y-nodes", "17", "--out", str(tmp_path)]) == 0
+    rows = np.genfromtxt(tmp_path / "curve.csv", delimiter=",", names=True)
+    assert np.all(np.isnan(rows["area"]))
+    assert np.all(np.isfinite(rows["balance_residual"]))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert isinstance(summary["balance_residual_max"], float)
+    assert summary["empty_level_sets"] == {"area": 17, "balance_residual": 0}
+
+
 def test_dump_level_missing_level_is_header_only(tmp_path):
     from nestor.cli import _dump_level_set
     from nestor.geometry import (Quadrature, TargetInterval, box_domain,

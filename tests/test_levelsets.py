@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nestor.errors import Degenerate, EmptyBand
 from nestor.geometry import (Quadrature, TargetInterval, annulus_domain,
                              box_domain, interval_domain, paraboloid_domain)
 from nestor.levelsets import (grad_h, is_tangential, level_set,
                               level_set_sizes, normal_velocity, split_function,
-                              sublevel_mass, surface_integral)
+                              sublevel_levels, sublevel_mass, surface_integral)
 from nestor.model import Model, target_cdf
 from nestor.surplus import arc_surplus, bilinear_surplus
 
@@ -87,6 +89,34 @@ def test_sublevel_mass_monotone_in_k(bowl):
     vals = sublevel_mass(bowl, 0.4, ks)
     assert np.all(np.diff(vals) >= -1e-12)  # monotone up to roundoff
     assert np.all((vals >= 0) & (vals <= 1 + 1e-12))
+
+
+_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+# ``request`` only looks up module-scoped fixtures, so it holds no state
+# between examples
+@pytest.mark.parametrize("name", ["seg1d", "bowl", "square_mc"])
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(y=st.floats(0.0, 1.0), a=_unit, b=_unit)
+def test_sublevel_levels_invert_the_mass(request, name, y, a, b):
+    model = request.getfixturevalue(name)
+    lo, hi = min(a, b), max(a, b)
+    lower, upper = sublevel_levels(model, y, lo, hi)
+    sl = model.slice_at(y)
+    step = 1e-9 * float(np.ptp(sl.sy))
+    assert sublevel_mass(model, y, lower) >= lo - 1e-12
+    assert sublevel_mass(model, y, lower - step) < lo  # lower is minimal
+    assert sublevel_mass(model, y, upper) <= hi + 1e-12
+    assert sublevel_mass(model, y, upper + step) > hi  # upper is maximal
+    if sl.span is not None:
+        ks = np.sort(np.concatenate([
+            [lower, upper],
+            np.linspace(sl.sy.min() - sl.span.max(),
+                        sl.sy.max() + sl.span.max(), 257)]))
+        assert np.all(np.diff(sublevel_mass(model, y, ks)) >= -1e-12)
+        assert lower <= upper
 
 
 def test_split_function_examples(seg1d, bowl):

@@ -3,7 +3,7 @@ import pytest
 
 from nestor.errors import BracketFailure, NonNested, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
-from nestor.levelsets import grad_h
+from nestor.levelsets import grad_h, sublevel_levels
 from nestor.model import Model
 from nestor.solver import (SplitCurve, balance_residual, map_gradient,
                            optimal_map, pushforward_distance,
@@ -46,13 +46,12 @@ def test_kprime_matches_grad_h_formula(par2):
 
 
 def test_bracket_failure_when_mass_cannot_reach_target():
-    from nestor.solver import _bisect_mass
     model = Model(interval_domain(), TargetInterval(0, 1),
                   bilinear_surplus([1.0]))
-    masses = lambda k: float(np.clip(k, 0.0, 1.0))  # noqa: E731
     with pytest.raises(BracketFailure):
-        _bisect_mass(masses, 1.5, -0.1, 1.1, 1e-6, 1e-12)
-    del model
+        sublevel_levels(model, 0.5, 1.5, 1.5)
+    with pytest.raises(BracketFailure):
+        sublevel_levels(model, 0.5, -0.5, -0.5)
 
 
 def test_target_payoff_examples(uni1d, par2):
