@@ -286,22 +286,21 @@ def run(config: dict, out_dir: str = None) -> int:
     v_vals = curve.v_values
     summary["k_nondecreasing"] = curve.k_nondecreasing
 
-    # per-node diagnostics for curve.csv; an empty level set leaves its cell NaN
+    # per-node diagnostics for curve.csv; an empty level set leaves its cell
+    # NaN.  The balance residual -(h_y + k' h_k) reuses the solve's sample.
     areas = np.full(curve.y_grid.size, np.nan)
-    residuals = np.full(curve.y_grid.size, np.nan)
-    empty = {"area": 0, "balance_residual": 0}
     for i, y in enumerate(curve.y_grid):
         try:
             areas[i] = surface_integral(model, float(y), float(curve.k_plus[i]),
                                         epsilon=tol["epsilon_band"],
                                         estimator=tol["estimator"]).value
         except EmptyBand:
-            empty["area"] += 1
-        try:
-            residuals[i] = sv.balance_residual(model, curve, float(y))
-        except EmptyBand:
-            empty["balance_residual"] += 1
-    summary["empty_level_sets"] = empty
+            pass
+    residuals = -(curve.h_y + curve.kprime_at(curve.y_grid, from_interpolant=True)
+                  * curve.h_k)
+    summary["empty_level_sets"] = {
+        "area": int(np.sum(np.isnan(areas))),
+        "balance_residual": int(np.sum(np.isnan(residuals)))}
 
     if config["outputs"]["curve_csv"]:
         _write_csv(os.path.join(out_dir, "curve.csv"),
@@ -321,8 +320,8 @@ def run(config: dict, out_dir: str = None) -> int:
             grads = sv.map_gradient(model, curve, pts,
                                     speed_threshold=tol["zero_speed_threshold"])
             grad_norm = np.linalg.norm(np.atleast_2d(grads), axis=1)
-        except NestorError:
-            pass
+        except NestorError as exc:
+            summary["map_gradient_error"] = f"{type(exc).__name__}: {exc}"
         cols = [pts[:, j] for j in range(model.domain.dim)]
         _write_csv(os.path.join(out_dir, "map.csv"),
                    [f"x{j + 1}" for j in range(model.domain.dim)]
@@ -480,12 +479,9 @@ def _config_from_args(args) -> dict:
     if args.y_nodes is not None:
         config["y_nodes"] = args.y_nodes
     tol = config.setdefault("tolerances", {})
-    if args.tol_mass is not None:
-        tol["tol_mass"] = args.tol_mass
-    if args.epsilon_band is not None:
-        tol["epsilon_band"] = args.epsilon_band
-    if args.estimator is not None:
-        tol["estimator"] = args.estimator
+    for key in ("tol_mass", "epsilon_band", "estimator"):
+        if getattr(args, key) is not None:
+            tol[key] = getattr(args, key)
     if not tol:
         config.pop("tolerances")
     if args.require_nested:
@@ -528,14 +524,12 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         outputs = {"curve_csv": True, "map_csv": True,
-                   "nestedness_json": False, "oracle": False,
+                   "nestedness_json": args.command == "solve", "oracle": False,
                    "reduce_1d": False, "holder_probe": False}
-        if args.command == "solve":
-            outputs["nestedness_json"] = True
-        elif args.command == "check-nested":
-            outputs = {"curve_csv": False, "map_csv": False,
-                       "nestedness_json": True, "oracle": False,
-                       "reduce_1d": False, "holder_probe": False}
+        if args.command == "check-nested":
+            outputs.update(curve_csv=False, map_csv=False, nestedness_json=True)
+        elif args.command in ("reduce-1d", "holder-probe"):
+            outputs[args.command.replace("-", "_")] = True
         elif args.command == "oracle":
             outputs["oracle"] = True
             try:
@@ -545,10 +539,6 @@ def main(argv=None) -> int:
             config.setdefault("oracle", {})
             config["oracle"]["n_source"] = n_src
             config["oracle"]["n_target"] = n_tgt
-        elif args.command == "reduce-1d":
-            outputs["reduce_1d"] = True
-        elif args.command == "holder-probe":
-            outputs["holder_probe"] = True
         user_outputs = config.get("outputs", {})
         outputs.update(user_outputs)
         config["outputs"] = outputs

@@ -184,20 +184,16 @@ class Quadrature:
         mask = mask_flat.reshape([n] * m)
 
         # A cell is boundary-adjacent if any axis neighbour is outside the
-        # domain; cells on the grid edge count as adjacent (the domain can
-        # only reach the bbox face there, which is part of its boundary).
+        # domain; the False padding makes cells on the grid edge adjacent
+        # (the domain can only reach the bbox face there, part of its boundary).
+        padded = np.pad(mask, 1)
         adjacent = np.zeros_like(mask)
         for j in range(m):
-            nb_out = np.ones_like(mask)
-            sl_dst = [slice(None)] * m
-            sl_src = [slice(None)] * m
-            sl_dst[j], sl_src[j] = slice(0, n - 1), slice(1, n)
-            nb_out[tuple(sl_dst)] = ~mask[tuple(sl_src)]
-            adjacent |= nb_out & mask
-            nb_out = np.ones_like(mask)
-            sl_dst[j], sl_src[j] = slice(1, n), slice(0, n - 1)
-            nb_out[tuple(sl_dst)] = ~mask[tuple(sl_src)]
-            adjacent |= nb_out & mask
+            for start in (0, 2):  # the neighbour below, then above, on axis j
+                window = [slice(1, n + 1)] * m
+                window[j] = slice(start, start + n)
+                adjacent |= ~padded[tuple(window)]
+        adjacent &= mask
 
         cell = float(np.prod(spacing))
         pts_in = pts[mask_flat]
@@ -251,15 +247,9 @@ def box_domain(lo, hi) -> Domain:
 
     def normal(x):
         x = np.atleast_2d(x)
-        d_lo = x - lo
-        d_hi = hi - x
+        j = np.argmin(np.concatenate([x - lo, hi - x], axis=1), axis=1)
         out = np.zeros_like(x)
-        stacked = np.concatenate([d_lo, d_hi], axis=1)
-        j = np.argmin(stacked, axis=1)
-        rows = np.arange(x.shape[0])
-        axis = j % m
-        sign = np.where(j < m, -1.0, 1.0)
-        out[rows, axis] = sign
+        out[np.arange(x.shape[0]), j % m] = np.where(j < m, -1.0, 1.0)
         return out
 
     return Domain(dim=m, bbox=np.stack([lo, hi]), inside=inside,

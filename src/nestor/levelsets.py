@@ -165,7 +165,10 @@ class LevelSet:
     ``measure[j]``; ``f``, ``grad``, ``gnorm`` and ``syy`` are the source
     density, grad_x s_y, its norm and s_yy there.  ``boundary`` flags band
     samples in boundary-adjacent cells and ``segments`` holds the contour
-    polyline; each is None for the other estimator.
+    polyline; each is None for the other estimator.  The properties are
+    the sums surface integrals reduce to: area, h_k (of f / |grad_x s_y|),
+    flux (of f s_yy / |grad_x s_y|, so h_y = -g(y) - flux) and, for the
+    band, the share of the area on boundary-adjacent samples.
     """
     estimator: str                  # "band" | "contour2d"
     epsilon: float                  # band half-width; 0 for contour2d
@@ -177,6 +180,23 @@ class LevelSet:
     syy: np.ndarray                 # (S,)
     boundary: Optional[np.ndarray]  # (S,) bool, band only
     segments: Optional[np.ndarray]  # (S, 2, 2), contour2d only
+
+    @property
+    def area(self) -> float:
+        return float(np.sum(self.measure))
+
+    @property
+    def h_k(self) -> float:
+        return float(np.sum(self.measure * self.f / self.gnorm))
+
+    @property
+    def flux(self) -> float:
+        return float(np.sum(self.measure * self.f * self.syy / self.gnorm))
+
+    @property
+    def boundary_fraction(self) -> float:
+        area = self.area
+        return float(np.sum(self.measure[self.boundary])) / area if area > 0 else 1.0
 
 
 def level_set(model: Model, y: float, k: float, estimator: str = "auto",
@@ -240,9 +260,9 @@ def surface_integral(model: Model, y: float, k: float,
     set misses the domain (or epsilon is too small).
     """
     ls = level_set(model, y, k, estimator, epsilon)
-    values = ls.measure if integrand is None else \
-        ls.measure * np.asarray(integrand(ls.points), dtype=float)
-    return SurfaceIntegralResult(value=float(np.sum(values)),
+    value = ls.area if integrand is None else \
+        float(np.sum(ls.measure * np.asarray(integrand(ls.points), dtype=float)))
+    return SurfaceIntegralResult(value=value,
                                  band_count=ls.points.shape[0],
                                  epsilon=ls.epsilon, estimator=ls.estimator)
 
@@ -256,9 +276,7 @@ def grad_h(model: Model, y: float, k: float,
         h_y = -g(y) - integral_{s_y=k} f s_yy / |grad_x s_y| dH^{m-1}
     """
     ls = level_set(model, y, k, estimator, epsilon)
-    h_k = float(np.sum(ls.measure * ls.f / ls.gnorm))
-    flux = float(np.sum(ls.measure * ls.f * ls.syy / ls.gnorm))
-    return GradH(h_y=-float(model.g_at(y)[0]) - flux, h_k=h_k)
+    return GradH(h_y=-float(model.g_at(y)[0]) - ls.flux, h_k=ls.h_k)
 
 
 def normal_velocity(model: Model, y: float, k: float, kprime: float,
@@ -282,9 +300,7 @@ def boundary_band_fraction(model: Model, y: float, k: float,
     Large values mean the indifference set hugs the domain boundary; the
     derivative formulas for k are unreliable there.
     """
-    ls = level_set(model, y, k, "band", epsilon)
-    total = float(np.sum(ls.measure))
-    return float(np.sum(ls.measure[ls.boundary])) / total if total > 0 else 1.0
+    return level_set(model, y, k, "band", epsilon).boundary_fraction
 
 
 def default_tangential_threshold(model: Model) -> float:
@@ -329,8 +345,8 @@ def level_set_sizes(model: Model, y: float, k: float,
     elif model.domain.boundary_normal is not None and model.grid.spacing is not None:
         collar = float(np.max(model.grid.spacing))
         b_val = float(np.sum(ls.measure[ls.boundary])) / collar
-    return {"A": float(np.sum(ls.measure)), "B": b_val,
-            "tangential": is_tangential(model, y, k, epsilon)}
+    return {"A": ls.area, "B": b_val, "tangential":
+            ls.boundary_fraction > default_tangential_threshold(model)}
 
 
 # ---------------------------------------------------------------------------

@@ -214,12 +214,8 @@ class Model:
 def default_quadrature(dim: int) -> Quadrature:
     """Tensor midpoint grids at desk scale for m <= 3, seeded Monte Carlo
     beyond."""
-    if dim == 1:
-        return Quadrature(mode="tensor", resolution=2048)
-    if dim == 2:
-        return Quadrature(mode="tensor", resolution=256)
-    if dim == 3:
-        return Quadrature(mode="tensor", resolution=64)
+    if dim <= 3:
+        return Quadrature(mode="tensor", resolution={1: 2048, 2: 256, 3: 64}[dim])
     return Quadrature(mode="monte-carlo", resolution=200_000, seed=0)
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import EmptyBand, NoBoundaryOracle
 from .levelsets import level_set, surface_integral
 from .model import Model
-from .solver import SplitCurve, count_sign_changes, splitting_profile
+from .solver import (SplitCurve, count_sign_changes, effective_deadband,
+                     splitting_profile)
 
 
 @dataclass
@@ -101,11 +102,8 @@ def check_sublevel_monotonicity(model: Model, curve: SplitCurve,
             continue
         sl0 = model.slice_at(y0)
         sl1 = model.slice_at(y1)
-        if margin_tol is None:
-            spread = float(np.max(sl1.sy) - np.min(sl1.sy))
-            tol = 1e-3 * max(spread, 1e-12)
-        else:
-            tol = margin_tol
+        tol = 1e-3 * max(float(np.max(sl1.sy) - np.min(sl1.sy)), 1e-12) \
+            if margin_tol is None else margin_tol
         inside0 = sl0.sy <= curve.k_at(y0)
         margin = sl1.sy - curve.k_at(y1)
         viol = inside0 & (margin > tol)
@@ -129,16 +127,6 @@ def check_sublevel_monotonicity(model: Model, curve: SplitCurve,
 # ---------------------------------------------------------------------------
 # criterion 2: dynamic (normal-speed) criterion
 # ---------------------------------------------------------------------------
-
-def _speed_stats(model: Model, curve: SplitCurve, i_node: int):
-    """(min, max, argmin point) of k'(y) - s_yy over the ``auto`` level-set
-    samples of the indifference set of node i."""
-    y = float(curve.y_grid[i_node])
-    ls = level_set(model, y, float(curve.k_plus[i_node]))
-    vals = float(curve.kprime[i_node]) - ls.syy
-    j = int(np.argmin(vals))
-    return float(vals[j]), float(np.max(vals)), ls.points[j].copy()
-
 
 def _speed_resolution_floor(model: Model) -> float:
     """Smallest speed deficit the sampled criterion can resolve: set
@@ -165,7 +153,9 @@ def dynamic_criterion(model: Model, curve: SplitCurve,
                       tol: Optional[float] = None) -> CriterionResult:
     """Check k' - s_yy >= 0 on each sampled indifference set, with a strict
     maximum somewhere; strict positivity everywhere with no tangential
-    nodes additionally certifies the model nested.
+    nodes additionally certifies the model nested.  At node i, k' - s_yy
+    spans kprime - syy_max .. kprime - syy_min (the curve's own sample);
+    tangential nodes and empty level sets are skipped and counted apart.
 
     The default tolerance combines the usual discretization-noise floor
     with the speed resolution of the grid (one cell of s_yy variation):
@@ -174,39 +164,35 @@ def dynamic_criterion(model: Model, curve: SplitCurve,
     if y_nodes is None:
         idx = np.arange(curve.y_grid.size)[:: max(1, curve.y_grid.size // 41)]
     else:
-        idx = [int(np.argmin(np.abs(curve.y_grid - y))) for y in y_nodes]
+        idx = np.array([np.argmin(np.abs(curve.y_grid - y)) for y in y_nodes],
+                       dtype=int)
     if tol is None:
         tol = max(1e-4 * (1.0 + float(np.max(np.abs(curve.kprime)))),
                   _speed_resolution_floor(model))
-    per_node = []
-    witnesses = []
-    skipped = 0
-    for i in idx:
-        if curve.tangential_flags[i]:
-            skipped += 1
-            continue
-        try:
-            lo, hi, x_min = _speed_stats(model, curve, i)
-        except EmptyBand:
-            skipped += 1
-            continue
-        per_node.append((float(curve.y_grid[i]), lo, hi))
-        if lo < -tol:
-            witnesses.append((float(curve.y_grid[i]), lo, x_min))
+    tangential = curve.tangential_flags[idx]
+    empty = ~tangential & np.isnan(curve.syy_max[idx])
+    idx = idx[~tangential & ~empty]
+    lo = curve.kprime[idx] - curve.syy_max[idx]
+    hi = curve.kprime[idx] - curve.syy_min[idx]
+    per_node = list(zip(curve.y_grid[idx].tolist(), lo.tolist(), hi.tolist()))
+    witnesses = [(float(curve.y_grid[i]), float(lo_i), curve.x_syy_max[i].copy())
+                 for i, lo_i in zip(idx, lo) if lo_i < -tol]
+    n_tangential, n_empty = int(np.sum(tangential)), int(np.sum(empty))
     if not per_node:
         status = "indeterminate"
     elif witnesses:
         status = "fail"
-    elif all(hi > 0 for _, _, hi in per_node):
+    elif np.all(hi > 0):
         status = "pass"
     else:
         status = "indeterminate"  # speed identically ~0 at some node
-    certified = (status == "pass" and skipped == 0
-                 and all(lo > 0 for _, lo, _ in per_node))
+    certified = bool(status == "pass" and n_tangential + n_empty == 0
+                     and np.all(lo > 0))
     return CriterionResult(
         name="dynamic", status=status, witnesses=witnesses,
-        details={"per_node": per_node, "skipped": skipped, "tol": tol,
-                 "min": min((lo for _, lo, _ in per_node), default=np.nan),
+        details={"per_node": per_node, "skipped": n_tangential + n_empty,
+                 "skipped_tangential": n_tangential, "skipped_empty": n_empty,
+                 "tol": tol, "min": float(np.min(lo)) if lo.size else np.nan,
                  "certified_strict": certified})
 
 
@@ -229,7 +215,6 @@ def unique_splitting_check(model: Model,
     x_probes = np.atleast_2d(x_probes)
     y_scan = model.target.interior_grid(scan_nodes, clustered=False)
     psi = splitting_profile(model, x_probes, y_scan)
-    from .solver import effective_deadband
     band = effective_deadband(model, deadband)
     witnesses = []
     n_single = 0
@@ -284,21 +269,17 @@ def transversality_diagnostic(model: Model, curve: SplitCurve,
 def speed_limit(model: Model, curve: SplitCurve,
                 region_y: Optional[tuple] = None) -> float:
     """ell = min over sampled nodes (within region_y) and level-set samples
-    of k' - s_yy; ell > 0 bounds the Lipschitz constant of the map by
-    sup|grad_x s_y| / ell."""
+    of k' - s_yy, i.e. of kprime - syy_max over the nodes whose level set
+    is not empty (+inf when none is); ell > 0 bounds the Lipschitz
+    constant of the map by sup|grad_x s_y| / ell."""
     idx = np.arange(curve.y_grid.size)
     if region_y is not None:
         lo, hi = region_y
         idx = idx[(curve.y_grid >= lo) & (curve.y_grid <= hi)]
     idx = idx[:: max(1, idx.size // 64)]
-    best = np.inf
-    for i in idx:
-        try:
-            lo_val, _, _ = _speed_stats(model, curve, int(i))
-        except EmptyBand:
-            continue
-        best = min(best, lo_val)
-    return float(best)
+    speeds = curve.kprime[idx] - curve.syy_max[idx]
+    speeds = speeds[~np.isnan(speeds)]
+    return float(np.min(speeds)) if speeds.size else float(np.inf)
 
 
 def kprime_bound_gap(model: Model, curve: SplitCurve,

@@ -19,7 +19,7 @@ known to admit, so solver output can be regressed against ground truth:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InsufficientRange, UnknownScenario
 from .geometry import (Quadrature, TargetInterval, annulus_domain,
                        interval_domain, paraboloid_domain, pie_slice_domain)
-from .model import DensityPair, Model
+from .model import DensityPair, Model, default_quadrature
 from .surplus import arc_surplus, bilinear_surplus
 
 
@@ -44,10 +44,11 @@ class Scenario:
 
 
 def _quad_for(dim: int, resolution: Optional[int], seed: int) -> Quadrature:
-    if resolution is None:
-        resolution = {1: 2048, 2: 256, 3: 64}.get(dim, 200_000)
-    mode = "tensor" if dim <= 3 else "monte-carlo"
-    return Quadrature(mode=mode, resolution=resolution, seed=seed)
+    """``default_quadrature(dim)`` with the resolution (when given) and the
+    seed overridden."""
+    quad = default_quadrature(dim)
+    return replace(quad, seed=seed, resolution=quad.resolution
+                   if resolution is None else resolution)
 
 
 def _build_uniform_1d(resolution=None, seed=0, target="uniform"):

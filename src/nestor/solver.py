@@ -20,8 +20,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import EmptyBand, NonNested, ZeroSpeed
-from .levelsets import (cumulative_mass, grad_h, is_tangential, level_set,
-                        sublevel_levels, sublevel_mass)
+from .levelsets import (cumulative_mass, default_tangential_threshold, grad_h,
+                        level_set, sublevel_levels, sublevel_mass)
 from .model import Model, target_cdf
 
 
@@ -32,7 +32,12 @@ class SplitCurve:
     k_minus/k_plus bracket the zero set of h(y, .) at each node (they
     differ by more than the gap tolerance only when the data carries a
     mass plateau, which is flagged); kprime holds -h_y/h_k at clean nodes
-    and one-sided difference quotients at tangential ones.
+    and one-sided difference quotients at tangential ones.  h_k, h_y,
+    syy_min, syy_max and x_syy_max (where s_yy peaks) reduce the ``auto``
+    sample of each node's level set X(y, k_plus), tangential or not, and
+    are NaN where it is empty; the balance residual and the speed criteria
+    are arithmetic on them.  ``from_function`` curves carry only k and k':
+    their level-set fields are NaN and x_syy_max has no columns.
     """
 
     y_grid: np.ndarray
@@ -43,6 +48,11 @@ class SplitCurve:
     plateau_flags: np.ndarray
     y_lo: float
     y_hi: float
+    h_k: np.ndarray
+    h_y: np.ndarray
+    syy_min: np.ndarray
+    syy_max: np.ndarray
+    x_syy_max: np.ndarray
     interpolation: PchipInterpolator = field(init=False, repr=False)
     _kprime_interp: PchipInterpolator = field(init=False, repr=False)
 
@@ -63,14 +73,14 @@ class SplitCurve:
         """Wrap an explicit level curve (e.g. an analytic v') as a curve."""
         y_grid = np.asarray(y_grid, dtype=float)
         k = np.asarray(k_fn(y_grid), dtype=float)
-        if kprime_fn is not None:
-            kp = np.asarray(kprime_fn(y_grid), dtype=float)
-        else:
-            kp = np.gradient(k, y_grid)
+        kp = np.gradient(k, y_grid) if kprime_fn is None \
+            else np.asarray(kprime_fn(y_grid), dtype=float)
         flags = np.zeros(y_grid.size, dtype=bool)
+        nan = np.full(y_grid.size, np.nan)
         return cls(y_grid=y_grid, k_minus=k.copy(), k_plus=k, kprime=kp,
                    tangential_flags=flags, plateau_flags=flags.copy(),
-                   y_lo=target.y_lo, y_hi=target.y_hi)
+                   y_lo=target.y_lo, y_hi=target.y_hi, h_k=nan, h_y=nan,
+                   syy_min=nan, syy_max=nan, x_syy_max=np.empty((nan.size, 0)))
 
     # -- evaluation (constant extension beyond the node range) -------------
 
@@ -126,13 +136,17 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
     k_minus and k_plus are the edges of {k : |h(y, k)| <= tol_mass},
-    clamped to the padded range of s_y.  Nodes flagged tangential (level
-    set hugging the domain boundary) get one-sided difference-quotient
+    clamped to the padded range of s_y.  X(y, k_plus) is sampled once per
+    node (twice on planar tensor grids, where the tangential flag needs
+    band samples besides the contour).  Nodes flagged tangential (level set
+    hugging the domain boundary, or empty) get one-sided difference-quotient
     derivatives instead of -h_y/h_k, whose hypotheses fail there.
     """
     model.require_nondegenerate()
     if y_grid is None:
         y_grid = model.target.interior_grid(n_nodes)
+    if tangential_threshold is None:
+        tangential_threshold = default_tangential_threshold(model)
     y_grid = np.asarray(y_grid, dtype=float)
     n = y_grid.size
     k_minus = np.empty(n)
@@ -140,6 +154,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     kprime = np.full(n, np.nan)
     tangential = np.zeros(n, dtype=bool)
     plateau = np.zeros(n, dtype=bool)
+    h_k, h_y, syy_min, syy_max = (np.full(n, np.nan) for _ in range(4))
+    x_syy_max = np.full((n, model.domain.dim), np.nan)
 
     for i, y in enumerate(y_grid):
         y = float(y)
@@ -154,15 +170,23 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
         plateau[i] = k_plus[i] - k_minus[i] > 1e-4 * k_range
 
         try:
-            tangential[i] = is_tangential(model, y, k_plus[i],
-                                          threshold=tangential_threshold)
-            if not tangential[i]:
-                gh = grad_h(model, y, k_plus[i])
-                tangential[i] = gh.h_k <= 0
-                if gh.h_k > 0:
-                    kprime[i] = -gh.h_y / gh.h_k
+            ls = level_set(model, y, k_plus[i])
+            h_k[i], h_y[i] = ls.h_k, -float(model.g_at(y)[0]) - ls.flux
+            j = int(np.argmax(ls.syy))
+            syy_min[i], syy_max[i] = np.min(ls.syy), ls.syy[j]
+            x_syy_max[i] = ls.points[j]
+        except EmptyBand:
+            ls = None
+        try:
+            band = ls if ls is not None and ls.estimator == "band" \
+                else level_set(model, y, k_plus[i], "band")
+            tangential[i] = band.boundary_fraction > tangential_threshold
         except EmptyBand:
             tangential[i] = True
+        # not h_k > 0 also catches an empty auto set (NaN)
+        tangential[i] |= not h_k[i] > 0
+        if not tangential[i]:
+            kprime[i] = -h_y[i] / h_k[i]
 
     # difference quotients at tangential nodes (one-sided at the ends)
     fd = np.gradient(k_plus, y_grid)
@@ -172,7 +196,9 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     return SplitCurve(y_grid=y_grid, k_minus=k_minus, k_plus=k_plus,
                       kprime=kprime, tangential_flags=tangential,
                       plateau_flags=plateau,
-                      y_lo=model.target.y_lo, y_hi=model.target.y_hi)
+                      y_lo=model.target.y_lo, y_hi=model.target.y_hi,
+                      h_k=h_k, h_y=h_y, syy_min=syy_min, syy_max=syy_max,
+                      x_syy_max=x_syy_max)
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +491,13 @@ def balance_residual(model: Model, curve: SplitCurve, y: float) -> float:
 
         integral_{X(y,k(y))} (k'(y) - s_yy) f / |grad_x s_y| dH^{m-1}
 
-    over the ``auto`` level-set samples; small residuals certify the solved
-    curve.  k' is taken from the slope of the interpolated curve, not from
-    the -h_y/h_k formula, so the check is an independent closure of the
-    mass balance rather than an identity of the estimator with itself."""
+    over the ``auto`` samples, i.e. -(h_y + k' h_k) with k' the slope of
+    the interpolated curve.  At a clean node, whose stored k' is -h_y/h_k,
+    this is h_k (k'_formula - k'_interp): how far the interpolant's slope
+    strays from the derivative formula, not an independent closure."""
     y = float(y)
-    ls = level_set(model, y, curve.k_at(y))
-    kp = curve.kprime_at(y, from_interpolant=True)
-    integral = float(np.sum(ls.measure * ls.f * (kp - ls.syy) / ls.gnorm))
-    return float(model.g_at(y)[0]) - integral
+    gh = grad_h(model, y, curve.k_at(y))
+    return -(gh.h_y + curve.kprime_at(y, from_interpolant=True) * gh.h_k)
 
 
 def weighted_ks_distance(model: Model, f_vals: np.ndarray,

@@ -51,6 +51,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert summary["nondegeneracy"]["passed"] is True
     assert "tol_mass" in summary["tolerances"]
     assert "timings_seconds" not in summary
+    assert "map_gradient_error" not in summary
 
 
 def test_require_nested_exit_code(tmp_path):
@@ -209,6 +210,40 @@ def test_empty_area_band_keeps_balance_residual(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert isinstance(summary["balance_residual_max"], float)
     assert summary["empty_level_sets"] == {"area": 17, "balance_residual": 0}
+
+
+def test_map_gradient_failure_is_recorded(tmp_path):
+    # every speed k' - s_yy = 1 is below this threshold, so map_gradient
+    # raises ZeroSpeed; the run goes on and says why grad_norm is empty
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "scenario": "uniform-1d", "y_nodes": 33,
+        "tolerances": {"zero_speed_threshold": 1e6}}))
+    assert run_main(["solve", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["map_gradient_error"].startswith("ZeroSpeed: ")
+    rows = np.genfromtxt(tmp_path / "map.csv", delimiter=",", names=True)
+    assert np.all(np.isnan(rows["grad_norm"]))
+
+
+def test_curve_csv_residual_matches_library(tmp_path):
+    from nestor.errors import EmptyBand
+    from nestor.scenarios import build
+    from nestor.solver import balance_residual, solve_split_curve
+    assert run_main(["solve", "paraboloid-segment", "--resolution", "48",
+                     "--y-nodes", "33", "--out", str(tmp_path)]) == 0
+    rows = np.genfromtxt(tmp_path / "curve.csv", delimiter=",", names=True)
+    model = build("paraboloid-segment", resolution=48).model
+    curve = solve_split_curve(model, n_nodes=33)
+    assert np.array_equal(rows["k"], curve.k_plus)
+    for y, res in zip(curve.y_grid, rows["balance_residual"]):
+        try:
+            ref = balance_residual(model, curve, float(y))
+        except EmptyBand:
+            assert np.isnan(res)
+            continue
+        assert abs(res - ref) <= 1e-12
 
 
 def test_dump_level_missing_level_is_header_only(tmp_path):

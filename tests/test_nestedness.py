@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from nestor.errors import NoBoundaryOracle
+from nestor.errors import EmptyBand, NoBoundaryOracle
 from nestor.geometry import Quadrature, TargetInterval, box_domain
+from nestor.levelsets import level_set
 from nestor.model import Model
 from nestor.nestedness import (check_sublevel_monotonicity, dynamic_criterion,
                                kprime_bound_gap, nestedness_report,
                                speed_limit, transversality_diagnostic,
                                unique_splitting_check)
-from nestor.solver import solve_split_curve
+from nestor.solver import SplitCurve, solve_split_curve
 from nestor.surplus import bilinear_surplus
 
 
@@ -38,6 +39,63 @@ def test_dynamic_criterion(par2, ball, pie_wide, uni1d):
     assert wide.status == "fail"
     flat = dynamic_criterion(uni1d.model, uni1d.curve)
     assert flat.status == "pass"
+
+
+def test_dynamic_criterion_skip_reasons(par2, pie_wide):
+    for solved in (par2, pie_wide):
+        c = solved.curve
+        details = dynamic_criterion(solved.model, c).details
+        idx = np.arange(c.y_grid.size)[:: max(1, c.y_grid.size // 41)]
+        assert details["skipped_tangential"] == int(np.sum(c.tangential_flags[idx]))
+        assert details["skipped_tangential"] > 0
+        assert details["skipped_empty"] == 0  # the solve flags empty sets
+        assert details["skipped"] == details["skipped_tangential"]
+    # an analytic curve carries no level-set sample: every node is empty
+    analytic = SplitCurve.from_function(par2.model.target, par2.curve.y_grid,
+                                        lambda y: y ** (2 / 3))
+    res = dynamic_criterion(par2.model, analytic)
+    assert res.status == "indeterminate"
+    assert res.details["skipped_tangential"] == 0
+    assert res.details["skipped_empty"] == res.details["skipped"] == 43
+
+
+def _resampled_speed_stats(model, curve, i):
+    """(min, max, argmin point) of k' - s_yy over a fresh auto sample of
+    the level set of node i."""
+    ls = level_set(model, float(curve.y_grid[i]), float(curve.k_plus[i]))
+    vals = float(curve.kprime[i]) - ls.syy
+    j = int(np.argmin(vals))
+    return float(vals[j]), float(np.max(vals)), ls.points[j]
+
+
+def test_speed_criteria_match_resampled_reference(par2, pie_wide, ball, uni1d):
+    for solved in (par2, pie_wide, ball, uni1d):
+        model, c = solved.model, solved.curve
+        dyn = dynamic_criterion(model, c)
+        per_node, witnesses = [], []
+        for i in np.arange(c.y_grid.size)[:: max(1, c.y_grid.size // 41)]:
+            if c.tangential_flags[i]:
+                continue
+            lo, hi, x_min = _resampled_speed_stats(model, c, i)
+            per_node.append((float(c.y_grid[i]), lo, hi))
+            if lo < -dyn.details["tol"]:
+                witnesses.append((float(c.y_grid[i]), lo, x_min))
+        assert dyn.details["per_node"] == per_node
+        assert len(dyn.witnesses) == len(witnesses)
+        for got, ref in zip(dyn.witnesses, witnesses):
+            assert got[:2] == ref[:2] and np.array_equal(got[2], ref[2])
+
+        for region in (None, (0.1, 1.0)):
+            idx = np.arange(c.y_grid.size)
+            if region is not None:
+                idx = idx[(c.y_grid >= region[0]) & (c.y_grid <= region[1])]
+            best = np.inf
+            for i in idx[:: max(1, idx.size // 64)]:
+                try:
+                    best = min(best, _resampled_speed_stats(model, c, i)[0])
+                except EmptyBand:
+                    continue
+            assert speed_limit(model, c, region_y=region) == best
 
 
 def test_unique_splitting(par2, ball, pie_wide):

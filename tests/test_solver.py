@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nestor.errors import BracketFailure, NonNested, ZeroSpeed
+from nestor.errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
-from nestor.levelsets import grad_h, sublevel_levels
+from nestor.levelsets import grad_h, level_set, sublevel_levels
 from nestor.model import Model
 from nestor.solver import (SplitCurve, balance_residual, map_gradient,
                            optimal_map, pushforward_distance,
@@ -43,6 +43,57 @@ def test_kprime_matches_grad_h_formula(par2):
     for i in idx:
         gh = grad_h(par2.model, float(c.y_grid[i]), float(c.k_plus[i]))
         assert abs(c.kprime[i] + gh.h_y / gh.h_k) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["par2", "pie_nested", "par3", "uni1d"])
+def test_curve_keeps_node_level_set_reductions(name, request):
+    # each node's h_k, h_y and s_yy range are those of a fresh auto sample
+    # of X(y, k_plus), and NaN exactly where that sample is empty
+    solved = request.getfixturevalue(name)
+    model, c = solved.model, solved.curve
+    n_empty = 0
+    for i, y in enumerate(c.y_grid):
+        y, k = float(y), float(c.k_plus[i])
+        try:
+            gh = grad_h(model, y, k)
+            ls = level_set(model, y, k)
+        except EmptyBand:
+            n_empty += 1
+            assert c.tangential_flags[i]
+            assert np.all(np.isnan([c.h_k[i], c.h_y[i], c.syy_min[i],
+                                    c.syy_max[i], *c.x_syy_max[i]]))
+            continue
+        assert c.h_k[i] == gh.h_k and c.h_y[i] == gh.h_y
+        assert c.syy_min[i] == np.min(ls.syy)
+        assert c.syy_max[i] == np.max(ls.syy)
+        assert np.array_equal(c.x_syy_max[i], ls.points[np.argmax(ls.syy)])
+        if not c.tangential_flags[i]:
+            assert c.kprime[i] == -gh.h_y / gh.h_k
+    assert n_empty < c.y_grid.size // 4
+
+
+def _balance_integral_residual(model, curve, y):
+    """The balance residual as the direct integral over a fresh sample:
+    g(y) - integral (k' - s_yy) f / |grad_x s_y| dH^{m-1}."""
+    ls = level_set(model, y, curve.k_at(y))
+    kp = curve.kprime_at(y, from_interpolant=True)
+    return float(model.g_at(y)[0]) \
+        - float(np.sum(ls.measure * ls.f * (kp - ls.syy) / ls.gnorm))
+
+
+def test_balance_residual_equals_direct_integral(par2, pie_nested, uni1d):
+    for solved in (par2, pie_nested, uni1d):
+        model, c = solved.model, solved.curve
+        off_node = 0.5 * (c.y_grid[:-1] + c.y_grid[1:])[::16]
+        for y in np.concatenate([c.y_grid, off_node]):
+            y = float(y)
+            try:
+                ref = _balance_integral_residual(model, c, y)
+            except EmptyBand:
+                with pytest.raises(EmptyBand):
+                    balance_residual(model, c, y)
+                continue
+            assert abs(balance_residual(model, c, y) - ref) <= 1e-12
 
 
 def test_bracket_failure_when_mass_cannot_reach_target():
