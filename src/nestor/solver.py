@@ -5,14 +5,16 @@ mu[{s_y(., y) <= k}] = G(y); the sublevel mass is piecewise linear in k,
 so its exact inverse gives the maximal root interval [k^-, k^+].  The
 target-side payoff is v(y) = integral of k, the source-side payoff is its
 generalized conjugate u(x) = sup_y s(x, y) - v(y), and the map F sends x
-to the y whose indifference set passes through x.  F is evaluated either
-by rooting s_y(x, y) = k(y) ("by-level") or by re-solving the
+to the y whose indifference set passes through x, by rooting
+phi(y) = s_y(x, y) - k(y) ("by-level"; as v' = k, where s(x, .) - v peaks,
+so u shares this safeguarded Newton solve) or by re-solving the
 proportional-splitting equation at x ("by-splitting"); the two agree
 exactly when the model is nested.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,6 +25,10 @@ from .errors import EmptyBand, NonNested, ZeroSpeed
 from .levelsets import (cumulative_mass, default_tangential_threshold, grad_h,
                         level_set, sublevel_levels, sublevel_mass)
 from .model import Model, target_cdf
+
+logger = logging.getLogger(__name__)
+_ROOT_ITERS = 60  # Newton step cap; plain bisection needs about 30 steps
+_CHUNK = 8192  # rows per block of the node-grid scans
 
 
 @dataclass
@@ -205,12 +211,13 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
 # map evaluation
 # ---------------------------------------------------------------------------
 
-def _surplus_matrix(evaluate: Callable, x: np.ndarray,
-                    ys: np.ndarray) -> np.ndarray:
-    """evaluate(x_i, y_j) for all rows i and grid values j, where evaluate
-    is one of the surplus evaluators (s or s_y)."""
-    cols = [np.asarray(evaluate(x, float(yj)), dtype=float) for yj in ys]
-    return np.stack(cols, axis=1)
+def _surplus_matrix(evaluate: Callable, x: np.ndarray, ys: np.ndarray,
+                    shift: np.ndarray) -> np.ndarray:
+    """evaluate(x_i, y_j) - shift_j per row i and node j: s - v or s_y - k."""
+    out = np.empty((x.shape[0], ys.size))
+    for j, yj in enumerate(ys):
+        out[:, j] = evaluate(x, float(yj)) - shift[j]
+    return out
 
 
 def _bracket_roots(phi: np.ndarray):
@@ -256,33 +263,55 @@ def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray,
     return float(out[0]) if single else out
 
 
+def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
+                b: np.ndarray, fa: np.ndarray, fb: np.ndarray, y_tol: float):
+    """Root of phi(y) = s_y(x, y) - k(y) per row of x in [a, b], where
+    phi(a) = fa and phi(b) = fb differ in sign: safeguarded Newton (rtsafe;
+    Press et al., Numerical Recipes, 3rd ed., sec. 9.4) from the secant
+    point, with phi' = s_yy - k' (k' of the interpolant), bisecting where
+    the Newton point would leave the bracket.  A row stops, and is not
+    evaluated again, once its step or its bracket is within y_tol."""
+    a, b, pos_a = a.copy(), b.copy(), fa > 0
+    y = a - fa * (b - a) / (fb - fa)
+    rows = np.arange(y.size)
+    for _ in range(_ROOT_ITERS):
+        if not rows.size:
+            break
+        xr, yr = x[rows], y[rows]
+        f = model.surplus.s_y(xr, yr) - curve.k_at(yr)
+        df = model.surplus.s_yy(xr, yr) - curve.kprime_at(yr, from_interpolant=True)
+        keep_a = (f > 0) != pos_a[rows]
+        a[rows] = ar = np.where(keep_a, a[rows], yr)
+        b[rows] = br = np.where(keep_a, yr, b[rows])
+        # a zero slope makes the step infinite (a bisection) off a root
+        step = np.divide(f, df, out=np.where(f == 0, 0.0, np.inf), where=df != 0)
+        new = np.clip(yr - step, ar, br)
+        # a step within y_tol is final even where it lands on (or an ulp
+        # past) a bracket end: bisecting it would walk away from the root
+        done = np.abs(step) <= y_tol
+        bisect = ~done & ~((new > ar) & (new < br))
+        new[bisect] = 0.5 * (ar + br)[bisect]
+        y[rows] = new
+        rows = rows[~(done | (np.abs(new - yr) <= y_tol) | (br - ar <= y_tol))]
+    if rows.size:
+        logger.debug("by-level root: %d of %d rows hit the %d-step cap", rows.size,
+                     y.size, _ROOT_ITERS)
+    return y
+
+
 def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
-                  y_tol: float, chunk: int = 8192) -> np.ndarray:
+                  y_tol: float) -> np.ndarray:
     out = np.empty(x.shape[0])
     ys = curve.y_grid
-    kv = curve.k_plus
-    for start in range(0, x.shape[0], chunk):
-        xb = x[start:start + chunk]
-        phi = _surplus_matrix(model.surplus.s_y, xb, ys) - kv[None, :]
+    for start in range(0, x.shape[0], _CHUNK):
+        xb = x[start:start + _CHUNK]
+        phi = _surplus_matrix(model.surplus.s_y, xb, ys, curve.k_plus)
         idx, has_any, all_pos = _bracket_roots(phi)
-        res = np.where(all_pos, curve.y_hi, curve.y_lo)
+        out[start:start + _CHUNK] = np.where(all_pos, curve.y_hi, curve.y_lo)
         rows = np.nonzero(has_any)[0]
-        if rows.size:
-            a = ys[idx[rows]].copy()
-            b = ys[idx[rows] + 1].copy()
-            sign_a = phi[rows, idx[rows]] > 0
-            xr = xb[rows]
-            for _ in range(80):
-                if np.max(b - a) <= y_tol:
-                    break
-                mid = 0.5 * (a + b)
-                fmid = np.asarray(model.surplus.s_y(xr, mid), dtype=float) \
-                    - curve.k_at(mid)
-                go_a = (fmid > 0) == sign_a
-                a = np.where(go_a, mid, a)
-                b = np.where(go_a, b, mid)
-            res[rows] = 0.5 * (a + b)
-        out[start:start + chunk] = res
+        j = idx[rows]
+        out[start + rows] = _level_root(model, curve, xb[rows], ys[j], ys[j + 1],
+                                        phi[rows, j], phi[rows, j + 1], y_tol)
     return out
 
 
@@ -371,6 +400,8 @@ def _map_by_splitting(model: Model, curve: SplitCurve, x: np.ndarray,
                 jb += 1
             else:
                 break
+            logger.debug("by-splitting row %d: bracket [%.6g, %.6g] widened to "
+                         "[%.6g, %.6g]", i, a, b, y_scan[ja], y_scan[jb])
         sign_a = pa > 0
         if (pa > 0) == (pb > 0):
             out[i] = 0.5 * (a + b)
@@ -395,69 +426,38 @@ def _map_by_splitting(model: Model, curve: SplitCurve, x: np.ndarray,
 # payoffs
 # ---------------------------------------------------------------------------
 
-def _golden_max_rows(fun: Callable, a: np.ndarray, b: np.ndarray,
-                     iters: int = 60):
-    """Vectorized golden-section maximization of fun(y) per row on [a, b]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = fun(c)
-    fd = fun(d)
-    for _ in range(iters):
-        take_left = fc > fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        d_new = np.where(take_left, c, a + invphi * (b - a))
-        c_new = np.where(take_left, b - invphi * (b - a), d)
-        fd_new = np.where(take_left, fc, 0.0)
-        fc_new = np.where(take_left, 0.0, fd)
-        need = np.nonzero(take_left)[0]
-        if need.size:
-            fc_new[need] = fun(c_new[need], rows=need)
-        need = np.nonzero(~take_left)[0]
-        if need.size:
-            fd_new[need] = fun(d_new[need], rows=need)
-        c, d, fc, fd = c_new, d_new, fc_new, fd_new
-    y = np.where(fc > fd, c, d)
-    val = np.maximum(fc, fd)
-    return y, val
+def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
+    """u(x) = sup_y s(x, y) - v(y); returns (u, argmax_y) arrays.
 
-
-def source_payoff(model: Model, curve: Optional[SplitCurve], x: np.ndarray,
-                  v_fn: Optional[Callable] = None):
-    """u(x) = sup_y s(x, y) - v(y) with the sup localized on the curve grid
-    and refined by golden section; returns (u, argmax_y) arrays.
-
-    ``v_fn`` overrides the curve payoff (e.g. an analytic v) and must map
-    an array of targets to an array of payoffs.
-    """
+    The curve-grid node maximizing s - v guards the sup.  Where s_y - k
+    changes sign between its neighbours (interval ends past the end nodes)
+    the map's Newton solve roots it; u is the best of that root, the node
+    and the two neighbours."""
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if v_fn is None:
-        if curve is None:
-            raise ValueError("need a curve or an explicit v_fn")
-        v_fn = curve.v_at
-        y_nodes = curve.y_grid
-        y_lo, y_hi = curve.y_lo, curve.y_hi
-    else:
-        y_lo, y_hi = model.target.y_lo, model.target.y_hi
-        y_nodes = model.target.interior_grid(257)
-    v_nodes = np.asarray(v_fn(y_nodes), dtype=float)
-    vals = _surplus_matrix(model.surplus.s, x, y_nodes) - v_nodes[None, :]
-    best = np.argmax(vals, axis=1)
-    a = np.where(best > 0, y_nodes[np.maximum(best - 1, 0)], y_lo)
-    b = np.where(best < y_nodes.size - 1,
-                 y_nodes[np.minimum(best + 1, y_nodes.size - 1)], y_hi)
-
-    def objective(yv, rows=None):
-        xr = x if rows is None else x[rows]
-        s_val = np.asarray(model.surplus.s(xr, yv), dtype=float)
-        return s_val - np.asarray(v_fn(yv), dtype=float)
-
-    y_star, u_val = _golden_max_rows(objective, a, b)
-    if single:
-        return float(u_val[0]), float(y_star[0])
-    return u_val, y_star
+    ends = np.concatenate([[curve.y_lo], curve.y_grid, [curve.y_hi]])
+    y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
+    u_val, y_star = np.empty(x.shape[0]), np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _CHUNK):
+        xb = x[start:start + _CHUNK]
+        cols = np.arange(xb.shape[0])
+        vals = _surplus_matrix(model.surplus.s, xb, curve.y_grid, curve.v_values)
+        best = np.argmax(vals, axis=1)
+        a, node, b = ends[best], ends[best + 1], ends[best + 2]
+        fa, fb = (model.surplus.s_y(xb, e) - curve.k_at(e) for e in (a, b))
+        # candidates: the root where phi changes sign (else the node), the
+        # node, the bracket ends; argmax prefers the root on ties
+        cand_y = np.stack([node, node, a, b])
+        rows = np.nonzero((fa > 0) != (fb > 0))[0]
+        cand_y[0, rows] = _level_root(model, curve, xb[rows], a[rows], b[rows],
+                                      fa[rows], fb[rows], y_tol)
+        cand_u = (model.surplus.s(np.tile(xb, (4, 1)), cand_y.ravel())
+                  - curve.v_at(cand_y.ravel())).reshape(4, -1)
+        cand_u[1] = vals[cols, best]
+        pick = np.argmax(cand_u, axis=0)
+        u_val[start:start + _CHUNK] = cand_u[pick, cols]
+        y_star[start:start + _CHUNK] = cand_y[pick, cols]
+    return (float(u_val[0]), float(y_star[0])) if single else (u_val, y_star)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestor.oracle import (DiscreteInstance, cyclical_monotonicity_audit,
                            compare_with_map, plan_marginal_errors,
@@ -106,21 +108,48 @@ def test_random_instances_duality_and_slackness(seed):
         b = rng.random(nt) + 0.01
         b /= b.sum()
         s_mat = rng.standard_normal((ns, nt))
-        inst = _instance(a, b, s_mat)
-        plan = solve_transport(inst)
-        # strong duality
-        dual = plan.u @ a + plan.v @ b
-        assert abs(plan.objective - dual) <= 1e-9
-        # feasibility of the duals
-        assert np.max(s_mat - plan.u[:, None] - plan.v[None, :]) <= 1e-9
-        # complementary slackness on the support
-        rows, cols, vals = plan.support
-        slack = plan.u[rows] + plan.v[cols] - s_mat[rows, cols]
-        assert np.max(np.abs(slack)) <= 1e-9
-        # marginals and basis size
-        err_a, err_b = plan_marginal_errors(inst, plan)
-        assert max(err_a, err_b) <= 1e-9
-        assert plan.rows.size <= ns + nt - 1
+        _assert_optimal(_instance(a, b, s_mat))
+
+
+def _assert_optimal(inst):
+    """Solve and check the optimality certificate to 1e-9: strong duality,
+    dual feasibility, complementary slackness, marginals, basis size."""
+    plan = solve_transport(inst)
+    a, b = inst.source_weights, inst.target_weights
+    s_mat = inst.surplus_matrix
+    ns, nt = s_mat.shape
+    # strong duality
+    dual = plan.u @ a + plan.v @ b
+    assert abs(plan.objective - dual) <= 1e-9
+    # feasibility of the duals
+    assert np.max(s_mat - plan.u[:, None] - plan.v[None, :]) <= 1e-9
+    # complementary slackness on the support
+    rows, cols, vals = plan.support
+    slack = plan.u[rows] + plan.v[cols] - s_mat[rows, cols]
+    assert np.max(np.abs(slack)) <= 1e-9
+    # marginals and basis size
+    err_a, err_b = plan_marginal_errors(inst, plan)
+    assert max(err_a, err_b) <= 1e-9
+    assert plan.rows.size <= ns + nt - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nt=st.integers(2, 25), mult=st.integers(1, 4), levels=st.integers(0, 3),
+       equal_weights=st.booleans(), seed=st.integers(0, 2**16))
+def test_degenerate_instances_duality_and_slackness(nt, mult, levels,
+                                                     equal_weights, seed):
+    # tied surpluses (a few integer levels; levels = 0 is a constant matrix)
+    # and equal weights with ns a multiple of nt, whose northwest-corner
+    # partial sums coincide and leave zero-valued basic arcs
+    rng = np.random.default_rng(seed)
+    ns = mult * nt
+    s_mat = rng.integers(0, levels + 1, (ns, nt)).astype(float)
+    if equal_weights:
+        a, b = np.full(ns, 1 / ns), np.full(nt, 1 / nt)
+    else:
+        a, b = rng.random(ns) + 0.01, rng.random(nt) + 0.01
+        a, b = a / a.sum(), b / b.sum()
+    _assert_optimal(_instance(a, b, s_mat))
 
 
 def test_cyclical_monotonicity_and_negative_control():

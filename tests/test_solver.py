@@ -1,6 +1,12 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nestor import solver
 from nestor.errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
 from nestor.levelsets import grad_h, level_set, sublevel_levels
@@ -160,8 +166,9 @@ def test_source_payoff_examples(uni1d, par2, ball):
     assert np.max(np.abs(u1 - 0.5 * xs[:, 0] ** 2)) < 1e-4
     # explicit zero target payoff turns u into the radius
     pts = ball.model.domain.sample_interior(50, seed=2, margin=0.02)
-    u0, _ = source_payoff(ball.model, None, pts,
-                          v_fn=lambda y: np.zeros_like(np.asarray(y)))
+    zero = SplitCurve.from_function(ball.model.target, ball.curve.y_grid,
+                                    lambda y: np.zeros_like(np.asarray(y)))
+    u0, _ = source_payoff(ball.model, zero, pts)
     assert np.max(np.abs(u0 - np.linalg.norm(pts, axis=1))) < 1e-6
 
 
@@ -169,7 +176,98 @@ def test_envelope_argmax_matches_map(par2):
     pts = par2.model.domain.sample_interior(60, seed=9, margin=0.02)
     _, ay = source_payoff(par2.model, par2.curve, pts)
     f_val = optimal_map(par2.model, par2.curve, pts)
-    assert np.max(np.abs(ay - f_val)) <= 1e-6
+    assert np.max(np.abs(ay - f_val)) <= 1e-9
+
+
+def _dense_bisection_map(model, curve, x):
+    """Reference by-level map: the first downcrossing of
+    phi = s_y(x, .) - k on a grid four times denser than the curve nodes,
+    bisected 60 times; NaN where phi does not cross downward there."""
+    ys = np.linspace(curve.y_grid[0], curve.y_grid[-1], 4 * curve.y_grid.size)
+    phi = np.stack([model.surplus.s_y(x, float(y)) - curve.k_at(float(y))
+                    for y in ys], axis=1)
+    down = (phi[:, :-1] > 0) & (phi[:, 1:] <= 0)
+    rows = np.nonzero(down.any(axis=1))[0]
+    j = np.argmax(down[rows], axis=1)
+    a, b = ys[j], ys[j + 1]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        pos = model.surplus.s_y(x[rows], mid) - curve.k_at(mid) > 0
+        a, b = np.where(pos, mid, a), np.where(pos, b, mid)
+    out = np.full(x.shape[0], np.nan)
+    out[rows] = 0.5 * (a + b)
+    return out
+
+
+@pytest.mark.parametrize("name", ["par2", "par3", "uni1d", "pie_nested"])
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 40))
+def test_root_solve_map_and_payoff(request, name, seed, n):
+    solved = request.getfixturevalue(name)
+    model, c = solved.model, solved.curve
+    x = model.domain.sample_interior(n, seed=seed, margin=0.02)
+    y_tol = 1e-8 * (c.y_hi - c.y_lo)
+    f_val = optimal_map(model, c, x)
+    ref = _dense_bisection_map(model, c, x)
+    crossed = np.isfinite(ref)
+    assert np.count_nonzero(crossed) >= 0.9 * n
+    assert np.max(np.abs(f_val - ref)[crossed], initial=0.0) <= y_tol
+    u, argmax = source_payoff(model, c, x)
+    # nested models: the sup of s - v sits on the map's root
+    assert np.max(np.abs(argmax - f_val)[crossed], initial=0.0) <= 0.1 * y_tol
+    node_vals = np.stack([model.surplus.s(x, float(y)) for y in c.y_grid],
+                         axis=1) - c.v_at(c.y_grid)
+    assert np.all(u >= np.max(node_vals, axis=1))
+    on_graph = np.asarray(model.surplus.s(x, f_val)) - c.v_at(f_val)
+    assert np.max(np.abs(u - on_graph)) <= 1e-12 * model.surplus_scale
+
+
+def test_map_on_staircase_curve(uni1d):
+    # PCHIP through a staircase has k' = 0 at every node and flat steps, so
+    # the Newton solve meets zero slopes, roots on bracket ends and points
+    # that leave the bracket; every x must still land on a root of x = k(F)
+    stairs = SplitCurve.from_function(uni1d.model.target, np.linspace(0, 1, 9),
+                                      lambda y: np.floor(4 * y + 0.5) / 4)
+    xs = np.linspace(0.01, 0.99, 99)[:, None]
+    f_val = optimal_map(uni1d.model, stairs, xs)
+    assert np.max(np.abs(stairs.k_at(f_val) - xs[:, 0])) <= 1e-12
+
+
+def test_map_and_payoff_memory_is_bounded(par2):
+    # the node scans run in row blocks: the whole batch x 257 matrix of s
+    # would take 206 MB here
+    x = par2.model.domain.sample_interior(100_000, seed=21, margin=0.01)
+    tracemalloc.start()
+    try:
+        optimal_map(par2.model, par2.curve, x)
+        source_payoff(par2.model, par2.curve, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_debug_records(par2, monkeypatch, caplog):
+    model, c = par2.model, par2.curve
+    pts = model.domain.sample_interior(40, seed=5, margin=0.02)
+    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
+        optimal_map(model, c, pts)
+        source_payoff(model, c, pts)
+    assert "cap" not in caplog.text
+    monkeypatch.setattr(solver, "_ROOT_ITERS", 1)
+    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
+        optimal_map(model, c, pts)
+    assert "rows hit the 1-step cap" in caplog.text
+    caplog.clear()
+    # two probes whose 65-node scan brackets lose their sign change under
+    # the smooth sublevel masses
+    probes = model.domain.sample_interior(100, seed=0, margin=0.02)[[15, 91]]
+    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
+        optimal_map(model, c, probes, method="by-splitting")
+    assert "widened to" in caplog.text
+    assert all(r.levelno == logging.DEBUG and r.name == "nestor.solver"
+               for r in caplog.records)
 
 
 def test_map_gradient_examples(uni1d, par2):
