@@ -287,15 +287,20 @@ def run(config: dict, out_dir: str = None) -> int:
     summary["k_nondecreasing"] = curve.k_nondecreasing
 
     # per-node diagnostics for curve.csv; an empty level set leaves its cell
-    # NaN.  The balance residual -(h_y + k' h_k) reuses the solve's sample.
-    areas = np.full(curve.y_grid.size, np.nan)
-    for i, y in enumerate(curve.y_grid):
-        try:
-            areas[i] = surface_integral(model, float(y), float(curve.k_plus[i]),
-                                        epsilon=tol["epsilon_band"],
-                                        estimator=tol["estimator"]).value
-        except EmptyBand:
-            pass
+    # NaN.  The default area and the balance residual -(h_y + k' h_k) reuse
+    # the solve's samples; other area flags resample each node.
+    if tol["estimator"] == "band" and tol["epsilon_band"] is None:
+        areas = curve.area
+    else:
+        areas = np.full(curve.y_grid.size, np.nan)
+        for i, y in enumerate(curve.y_grid):
+            try:
+                areas[i] = surface_integral(
+                    model, float(y), float(curve.k_plus[i]),
+                    epsilon=tol["epsilon_band"],
+                    estimator=tol["estimator"]).value
+            except EmptyBand:
+                pass
     residuals = -(curve.h_y + curve.kprime_at(curve.y_grid, from_interpolant=True)
                   * curve.h_k)
     summary["empty_level_sets"] = {

@@ -72,3 +72,7 @@ class UnknownScenario(NestorError):
 class ConfigError(NestorError):
     """Run configuration failed schema validation; message carries the
     JSON-pointer path of the offending entry."""
+
+
+class PivotBudgetExceeded(NestorError):
+    """The transportation simplex needed more pivots than its budget."""

@@ -8,20 +8,28 @@ which is what makes the oracle an independent check of the level-set
 solver: the two approaches share no code path beyond the surplus
 evaluator.
 
-No external LP dependency: dense reduced costs with Dantzig pricing and
-a Bland fallback during degenerate stalls (which restores the finite-
-termination guarantee).  Intended for desk-scale instances (thousands of
-source atoms, hundreds of targets).
+No external LP dependency.  The basis tree is rooted at source 0 with a
+parent and a depth per node, and the dense reduced benefits S - u - v are
+kept across pivots: a pivot finds its cycle by climbing from both ends of
+the entering arc, re-hangs only the subtree cut off by the leaving arc,
+and shifts that subtree's duals (its rows and columns of the reduced
+benefits).  Pricing is Dantzig's with a Bland fallback during degenerate
+stalls (which restores the finite-termination guarantee).  Intended for
+desk-scale instances (thousands of source atoms, hundreds of targets).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PivotBudgetExceeded
 from .model import Model, target_quantile
+
+logger = logging.getLogger(__name__)
+_BLAND_AFTER = 40  # degenerate pivots in a row before Bland's rule
 
 
 @dataclass(frozen=True)
@@ -148,88 +156,94 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
             np.asarray(vals, dtype=float))
 
 
-class _BasisTree:
-    """Spanning tree of basis arcs on nodes [0..ns) + [ns..ns+nt)."""
+class _RootedTree:
+    """Spanning tree of basis arcs on nodes [0..ns) + [ns..ns+nt), rooted
+    at source 0.
+
+    ``arcs[p]`` is the arc in basis position p; ``adj[node]`` maps each
+    tree neighbour to the position of the arc joining them; ``parent``,
+    ``depth`` and ``parent_arc`` (a basis position) hang every node below
+    the root, whose parent is -1.
+    """
 
     def __init__(self, ns, nt, rows, cols):
         self.ns = ns
-        self.nt = nt
         self.arcs = list(zip(rows.tolist(), cols.tolist()))
-        self.pos = {arc: p for p, arc in enumerate(self.arcs)}
-
-    def _adjacency(self):
-        adj = [[] for _ in range(self.ns + self.nt)]
+        self.adj = [{} for _ in range(ns + nt)]
         for p, (i, j) in enumerate(self.arcs):
-            adj[i].append((self.ns + j, p))
-            adj[self.ns + j].append((i, p))
-        return adj
+            self.adj[i][ns + j] = p
+            self.adj[ns + j][i] = p
+        self.parent = [-1] * (ns + nt)
+        self.depth = [0] * (ns + nt)
+        self.parent_arc = [-1] * (ns + nt)
+        self._hang(0)
 
-    def duals(self, s_matrix):
-        """u_i + v_j = S_ij on every basis arc, anchored at u_0 = 0."""
-        u = np.full(self.ns, np.nan)
-        v = np.full(self.nt, np.nan)
-        adj = self._adjacency()
-        u[0] = 0.0
-        seen = np.zeros(self.ns + self.nt, dtype=bool)
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for other, p in adj[node]:
-                if seen[other]:
-                    continue
-                i, j = self.arcs[p]
-                if other >= self.ns:
-                    v[j] = s_matrix[i, j] - u[i]
-                else:
-                    u[i] = s_matrix[i, j] - v[j]
-                seen[other] = True
-                queue.append(other)
-        return u, v
+    def _hang(self, top):
+        """Hang every node below ``top``, whose own links are already set;
+        returns the nodes of its subtree, parents before children."""
+        parent, depth, parent_arc = self.parent, self.depth, self.parent_arc
+        order = [top]
+        for node in order:
+            up = parent[node]
+            below = depth[node] + 1
+            for other, p in self.adj[node].items():
+                if other != up:
+                    parent[other] = node
+                    depth[other] = below
+                    parent_arc[other] = p
+                    order.append(other)
+        return order
 
     def cycle(self, i_in, j_in):
-        """Arcs on the tree path from source i_in to target j_in, as a list
-        of (arc position, orientation); orientation +1 means the arc loses
-        mass when the entering arc gains."""
-        adj = self._adjacency()
-        start = i_in
-        goal = self.ns + j_in
-        prev = {start: None}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            if node == goal:
-                break
-            for other, p in adj[node]:
-                if other not in prev:
-                    prev[other] = (node, p)
-                    queue.append(other)
-        path = []
-        node = goal
-        while prev[node] is not None:
-            parent, p = prev[node]
-            path.append(p)
-            node = parent
-        path.reverse()
-        # walking i_in -> j_in: arcs leaving a source node carry -theta,
-        # arcs leaving a target node carry +theta
-        out = []
-        node = start
-        for p in path:
-            i, j = self.arcs[p]
-            if node < self.ns:     # source -> target: this arc loses mass
-                out.append((p, -1))
-                node = self.ns + j
+        """Arcs on the tree path from source i_in to target j_in, in walk
+        order, as (basis position, loses, on_source_side); ``loses`` means
+        the arc gives up mass as the entering arc (i_in, j_in) gains, and
+        ``on_source_side`` that it lies between i_in and the meeting point.
+        The two walks climb by depth until they meet."""
+        ns, parent, depth = self.ns, self.parent, self.depth
+        x, y = i_in, ns + j_in
+        up_x, up_y = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up_x.append(x)
+                x = parent[x]
             else:
-                out.append((p, +1))
-                node = i
-        return out
+                up_y.append(y)
+                y = parent[y]
+        # walking from i_in, an arc left from a source loses mass and one
+        # left from a target gains; on the target side the walk runs down
+        parent_arc = self.parent_arc
+        return ([(parent_arc[node], node < ns, True) for node in up_x]
+                + [(parent_arc[node], node >= ns, False)
+                   for node in reversed(up_y)])
 
-    def replace(self, p_out, arc_in):
-        old = self.arcs[p_out]
-        del self.pos[old]
-        self.arcs[p_out] = arc_in
-        self.pos[arc_in] = p_out
+    def replace(self, p, i_in, j_in, entering_below):
+        """Put (i_in, j_in) in basis position p, cutting the arc there, and
+        re-hang the cut-off subtree from its entering endpoint
+        ``entering_below``; returns the subtree's nodes."""
+        ns = self.ns
+        i, j = self.arcs[p]
+        child, up = (i, ns + j) if self.parent[i] == ns + j else (ns + j, i)
+        del self.adj[child][up]
+        del self.adj[up][child]
+        t_in = ns + j_in
+        self.adj[i_in][t_in] = p
+        self.adj[t_in][i_in] = p
+        self.arcs[p] = (i_in, j_in)
+        other = t_in if entering_below == i_in else i_in
+        self.parent[entering_below] = other
+        self.depth[entering_below] = self.depth[other] + 1
+        self.parent_arc[entering_below] = p
+        return self._hang(entering_below)
+
+    def duals(self, s_matrix):
+        """u_i + v_j = S_ij on every basis arc, anchored at u_0 = 0: one
+        pass down the tree, each node from its parent."""
+        pot = [0.0] * len(self.parent)
+        for node in sorted(range(1, len(pot)), key=self.depth.__getitem__):
+            i, j = self.arcs[self.parent_arc[node]]
+            pot[node] = s_matrix[i, j] - pot[self.parent[node]]
+        return np.array(pot[:self.ns]), np.array(pot[self.ns:])
 
 
 def solve_transport(inst: DiscreteInstance, tol: float = None,
@@ -239,6 +253,17 @@ def solve_transport(inst: DiscreteInstance, tol: float = None,
     Dantzig pricing (largest reduced benefit) with a switch to Bland's
     smallest-index rule during runs of degenerate pivots, which prevents
     cycling; terminates at reduced benefits <= tol everywhere.
+
+    The basis is a tree rooted at source 0.  The reduced benefits
+    R = S - u - v are kept across pivots: a pivot walks the cycle up by
+    depth, cuts the leaving arc and re-hangs only the cut-off subtree
+    under the entering arc, whose reduced benefit r is then zeroed by
+    shifting the subtree's duals (its rows of R move by -r, its columns
+    by +r, or the reverse when the entering target is in the subtree).
+    At the end the duals are recomputed from the tree and R afresh, so
+    rounding drift cannot hide an improving arc; pivoting resumes if one
+    remains.  Raises PivotBudgetExceeded when it needs more than
+    ``max_pivots`` pivots.
     """
     s_mat = np.asarray(inst.surplus_matrix, dtype=float)
     ns, nt = s_mat.shape
@@ -250,53 +275,78 @@ def solve_transport(inst: DiscreteInstance, tol: float = None,
         max_pivots = 200 * (ns + nt) + 10_000
 
     rows, cols, vals = _northwest_corner(a, b)
-    tree = _BasisTree(ns, nt, rows, cols)
-    gamma = {arc: vals[p] for p, arc in enumerate(tree.arcs)}
-
-    stall = 0
-    n_piv = 0
+    tree = _RootedTree(ns, nt, rows, cols)
+    gamma = vals.tolist()  # mass per basis position
+    u, v = tree.duals(s_mat)
+    reduced = s_mat - u[:, None] - v[None, :]
+    exact = True  # reduced was just computed from the tree's duals
+    drift = 0.0
+    stall = n_piv = n_degenerate = 0
     while True:
-        u, v = tree.duals(s_mat)
-        reduced = s_mat - u[:, None] - v[None, :]
-        if stall < 40:
+        if stall < _BLAND_AFTER:
             flat = int(np.argmax(reduced))
-            i_in, j_in = divmod(flat, nt)
-            if reduced[i_in, j_in] <= tol:
-                break
         else:  # Bland: first improving arc in lexicographic order
-            improving = np.argwhere(reduced > tol)
-            if improving.size == 0:
+            flat = int(np.argmax(reduced > tol))
+        i_in, j_in = divmod(flat, nt)
+        r = float(reduced[i_in, j_in])
+        if not r > tol:
+            if exact:
                 break
-            i_in, j_in = map(int, improving[0])
+            u, v = tree.duals(s_mat)
+            fresh = s_mat - u[:, None] - v[None, :]
+            reduced -= fresh
+            drift = max(drift, float(np.max(np.abs(reduced, out=reduced))))
+            reduced, exact = fresh, True
+            continue
+        if n_piv >= max_pivots:
+            raise PivotBudgetExceeded(
+                f"transportation simplex on {ns}x{nt} atoms exceeded its "
+                f"budget of {max_pivots} pivots")
 
         cycle = tree.cycle(i_in, j_in)
         theta = np.inf
         p_out = None
-        for p, orient in cycle:
-            if orient < 0:
-                val = gamma[tree.arcs[p]]
+        for p, loses, source_side in cycle:
+            if loses:
+                val = gamma[p]
                 if val < theta - 1e-15 or (p_out is not None
                                            and abs(val - theta) <= 1e-15
                                            and tree.arcs[p] < tree.arcs[p_out]):
-                    theta = val
-                    p_out = p
+                    # cutting an arc on i_in's side cuts i_in off the root
+                    theta, p_out, i_in_cut_off = val, p, source_side
         theta = max(theta, 0.0)
-        for p, orient in cycle:
-            arc = tree.arcs[p]
-            gamma[arc] = max(gamma[arc] + orient * theta, 0.0)
-        arc_out = tree.arcs[p_out]
-        gamma.pop(arc_out)
-        tree.replace(p_out, (i_in, j_in))
-        gamma[(i_in, j_in)] = theta
-        stall = stall + 1 if theta <= 1e-15 else 0
-        n_piv += 1
-        if n_piv > max_pivots:
-            raise RuntimeError("transportation simplex exceeded pivot budget")
+        for p, loses, _ in cycle:
+            gamma[p] = max(gamma[p] - theta if loses else gamma[p] + theta, 0.0)
+        gamma[p_out] = theta
+        subtree = tree.replace(p_out, i_in, j_in,
+                               i_in if i_in_cut_off else ns + j_in)
 
-    u, v = tree.duals(s_mat)
+        # the subtree's duals shift by +shift (sources) and -shift (targets)
+        shift = r if i_in_cut_off else -r
+        sub_rows = [node for node in subtree if node < ns]
+        sub_cols = [node - ns for node in subtree if node >= ns]
+        if sub_rows:
+            reduced[sub_rows] -= shift
+        if sub_cols:
+            reduced[:, sub_cols] += shift
+        exact = False
+
+        n_piv += 1
+        if theta <= 1e-15:
+            n_degenerate += 1
+            stall += 1
+            if stall == _BLAND_AFTER:
+                logger.debug("pivot %d: Bland's rule after %d degenerate "
+                             "pivots in a row", n_piv, stall)
+        else:
+            stall = 0
+
+    logger.debug("%dx%d transportation simplex: %d pivots, %d degenerate; "
+                 "largest drift of the kept reduced benefits %.3g",
+                 ns, nt, n_piv, n_degenerate, drift)
     rows = np.array([i for i, _ in tree.arcs], dtype=np.int64)
     cols = np.array([j for _, j in tree.arcs], dtype=np.int64)
-    values = np.array([max(gamma[arc], 0.0) for arc in tree.arcs], dtype=float)
+    values = np.array([max(g, 0.0) for g in gamma], dtype=float)
     objective = float(np.sum(values * s_mat[rows, cols]))
     return DiscretePlan(rows=rows, cols=cols, values=values, u=u, v=v,
                         objective=objective, n_pivots=n_piv)
@@ -308,16 +358,12 @@ def solve_transport(inst: DiscreteInstance, tol: float = None,
 
 def _align_shift(du: np.ndarray, dv: np.ndarray) -> float:
     """Additive shift c minimizing max(|du - c|_inf, |dv + c|_inf); duals
-    are unique only up to (u + c, v - c)."""
-    from scipy.optimize import minimize_scalar
-    lim = float(np.max(np.abs(np.concatenate([du, dv])))) + 1.0
-
-    def gap(c):
-        return max(float(np.max(np.abs(du - c))), float(np.max(np.abs(dv + c))))
-
-    res = minimize_scalar(gap, bounds=(-lim, lim), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
+    are unique only up to (u + c, v - c).  The objective is the larger
+    distance from c to the ends of the range of (du, -dv), so the midpoint
+    of that range is its exact minimizer."""
+    lo = min(float(np.min(du)), -float(np.max(dv)))
+    hi = max(float(np.max(du)), -float(np.min(dv)))
+    return (lo + hi) / 2
 
 
 def compare_with_map(model: Model, curve, inst: DiscreteInstance,

@@ -42,8 +42,10 @@ class SplitCurve:
     syy_min, syy_max and x_syy_max (where s_yy peaks) reduce the ``auto``
     sample of each node's level set X(y, k_plus), tangential or not, and
     are NaN where it is empty; the balance residual and the speed criteria
-    are arithmetic on them.  ``from_function`` curves carry only k and k':
-    their level-set fields are NaN and x_syy_max has no columns.
+    are arithmetic on them.  ``area`` is the surface area of the default
+    band sample of X(y, k_plus) (the one the tangential flag reads), NaN
+    where that sample is empty.  ``from_function`` curves carry only k and
+    k': their level-set fields are NaN and x_syy_max has no columns.
     """
 
     y_grid: np.ndarray
@@ -59,6 +61,7 @@ class SplitCurve:
     syy_min: np.ndarray
     syy_max: np.ndarray
     x_syy_max: np.ndarray
+    area: np.ndarray
     interpolation: PchipInterpolator = field(init=False, repr=False)
     _kprime_interp: PchipInterpolator = field(init=False, repr=False)
 
@@ -86,7 +89,8 @@ class SplitCurve:
         return cls(y_grid=y_grid, k_minus=k.copy(), k_plus=k, kprime=kp,
                    tangential_flags=flags, plateau_flags=flags.copy(),
                    y_lo=target.y_lo, y_hi=target.y_hi, h_k=nan, h_y=nan,
-                   syy_min=nan, syy_max=nan, x_syy_max=np.empty((nan.size, 0)))
+                   syy_min=nan, syy_max=nan, x_syy_max=np.empty((nan.size, 0)),
+                   area=nan)
 
     # -- evaluation (constant extension beyond the node range) -------------
 
@@ -160,7 +164,7 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     kprime = np.full(n, np.nan)
     tangential = np.zeros(n, dtype=bool)
     plateau = np.zeros(n, dtype=bool)
-    h_k, h_y, syy_min, syy_max = (np.full(n, np.nan) for _ in range(4))
+    h_k, h_y, syy_min, syy_max, area = (np.full(n, np.nan) for _ in range(5))
     x_syy_max = np.full((n, model.domain.dim), np.nan)
 
     for i, y in enumerate(y_grid):
@@ -186,6 +190,7 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
         try:
             band = ls if ls is not None and ls.estimator == "band" \
                 else level_set(model, y, k_plus[i], "band")
+            area[i] = band.area
             tangential[i] = band.boundary_fraction > tangential_threshold
         except EmptyBand:
             tangential[i] = True
@@ -204,7 +209,7 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
                       plateau_flags=plateau,
                       y_lo=model.target.y_lo, y_hi=model.target.y_hi,
                       h_k=h_k, h_y=h_y, syy_min=syy_min, syy_max=syy_max,
-                      x_syy_max=x_syy_max)
+                      x_syy_max=x_syy_max, area=area)
 
 
 # ---------------------------------------------------------------------------

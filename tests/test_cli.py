@@ -246,6 +246,54 @@ def test_curve_csv_residual_matches_library(tmp_path):
         assert abs(res - ref) <= 1e-12
 
 
+def test_default_area_column_reads_the_curve(tmp_path, monkeypatch):
+    # with the default --estimator/--epsilon-band the area column is the
+    # solve's own band area; only other flags resample the level sets
+    from nestor import cli
+    from nestor.scenarios import build
+    from nestor.solver import solve_split_curve
+
+    def no_resample(*args, **kwargs):
+        raise AssertionError("curve.csv area resampled a level set")
+
+    monkeypatch.setattr(cli, "surface_integral", no_resample)
+    assert run_main(["solve", "paraboloid-segment", "--resolution", "48",
+                     "--y-nodes", "33", "--out", str(tmp_path)]) == 0
+    rows = np.genfromtxt(tmp_path / "curve.csv", delimiter=",", names=True)
+    curve = solve_split_curve(build("paraboloid-segment", resolution=48).model,
+                              n_nodes=33)
+    assert np.array_equal(rows["area"], curve.area, equal_nan=True)
+    with pytest.raises(AssertionError, match="resampled"):
+        run_main(["solve", "paraboloid-segment", "--resolution", "48",
+                  "--y-nodes", "33", "--epsilon-band", "0.01",
+                  "--out", str(tmp_path)])
+
+
+def test_pivot_budget_goes_through_the_error_path(tmp_path, monkeypatch,
+                                                   capsys):
+    # reversed source atoms make the northwest corner anti-monotone, so the
+    # simplex must pivot, and a budget of 0 pivots is exceeded
+    from functools import partial
+
+    from nestor import cli
+    from nestor.oracle import DiscreteInstance, sample_instance, solve_transport
+
+    def reversed_atoms(*args, **kwargs):
+        inst = sample_instance(*args, **kwargs)
+        rev = slice(None, None, -1)
+        return DiscreteInstance(inst.source_points[rev],
+                                inst.source_weights[rev], inst.target_points,
+                                inst.target_weights, inst.surplus_matrix[rev])
+
+    monkeypatch.setattr(cli, "sample_instance", reversed_atoms)
+    monkeypatch.setattr(cli, "solve_transport",
+                        partial(solve_transport, max_pivots=0))
+    code = run_main(["oracle", "uniform-1d", "--atoms", "80x20",
+                     "--y-nodes", "33", "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: PivotBudgetExceeded: " in capsys.readouterr().err
+
+
 def test_dump_level_missing_level_is_header_only(tmp_path):
     from nestor.cli import _dump_level_set
     from nestor.geometry import (Quadrature, TargetInterval, box_domain,

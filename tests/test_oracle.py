@@ -1,13 +1,18 @@
 import itertools
+import logging
+import re
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestor.oracle import (DiscreteInstance, cyclical_monotonicity_audit,
-                           compare_with_map, plan_marginal_errors,
-                           sample_instance, solve_transport)
+from nestor.errors import NestorError, PivotBudgetExceeded
+from nestor.oracle import (DiscreteInstance, _align_shift, _northwest_corner,
+                           cyclical_monotonicity_audit, compare_with_map,
+                           plan_marginal_errors, sample_instance,
+                           solve_transport)
 
 
 def _instance(a, b, s_matrix):
@@ -113,7 +118,8 @@ def test_random_instances_duality_and_slackness(seed):
 
 def _assert_optimal(inst):
     """Solve and check the optimality certificate to 1e-9: strong duality,
-    dual feasibility, complementary slackness, marginals, basis size."""
+    dual feasibility, complementary slackness, marginals, basis size;
+    returns the plan."""
     plan = solve_transport(inst)
     a, b = inst.source_weights, inst.target_weights
     s_mat = inst.surplus_matrix
@@ -131,6 +137,7 @@ def _assert_optimal(inst):
     err_a, err_b = plan_marginal_errors(inst, plan)
     assert max(err_a, err_b) <= 1e-9
     assert plan.rows.size <= ns + nt - 1
+    return plan
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -235,3 +242,129 @@ def test_compare_1d_uniform_100x100(uni1d):
     gaps = compare_with_map(uni1d.model, uni1d.curve, inst, plan)
     assert abs(gaps["surplus_gap"]) <= 1e-3
     assert gaps["dual_gap"] <= 1e-2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ns=st.integers(1, 4), nt=st.integers(1, 3), levels=st.integers(0, 3),
+       equal_weights=st.booleans(), seed=st.integers(0, 2**16))
+def test_tiny_instances_match_enumeration(ns, nt, levels, equal_weights,
+                                          seed):
+    # levels = 0 draws continuous surpluses; 1-3 draw tied integer levels
+    rng = np.random.default_rng(seed)
+    if levels:
+        s_mat = rng.integers(0, levels + 1, (ns, nt)).astype(float)
+    else:
+        s_mat = rng.standard_normal((ns, nt))
+    if equal_weights:
+        a, b = np.full(ns, 1 / ns), np.full(nt, 1 / nt)
+    else:
+        a, b = rng.random(ns) + 0.01, rng.random(nt) + 0.01
+        a, b = a / a.sum(), b / b.sum()
+    best, _ = _enumerate_optimum(a, b, s_mat)
+    plan = _assert_optimal(_instance(a, b, s_mat))
+    assert abs(plan.objective - best) <= 1e-12
+
+
+def _shuffled(inst, seed):
+    rng = np.random.default_rng(seed)
+    ns, nt = inst.shape
+    r, c = rng.permutation(ns), rng.permutation(nt)
+    return DiscreteInstance(inst.source_points[r], inst.source_weights[r],
+                            inst.target_points[c], inst.target_weights[c],
+                            inst.surplus_matrix[np.ix_(r, c)])
+
+
+def test_shuffled_par2_1000x100_is_optimal(par2):
+    inst = _shuffled(sample_instance(par2.model, 1000, 100, seed=7), seed=4)
+    plan = _assert_optimal(inst)
+    assert plan.n_pivots > 0
+
+
+def test_unpivoted_plan_is_the_northwest_corner(par2):
+    # the sorted par2 atoms make the northwest corner optimal: the plan is
+    # that basis in its order with the duals propagated from u_0 = 0 along
+    # its arcs, which pins the CLI's oracle_plan.json
+    inst = sample_instance(par2.model, 400, 40, seed=7)
+    plan = solve_transport(inst)
+    assert plan.n_pivots == 0
+    s_mat = inst.surplus_matrix
+    ns, nt = s_mat.shape
+    rows, cols, vals = _northwest_corner(inst.source_weights,
+                                         inst.target_weights)
+    adj = [[] for _ in range(ns + nt)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        adj[i].append((ns + j, i, j))
+        adj[ns + j].append((i, i, j))
+    pot = np.full(ns + nt, np.nan)
+    pot[0] = 0.0
+    queue = deque([0])
+    while queue:
+        node = queue.popleft()
+        for other, i, j in adj[node]:
+            if np.isnan(pot[other]):
+                pot[other] = s_mat[i, j] - pot[node]
+                queue.append(other)
+    values = np.maximum(vals, 0.0)
+    expected = {"rows": rows.tolist(), "cols": cols.tolist(),
+                "values": values.tolist(), "u": pot[:ns].tolist(),
+                "v": pot[ns:].tolist(),
+                "objective": float(np.sum(values * s_mat[rows, cols])),
+                "n_pivots": 0}
+    assert plan.to_dict() == expected
+
+
+def test_pivot_budget(par2):
+    inst = _shuffled(sample_instance(par2.model, 60, 12, seed=7), seed=1)
+    with pytest.raises(PivotBudgetExceeded, match="budget of 0 pivots"):
+        solve_transport(inst, max_pivots=0)
+    assert issubclass(PivotBudgetExceeded, NestorError)
+    plan = solve_transport(inst)
+    with pytest.raises(PivotBudgetExceeded):
+        solve_transport(inst, max_pivots=plan.n_pivots - 1)
+    assert solve_transport(inst, max_pivots=plan.n_pivots).n_pivots \
+        == plan.n_pivots
+
+
+def test_debug_records(par2, caplog):
+    inst = _shuffled(sample_instance(par2.model, 200, 20, seed=7), seed=2)
+    with caplog.at_level(logging.DEBUG, logger="nestor.oracle"):
+        plan = solve_transport(inst)
+    found = re.search(r"(\d+) pivots, (\d+) degenerate; largest drift of "
+                      r"the kept reduced benefits (\S+)", caplog.text)
+    assert found and int(found[1]) == plan.n_pivots > 0
+    assert 0 <= int(found[2]) <= plan.n_pivots
+    # the end-of-solve refresh measures a roundoff drift, well below tol
+    assert 0 < float(found[3]) <= 1e-11 * np.max(np.abs(inst.surplus_matrix))
+    caplog.clear()
+    # equal weights and two surplus levels: runs of degenerate pivots
+    rng = np.random.default_rng(1)
+    s_mat = rng.integers(0, 2, (400, 100)).astype(float)
+    with caplog.at_level(logging.DEBUG, logger="nestor.oracle"):
+        _assert_optimal(_instance(np.full(400, 1 / 400), np.full(100, 1 / 100),
+                                  s_mat))
+    assert "Bland's rule after 40 degenerate pivots in a row" in caplog.text
+    assert all(r.levelno == logging.DEBUG and r.name == "nestor.oracle"
+               for r in caplog.records)
+
+
+def test_align_shift_is_the_exact_minimizer():
+    from scipy.optimize import minimize_scalar
+    rng = np.random.default_rng(5)
+
+    def gap(du, dv, c):
+        return max(float(np.max(np.abs(du - c))),
+                   float(np.max(np.abs(dv + c))))
+
+    for _ in range(20):
+        scale = 10.0 ** rng.integers(-6, 2)
+        du = scale * rng.standard_normal(int(rng.integers(1, 50)))
+        dv = rng.standard_normal(int(rng.integers(1, 50))) + rng.normal()
+        best = gap(du, dv, _align_shift(du, dv))
+        lim = float(np.max(np.abs(np.concatenate([du, dv])))) + 1.0
+        for c in rng.uniform(-lim, lim, 1000):
+            assert best <= gap(du, dv, c)
+        # the bounded search the closed form replaced
+        searched = minimize_scalar(lambda c: gap(du, dv, c),
+                                   bounds=(-lim, lim), method="bounded",
+                                   options={"xatol": 1e-12})
+        assert best <= gap(du, dv, searched.x)

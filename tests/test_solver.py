@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from nestor import solver
 from nestor.errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
-from nestor.levelsets import grad_h, level_set, sublevel_levels
+from nestor.levelsets import (grad_h, level_set, sublevel_levels,
+                              surface_integral)
 from nestor.model import Model
 from nestor.solver import (SplitCurve, balance_residual, map_gradient,
                            optimal_map, pushforward_distance,
@@ -76,6 +77,23 @@ def test_curve_keeps_node_level_set_reductions(name, request):
         if not c.tangential_flags[i]:
             assert c.kprime[i] == -gh.h_y / gh.h_k
     assert n_empty < c.y_grid.size // 4
+
+
+@pytest.mark.parametrize("name", ["par2", "par3"])
+def test_curve_keeps_default_band_area(name, request):
+    # curve.area is the sum the default band sample gives surface_integral,
+    # bit for bit, and NaN where that sample is empty
+    solved = request.getfixturevalue(name)
+    model, c = solved.model, solved.curve
+    for i, y in enumerate(c.y_grid):
+        try:
+            area = surface_integral(model, float(y), float(c.k_plus[i])).value
+        except EmptyBand:
+            assert np.isnan(c.area[i])
+            continue
+        assert c.area[i] == area
+    analytic = SplitCurve.from_function(model.target, c.y_grid, lambda y: y)
+    assert np.all(np.isnan(analytic.area))
 
 
 def _balance_integral_residual(model, curve, y):
