@@ -39,7 +39,7 @@ from . import solver as sv
 from .errors import ConfigError, NestorError
 from .geometry import (Quadrature, TargetInterval, annulus_domain, box_domain,
                        interval_domain, paraboloid_domain, pie_slice_domain)
-from .levelsets import EmptyBand, level_set, surface_integral
+from .levelsets import EmptyBand, level_set
 from .model import DensityPair, Model
 from .oracle import (compare_with_map, cyclical_monotonicity_audit,
                      sample_instance, solve_transport)
@@ -48,8 +48,6 @@ from .surplus import arc_surplus, bilinear_surplus, polynomial_surplus
 DEFAULT_TOLERANCES = {
     "tol_mass": 1e-6,
     "y_tol_rel": 1e-8,
-    "epsilon_band": None,
-    "estimator": "band",
     "tangential_threshold": None,
     "mono_margin_tol": None,
     "dynamic_tol": None,
@@ -154,6 +152,8 @@ def _densities_from_spec(model_spec: dict, dim: int) -> DensityPair:
 def build_model_from_config(config: dict):
     """Returns (model, scenario or None, params echo)."""
     tol = config["tolerances"]
+    model_kw = {key: tol[key]
+                for key in ("cdf_nodes", "nondegeneracy_rel_threshold")}
     quad_spec = config.get("quadrature")
     quad = None
     if quad_spec:
@@ -165,16 +165,14 @@ def build_model_from_config(config: dict):
         if quad is not None:
             params["resolution"] = quad.resolution
             params["seed"] = quad.seed
-        scenario = sc.build(config["scenario"], **params)
+        scenario = sc.build(config["scenario"], **params, **model_kw)
         return scenario.model, scenario, params
     spec = config["model"]
     dom = _domain_from_spec(spec["domain"])
     target = TargetInterval(*spec["target"])
     surplus = _surplus_from_spec(spec["surplus"], dom.dim)
     dens = _densities_from_spec(spec, dom.dim)
-    model = Model(dom, target, surplus, dens, quadrature=quad,
-                  cdf_nodes=tol["cdf_nodes"],
-                  nondegeneracy_rel_threshold=tol["nondegeneracy_rel_threshold"])
+    model = Model(dom, target, surplus, dens, quadrature=quad, **model_kw)
     return model, None, {}
 
 
@@ -286,33 +284,19 @@ def run(config: dict, out_dir: str = None) -> int:
     v_vals = curve.v_values
     summary["k_nondecreasing"] = curve.k_nondecreasing
 
-    # per-node diagnostics for curve.csv; an empty level set leaves its cell
-    # NaN.  The default area and the balance residual -(h_y + k' h_k) reuse
-    # the solve's samples; other area flags resample each node.
-    if tol["estimator"] == "band" and tol["epsilon_band"] is None:
-        areas = curve.area
-    else:
-        areas = np.full(curve.y_grid.size, np.nan)
-        for i, y in enumerate(curve.y_grid):
-            try:
-                areas[i] = surface_integral(
-                    model, float(y), float(curve.k_plus[i]),
-                    epsilon=tol["epsilon_band"],
-                    estimator=tol["estimator"]).value
-            except EmptyBand:
-                pass
-    residuals = -(curve.h_y + curve.kprime_at(curve.y_grid, from_interpolant=True)
-                  * curve.h_k)
+    # per-node diagnostics for curve.csv come from the solve's own samples;
+    # an empty level set leaves its cell NaN
+    residuals = -(curve.h_y + curve.kprime_at(curve.y_grid) * curve.h_k)
     summary["empty_level_sets"] = {
-        "area": int(np.sum(np.isnan(areas))),
+        "area": int(np.sum(np.isnan(curve.area))),
         "balance_residual": int(np.sum(np.isnan(residuals)))}
 
     if config["outputs"]["curve_csv"]:
         _write_csv(os.path.join(out_dir, "curve.csv"),
                    ["y", "k", "kprime", "v", "area", "balance_residual",
                     "tangential"],
-                   [curve.y_grid, curve.k_plus, curve.kprime, v_vals, areas,
-                    residuals, curve.tangential_flags])
+                   [curve.y_grid, curve.k_plus, curve.kprime, v_vals,
+                    curve.area, residuals, curve.tangential_flags])
 
     if config["outputs"]["map_csv"]:
         pts = model.domain.sample_interior(config["map_samples"],
@@ -436,12 +420,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--y-nodes", type=int, default=None)
     p.add_argument("--tol-mass", type=float, default=None)
-    p.add_argument("--epsilon-band", type=float, default=None,
-                   help="band half-width for the curve.csv area column only")
-    p.add_argument("--estimator", choices=["band", "contour2d"], default=None,
-                   help="estimator for the curve.csv area column only; k', "
-                   "the balance residual and the speed diagnostics use the "
-                   "auto sampler")
     p.add_argument("--require-nested", action="store_true")
     p.add_argument("--dump-level", type=float, action="append",
                    dest="dump_levels", metavar="Y",
@@ -483,12 +461,8 @@ def _config_from_args(args) -> dict:
         config.setdefault("quadrature", {}).setdefault("seed", args.seed)
     if args.y_nodes is not None:
         config["y_nodes"] = args.y_nodes
-    tol = config.setdefault("tolerances", {})
-    for key in ("tol_mass", "epsilon_band", "estimator"):
-        if getattr(args, key) is not None:
-            tol[key] = getattr(args, key)
-    if not tol:
-        config.pop("tolerances")
+    if args.tol_mass is not None:
+        config.setdefault("tolerances", {})["tol_mass"] = args.tol_mass
     if args.require_nested:
         config["require_nested"] = True
     if args.dump_levels:

@@ -32,7 +32,6 @@ class Domain:
     bbox: np.ndarray  # shape (2, m): stacked (lower, upper) corners
     inside: Indicator
     boundary_normal: Optional[NormalOracle] = None
-    volume_hint: Optional[float] = None
 
     def __post_init__(self):
         bbox = np.asarray(self.bbox, dtype=float).reshape(2, self.dim)
@@ -105,11 +104,6 @@ class TargetInterval:
     @property
     def mid(self) -> float:
         return 0.5 * (self.y_lo + self.y_hi)
-
-    def contains(self, y: float, closed: bool = True) -> bool:
-        if closed:
-            return self.y_lo <= y <= self.y_hi
-        return self.y_lo < y < self.y_hi
 
     def interior_grid(self, n: int, clustered: bool = True) -> np.ndarray:
         """n strictly interior nodes; Chebyshev roots cluster at the
@@ -253,8 +247,7 @@ def box_domain(lo, hi) -> Domain:
         return out
 
     return Domain(dim=m, bbox=np.stack([lo, hi]), inside=inside,
-                  boundary_normal=normal,
-                  volume_hint=float(np.prod(hi - lo)))
+                  boundary_normal=normal)
 
 
 def annulus_domain(r_inner: float, r_outer: float = 1.0) -> Domain:
@@ -282,8 +275,7 @@ def annulus_domain(r_inner: float, r_outer: float = 1.0) -> Domain:
 
     b = r_outer
     return Domain(dim=2, bbox=np.array([[-b, -b], [b, b]]), inside=inside,
-                  boundary_normal=normal,
-                  volume_hint=np.pi * (r_outer ** 2 - r_inner ** 2))
+                  boundary_normal=normal)
 
 
 def pie_slice_domain(theta0: float, radius: float = 1.0) -> Domain:
@@ -319,8 +311,7 @@ def pie_slice_domain(theta0: float, radius: float = 1.0) -> Domain:
     x1_lo = min(0.0, radius * np.cos(theta0))
     x2_hi = radius * (np.sin(theta0) if theta0 <= np.pi / 2 else 1.0)
     bbox = np.array([[x1_lo, -x2_hi], [radius, x2_hi]])
-    return Domain(dim=2, bbox=bbox, inside=inside, boundary_normal=normal,
-                  volume_hint=theta0 * radius ** 2)
+    return Domain(dim=2, bbox=bbox, inside=inside, boundary_normal=normal)
 
 
 def paraboloid_domain(m: int, flatness: float = 1.0, height: float = 1.0) -> Domain:
@@ -377,4 +368,4 @@ def interval_domain(a: float = 0.0, b: float = 1.0) -> Domain:
         return np.where(x - a < b - x, -1.0, 1.0)
 
     return Domain(dim=1, bbox=np.array([[a], [b]]), inside=inside,
-                  boundary_normal=normal, volume_hint=b - a)
+                  boundary_normal=normal)

@@ -11,7 +11,7 @@ estimators are provided:
 * band: a co-area estimator.  The samples are the quadrature points with
   |s_y - k| < eps and dA_i = w_i |grad_x s_y(x_i)| K_eps(s_y(x_i) - k),
   with K_eps a unit-mass triangular kernel.  On tensor grids the kernel
-  half-width defaults to twice the per-cell variation of s_y, which keeps
+  half-width is twice the per-cell variation of s_y, which keeps
   the band a few cells thick.  The triangular kernel (rather than a flat
   window) is what makes midpoint sums of grid-aligned bands exact and the
   estimator smooth in (y, k); a flat window would jitter by a whole grid
@@ -148,13 +148,13 @@ def split_function(model: Model, y: float, k):
 # the level-set sampler
 # ---------------------------------------------------------------------------
 
-def band_epsilon(model: Model, sl: SurplusSlice, factor: float = 2.0) -> float:
-    """Auto-calibrated band half-width: ``factor`` cells thick in s_y units."""
+def band_epsilon(model: Model, sl: SurplusSlice) -> float:
+    """Band half-width: two cells thick in s_y units."""
     if sl.span is not None:
-        return factor * float(np.max(sl.span))
+        return 2.0 * float(np.max(sl.span))
     # Monte Carlo: typical inter-sample distance times the gradient scale
     h = (model.grid.volume / model.grid.n_points) ** (1.0 / model.domain.dim)
-    return factor * h * float(np.max(sl.gnorm))
+    return 2.0 * h * float(np.max(sl.gnorm))
 
 
 @dataclass(frozen=True)
@@ -199,15 +199,16 @@ class LevelSet:
         return float(np.sum(self.measure[self.boundary])) / area if area > 0 else 1.0
 
 
-def level_set(model: Model, y: float, k: float, estimator: str = "auto",
-              epsilon: Optional[float] = None) -> LevelSet:
+def level_set(model: Model, y: float, k: float,
+              estimator: str = "auto") -> LevelSet:
     """Sample the indifference set {s_y(., y) = k}.
 
     ``auto`` uses the extracted contour on planar tensor grids, which stays
     accurate when the level set passes a domain corner (the band there
     sweeps up a blob of small-|s_y - k| points that are nowhere near the
-    hypersurface), and the band elsewhere.  ``epsilon`` overrides the band
-    half-width.  Raises EmptyBand when no sample falls on the level set.
+    hypersurface), and the band elsewhere; the band half-width is
+    ``band_epsilon``.  Raises EmptyBand when no sample falls on the level
+    set.
     """
     y = float(y)
     k = float(k)
@@ -230,7 +231,7 @@ def level_set(model: Model, y: float, k: float, estimator: str = "auto",
     if estimator != "band":
         raise ValueError(f"unknown estimator {estimator!r}")
     sl = model.slice_at(y)
-    eps = band_epsilon(model, sl) if epsilon is None else float(epsilon)
+    eps = band_epsilon(model, sl)
     t = np.abs(sl.sy - k)
     idx = np.flatnonzero(t < eps)
     if idx.size == 0:
@@ -251,15 +252,14 @@ def level_set(model: Model, y: float, k: float, estimator: str = "auto",
 
 def surface_integral(model: Model, y: float, k: float,
                      integrand: Optional[Callable] = None,
-                     epsilon: Optional[float] = None,
                      estimator: str = "band") -> SurfaceIntegralResult:
     """Integral of ``integrand`` over the indifference set {s_y(., y) = k}.
 
     ``integrand`` maps (N, m) points to (N,) values; None means 1, so the
     default result is the surface area A.  Raises EmptyBand when the level
-    set misses the domain (or epsilon is too small).
+    set misses the domain.
     """
-    ls = level_set(model, y, k, estimator, epsilon)
+    ls = level_set(model, y, k, estimator)
     value = ls.area if integrand is None else \
         float(np.sum(ls.measure * np.asarray(integrand(ls.points), dtype=float)))
     return SurfaceIntegralResult(value=value,
@@ -268,14 +268,13 @@ def surface_integral(model: Model, y: float, k: float,
 
 
 def grad_h(model: Model, y: float, k: float,
-           epsilon: Optional[float] = None,
            estimator: str = "auto") -> GradH:
     """Derivatives of h at (y, k):
 
         h_k =  integral_{s_y=k} f / |grad_x s_y| dH^{m-1}
         h_y = -g(y) - integral_{s_y=k} f s_yy / |grad_x s_y| dH^{m-1}
     """
-    ls = level_set(model, y, k, estimator, epsilon)
+    ls = level_set(model, y, k, estimator)
     return GradH(h_y=-float(model.g_at(y)[0]) - ls.flux, h_k=ls.h_k)
 
 
@@ -293,16 +292,6 @@ def normal_velocity(model: Model, y: float, k: float, kprime: float,
     return out if out.size > 1 else float(out[0])
 
 
-def boundary_band_fraction(model: Model, y: float, k: float,
-                           epsilon: Optional[float] = None) -> float:
-    """Share of the band area estimate carried by boundary-adjacent cells.
-
-    Large values mean the indifference set hugs the domain boundary; the
-    derivative formulas for k are unreliable there.
-    """
-    return level_set(model, y, k, "band", epsilon).boundary_fraction
-
-
 def default_tangential_threshold(model: Model) -> float:
     """Boundary-band share above which a query counts as tangential.
 
@@ -314,17 +303,17 @@ def default_tangential_threshold(model: Model) -> float:
 
 
 def is_tangential(model: Model, y: float, k: float,
-                  epsilon: Optional[float] = None,
                   threshold: Optional[float] = None) -> bool:
     """Plateau detection: the query is flagged when more than ``threshold``
-    of the level-set area sits in boundary-touching cells."""
+    of the band area sits in boundary-touching cells, i.e. the
+    indifference set hugs the domain boundary and the derivative formulas
+    for k are unreliable there."""
     if threshold is None:
         threshold = default_tangential_threshold(model)
-    return boundary_band_fraction(model, y, k, epsilon) > threshold
+    return level_set(model, y, k, "band").boundary_fraction > threshold
 
 
-def level_set_sizes(model: Model, y: float, k: float,
-                    epsilon: Optional[float] = None) -> dict:
+def level_set_sizes(model: Model, y: float, k: float) -> dict:
     """Area A = H^{m-1}[X(y,k)] and boundary measure B = H^{m-2} of its
     trace on the domain boundary.
 
@@ -333,7 +322,7 @@ def level_set_sizes(model: Model, y: float, k: float,
     (requires the boundary-normal oracle) when m >= 3; it is None when
     unavailable.
     """
-    ls = level_set(model, y, k, "band", epsilon)
+    ls = level_set(model, y, k, "band")
     b_val = None
     m = model.domain.dim
     if m == 1:

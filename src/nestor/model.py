@@ -113,8 +113,6 @@ class Model:
         self.g_scale = 1.0 / z_g
         cdf = np.concatenate([[0.0], np.cumsum(panel)]) * self.g_scale
         cdf[-1] = 1.0
-        self._cdf_nodes = nodes
-        self._cdf_values = cdf
         self._cdf = PchipInterpolator(nodes, cdf, extrapolate=False)
         self._quantile = PchipInterpolator(cdf, nodes, extrapolate=False)
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyBand, NoBoundaryOracle
-from .levelsets import level_set, surface_integral
+from .levelsets import level_set
 from .model import Model
 from .solver import (SplitCurve, count_sign_changes, effective_deadband,
                      splitting_profile)
@@ -286,22 +286,25 @@ def kprime_bound_gap(model: Model, curve: SplitCurve,
                      y_nodes: Optional[np.ndarray] = None):
     """Evaluate the a.e. bound
         |k'(y)| <= sup|s_yy| + g(y) sup|grad_x s_y / f| / A(y)
-    at sampled non-tangential nodes; returns (|k'| values, bound values)."""
+    at sampled non-tangential nodes (explicit y_nodes snap to the nearest
+    node), with A the curve's own band area; returns (|k'| values, bound
+    values), the bound NaN where that band sample is empty."""
     if y_nodes is None:
-        keep = ~curve.tangential_flags
-        y_nodes = curve.y_grid[keep][:: max(1, int(np.sum(keep)) // 41)]
+        idx = np.flatnonzero(~curve.tangential_flags)
+        idx = idx[:: max(1, idx.size // 41)]
+    else:
+        idx = np.array([np.argmin(np.abs(curve.y_grid - y)) for y in y_nodes],
+                       dtype=int)
     lhs = []
     rhs = []
-    for y in y_nodes:
-        y = float(y)
+    for i in idx:
+        y = float(curve.y_grid[i])
         sl = model.slice_at(y)
-        i = int(np.argmin(np.abs(curve.y_grid - y)))
-        area = surface_integral(model, y, float(curve.k_plus[i])).value
         sup_syy = float(np.max(np.abs(sl.syy)))
         sup_ratio = float(np.max(sl.gnorm / model.f_vals))
         g_y = float(model.g_at(y)[0])
         lhs.append(abs(float(curve.kprime[i])))
-        rhs.append(sup_syy + g_y * sup_ratio / area)
+        rhs.append(sup_syy + g_y * sup_ratio / curve.area[i])
     return np.asarray(lhs), np.asarray(rhs)
 
 

@@ -63,7 +63,6 @@ class SplitCurve:
     x_syy_max: np.ndarray
     area: np.ndarray
     interpolation: PchipInterpolator = field(init=False, repr=False)
-    _kprime_interp: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self):
         self.y_grid = np.asarray(self.y_grid, dtype=float)
@@ -72,7 +71,6 @@ class SplitCurve:
         self.y_lo = float(self.y_lo)
         self.y_hi = float(self.y_hi)
         self.interpolation = PchipInterpolator(self.y_grid, self.k_plus)
-        self._kprime_interp = PchipInterpolator(self.y_grid, self.kprime)
         self._k_deriv = self.interpolation.derivative()
         self._v_anti = self.interpolation.antiderivative()
 
@@ -99,12 +97,12 @@ class SplitCurve:
         out = self.interpolation(yc)
         return out if np.ndim(y) else float(out)
 
-    def kprime_at(self, y, from_interpolant: bool = False):
-        """k'(y): the stored -h_y/h_k values interpolated, or the derivative
-        of the k interpolant itself (consistent with finite differences of
-        the by-level map)."""
+    def kprime_at(self, y):
+        """k'(y): the derivative of the k interpolant, consistent with
+        finite differences of the by-level map (unlike the node values
+        ``kprime``, which are -h_y/h_k at clean nodes)."""
         yc = np.clip(y, self.y_grid[0], self.y_grid[-1])
-        out = self._k_deriv(yc) if from_interpolant else self._kprime_interp(yc)
+        out = self._k_deriv(yc)
         return out if np.ndim(y) else float(out)
 
     def v_at(self, y):
@@ -284,7 +282,7 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
             break
         xr, yr = x[rows], y[rows]
         f = model.surplus.s_y(xr, yr) - curve.k_at(yr)
-        df = model.surplus.s_yy(xr, yr) - curve.kprime_at(yr, from_interpolant=True)
+        df = model.surplus.s_yy(xr, yr) - curve.kprime_at(yr)
         keep_a = (f > 0) != pos_a[rows]
         a[rows] = ar = np.where(keep_a, a[rows], yr)
         b[rows] = br = np.where(keep_a, yr, b[rows])
@@ -481,7 +479,7 @@ def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     f_val = optimal_map(model, curve, x)
     f_val = np.atleast_1d(f_val)
-    kp = np.atleast_1d(curve.kprime_at(f_val, from_interpolant=True))
+    kp = np.atleast_1d(curve.kprime_at(f_val))
     syy = np.asarray(model.surplus.s_yy(x, f_val), dtype=float)
     denom = kp - syy
     if np.any(denom <= speed_threshold):
@@ -502,7 +500,7 @@ def balance_residual(model: Model, curve: SplitCurve, y: float) -> float:
     strays from the derivative formula, not an independent closure."""
     y = float(y)
     gh = grad_h(model, y, curve.k_at(y))
-    return -(gh.h_y + curve.kprime_at(y, from_interpolant=True) * gh.h_k)
+    return -(gh.h_y + curve.kprime_at(y) * gh.h_k)
 
 
 def weighted_ks_distance(model: Model, f_vals: np.ndarray,

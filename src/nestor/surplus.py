@@ -24,7 +24,6 @@ class SurplusBundle:
     s_y: Callable
     grad_x_s_y: Callable
     s_yy: Callable
-    smoothness_class: int = 2
     name: str = "custom"
 
     def check_consistency(self, dom: Domain, target: TargetInterval,
@@ -109,7 +108,7 @@ def bilinear_surplus(direction: Sequence[float]) -> SurplusBundle:
         return np.zeros(x.shape[0])
 
     return SurplusBundle(s=s, s_y=s_y, grad_x_s_y=grad, s_yy=s_yy,
-                         smoothness_class=99, name="bilinear")
+                         name="bilinear")
 
 
 def arc_surplus() -> SurplusBundle:
@@ -133,7 +132,7 @@ def arc_surplus() -> SurplusBundle:
         return -(x[:, 0] * np.cos(t) + x[:, 1] * np.sin(t))
 
     return SurplusBundle(s=s, s_y=s_y, grad_x_s_y=grad, s_yy=s_yy,
-                         smoothness_class=99, name="arc")
+                         name="arc")
 
 
 @dataclass(frozen=True)
@@ -210,4 +209,4 @@ def polynomial_surplus(terms: Sequence, dim: int) -> SurplusBundle:
         return _eval(x, y, table_syy)
 
     return SurplusBundle(s=s, s_y=s_y, grad_x_s_y=grad, s_yy=s_yy,
-                         smoothness_class=99, name="polynomial")
+                         name="polynomial")

@@ -199,17 +199,18 @@ def test_dump_level_band_writes_samples_with_measure(tmp_path):
     assert abs(np.sum(rows["measure"]) - 1.0) < 1e-3
 
 
-def test_empty_area_band_keeps_balance_residual(tmp_path):
-    # a 1e-12 band catches no quadrature point, so every area is NaN; the
-    # balance residual uses its own sampler and must not be wiped with it
-    assert run_main(["solve", "uniform-1d", "--epsilon-band", "1e-12",
-                     "--y-nodes", "17", "--out", str(tmp_path)]) == 0
+def test_empty_level_sets_are_counted_per_column(tmp_path):
+    # on the wide pie slice the contour misses the domain at some end nodes
+    # while their band sample does not: the balance residual cells go NaN
+    # and are counted, the area cells stay finite
+    assert run_main(["solve", "pie-slice", "--theta0", "1.2",
+                     "--resolution", "96", "--out", str(tmp_path)]) == 0
     rows = np.genfromtxt(tmp_path / "curve.csv", delimiter=",", names=True)
-    assert np.all(np.isnan(rows["area"]))
-    assert np.all(np.isfinite(rows["balance_residual"]))
     summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["empty_level_sets"] == {"area": 0, "balance_residual": 12}
+    assert np.all(np.isfinite(rows["area"]))
+    assert int(np.sum(np.isnan(rows["balance_residual"]))) == 12
     assert isinstance(summary["balance_residual_max"], float)
-    assert summary["empty_level_sets"] == {"area": 17, "balance_residual": 0}
 
 
 def test_map_gradient_failure_is_recorded(tmp_path):
@@ -246,27 +247,47 @@ def test_curve_csv_residual_matches_library(tmp_path):
         assert abs(res - ref) <= 1e-12
 
 
-def test_default_area_column_reads_the_curve(tmp_path, monkeypatch):
-    # with the default --estimator/--epsilon-band the area column is the
-    # solve's own band area; only other flags resample the level sets
-    from nestor import cli
+def test_default_area_column_reads_the_curve(tmp_path):
+    # the area column is the solve's own band area
     from nestor.scenarios import build
     from nestor.solver import solve_split_curve
-
-    def no_resample(*args, **kwargs):
-        raise AssertionError("curve.csv area resampled a level set")
-
-    monkeypatch.setattr(cli, "surface_integral", no_resample)
     assert run_main(["solve", "paraboloid-segment", "--resolution", "48",
                      "--y-nodes", "33", "--out", str(tmp_path)]) == 0
     rows = np.genfromtxt(tmp_path / "curve.csv", delimiter=",", names=True)
     curve = solve_split_curve(build("paraboloid-segment", resolution=48).model,
                               n_nodes=33)
     assert np.array_equal(rows["area"], curve.area, equal_nan=True)
-    with pytest.raises(AssertionError, match="resampled"):
-        run_main(["solve", "paraboloid-segment", "--resolution", "48",
-                  "--y-nodes", "33", "--epsilon-band", "0.01",
-                  "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("key, value", [("estimator", "contour2d"),
+                                        ("epsilon_band", 0.01)])
+def test_removed_area_settings_are_rejected(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": "uniform-1d",
+                                  "tolerances": {key: value}}))
+    assert run_main(["solve", "--config", str(config),
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config invalid at '/tolerances'" in err and repr(key) in err
+
+
+def test_scenario_config_applies_model_tolerances(tmp_path, capsys):
+    # a non-degeneracy threshold above every |grad_x s_y| fails the
+    # certificate, for a built-in scenario exactly as for an inline model
+    inline = {"model": {"domain": {"type": "paraboloid", "m": 2},
+                        "target": [0.0, 1.0],
+                        "surplus": {"builtin": "bilinear"}},
+              "quadrature": {"resolution": 32}}
+    scenario = {"scenario": "paraboloid-segment",
+                "quadrature": {"resolution": 32}}
+    for name, base in (("inline", inline), ("scenario", scenario)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(
+            {**base, "y_nodes": 17,
+             "tolerances": {"nondegeneracy_rel_threshold": 1e6}}))
+        assert run_main(["check-nested", "--config", str(config),
+                         "--out", str(tmp_path / name)]) == 1, name
+        assert "error: Degenerate: " in capsys.readouterr().err, name
 
 
 def test_pivot_budget_goes_through_the_error_path(tmp_path, monkeypatch,

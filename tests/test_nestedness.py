@@ -3,7 +3,8 @@ import pytest
 
 from nestor.errors import EmptyBand, NoBoundaryOracle
 from nestor.geometry import Quadrature, TargetInterval, box_domain
-from nestor.levelsets import level_set
+from nestor import levelsets
+from nestor.levelsets import level_set, surface_integral
 from nestor.model import Model
 from nestor.nestedness import (check_sublevel_monotonicity, dynamic_criterion,
                                kprime_bound_gap, nestedness_report,
@@ -178,6 +179,42 @@ def test_lipschitz_bound_realized(par2):
 def test_kprime_bound(par2):
     lhs, rhs = kprime_bound_gap(par2.model, par2.curve)
     assert np.all(lhs <= rhs * 1.1)
+
+
+def _kprime_bound_resampled(model, curve):
+    """The k' bound with A(y) from a fresh band sample at every node."""
+    keep = ~curve.tangential_flags
+    lhs, rhs = [], []
+    for y in curve.y_grid[keep][:: max(1, int(np.sum(keep)) // 41)]:
+        y = float(y)
+        sl = model.slice_at(y)
+        i = int(np.argmin(np.abs(curve.y_grid - y)))
+        area = surface_integral(model, y, float(curve.k_plus[i])).value
+        lhs.append(abs(float(curve.kprime[i])))
+        rhs.append(float(np.max(np.abs(sl.syy))) + float(model.g_at(y)[0])
+                   * float(np.max(sl.gnorm / model.f_vals)) / area)
+    return np.asarray(lhs), np.asarray(rhs)
+
+
+@pytest.mark.parametrize("name", ["par2", "par3"])
+def test_kprime_bound_reads_the_curve_area(name, request, monkeypatch):
+    # the bound takes no level-set sample and matches a per-node resample
+    # bit for bit; explicit nodes snap to the nearest grid node
+    solved = request.getfixturevalue(name)
+    model, curve = solved.model, solved.curve
+    ref_lhs, ref_rhs = _kprime_bound_resampled(model, curve)
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("kprime_bound_gap sampled a level set")
+
+    monkeypatch.setattr(levelsets, "level_set", no_sample)
+    lhs, rhs = kprime_bound_gap(model, curve)
+    assert np.array_equal(lhs, ref_lhs) and np.array_equal(rhs, ref_rhs)
+    nodes = curve.y_grid[~curve.tangential_flags][:: 10]
+    snapped = kprime_bound_gap(model, curve, y_nodes=nodes + 1e-9)
+    exact = kprime_bound_gap(model, curve, y_nodes=nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(snapped, exact))
+    assert snapped[0].size == nodes.size
 
 
 def test_verdicts(par2, ball, pie_nested, pie_wide, uni1d):

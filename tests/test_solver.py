@@ -100,7 +100,7 @@ def _balance_integral_residual(model, curve, y):
     """The balance residual as the direct integral over a fresh sample:
     g(y) - integral (k' - s_yy) f / |grad_x s_y| dH^{m-1}."""
     ls = level_set(model, y, curve.k_at(y))
-    kp = curve.kprime_at(y, from_interpolant=True)
+    kp = curve.kprime_at(y)
     return float(model.g_at(y)[0]) \
         - float(np.sum(ls.measure * ls.f * (kp - ls.syy) / ls.gnorm))
 
