@@ -19,7 +19,10 @@ estimators are provided:
 
 * contour2d (m = 2 only): marching-squares extraction of the polyline
   {s_y = k} on the node grid, clipped to the domain; the samples are the
-  segment midpoints and dA is the segment length.
+  segment midpoints and dA is the segment length.  One array pass cuts
+  every sign-changing edge of the corner walk A->B->C->D->A of each mixed
+  cell, joins a two-crossing cell's cuts, and splits a saddle by the sign
+  of its cell-centre average.
 
 ``estimator="auto"`` picks contour2d on planar tensor grids and band
 otherwise.  An empty level set raises EmptyBand.
@@ -354,42 +357,19 @@ def _node_values(model: Model, y: float):
     return xs, ys, vals.reshape(n[0] + 1, n[1] + 1)
 
 
-def _cell_segments(T, xs, ys, i, j):
-    """Marching-squares segments of {T = 0} in cell (i, j).
-
-    Corners: A=(i,j), B=(i+1,j), C=(i+1,j+1), D=(i,j+1); saddles are
-    disambiguated with the cell-center average.
-    """
-    a, b, c, d = T[i, j], T[i + 1, j], T[i + 1, j + 1], T[i, j + 1]
-
-    def cross(p_val, q_val, p_xy, q_xy):
-        t = p_val / (p_val - q_val)
-        return (p_xy[0] + t * (q_xy[0] - p_xy[0]),
-                p_xy[1] + t * (q_xy[1] - p_xy[1]))
-
-    A = (xs[i], ys[j])
-    B = (xs[i + 1], ys[j])
-    C = (xs[i + 1], ys[j + 1])
-    D = (xs[i], ys[j + 1])
-    e_ab = cross(a, b, A, B) if a * b < 0 else None
-    e_bc = cross(b, c, B, C) if b * c < 0 else None
-    e_cd = cross(c, d, C, D) if c * d < 0 else None
-    e_da = cross(d, a, D, A) if d * a < 0 else None
-    crossings = [e for e in (e_ab, e_bc, e_cd, e_da) if e is not None]
-    if len(crossings) == 2:
-        return [tuple(crossings)]
-    if len(crossings) == 4:
-        center = 0.25 * (a + b + c + d)
-        if center * a > 0:  # pockets at corners B and D
-            return [(e_ab, e_bc), (e_cd, e_da)]
-        return [(e_ab, e_da), (e_bc, e_cd)]
-    return []
-
-
 def _contour_segments(model: Model, y: float, k: float):
     """Clipped polyline of {s_y(., y) = k} as an (S, 2, 2) array of
-    endpoint pairs; clipping against the implicit domain runs as one
-    vectorized bisection over all segments with a single inside endpoint.
+    endpoint pairs, from one marching-squares pass over the mixed cells.
+
+    Cell (i, j) has corners A=(i,j), B=(i+1,j), C=(i+1,j+1), D=(i,j+1).
+    Each edge of the walk A->B->C->D->A whose end values differ in sign is
+    crossed at the linear interpolate taken from its first corner (so CD
+    from C and DA from D).  A cell crossed twice joins its two crossings in
+    walk order; a saddle (crossed four times) joins AB-BC and CD-DA when
+    the cell-centre average has A's sign, AB-DA and BC-CD otherwise.
+    Segments come in row-major cell order, a saddle's two in that order.
+    Clipping against the implicit domain runs as one vectorized bisection
+    over all segments with a single inside endpoint.
     """
     if model.domain.dim != 2 or model.grid.spacing is None:
         raise ValueError("contour2d estimator needs a 2-d tensor grid")
@@ -399,17 +379,28 @@ def _contour_segments(model: Model, y: float, k: float):
     T[T == 0.0] = tiny
 
     sign = T > 0
-    mixed = np.zeros((T.shape[0] - 1, T.shape[1] - 1), dtype=bool)
     corner = sign[:-1, :-1]
-    for s in (sign[1:, :-1], sign[1:, 1:], sign[:-1, 1:]):
-        mixed |= corner != s
+    i, j = np.nonzero((corner != sign[1:, :-1]) | (corner != sign[1:, 1:])
+                      | (corner != sign[:-1, 1:]))
+    ci, cj = i[:, None] + [0, 1, 1, 0], j[:, None] + [0, 0, 1, 1]  # A B C D
+    v = T[ci, cj]                                            # (N, 4)
+    p = np.stack([xs[ci], ys[cj]], axis=-1)                  # (N, 4, 2)
+    walk = [1, 2, 3, 0]
+    crossed = v * v[:, walk] < 0                 # edges AB, BC, CD, DA
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = v / (v - v[:, walk])
+        edge_pts = p + t[:, :, None] * (p[:, walk] - p)
 
-    raw = []
-    for i, j in np.argwhere(mixed):
-        raw.extend(_cell_segments(T, xs, ys, i, j))
-    if not raw:
+    n_cross = np.sum(crossed, axis=1)
+    two, saddle = n_cross == 2, n_cross == 4
+    a_side = 0.25 * (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) * v[:, 0] > 0
+    # edge pairs of each cell's first and second segment
+    pairs = np.where(a_side[:, None, None], [[0, 1], [2, 3]], [[0, 3], [1, 2]])
+    pairs[two, 0] = np.nonzero(crossed[two])[1].reshape(-1, 2)
+    cell, slot = np.nonzero(np.stack([two | saddle, saddle], axis=1))
+    if cell.size == 0:
         return np.empty((0, 2, 2))
-    raw = np.asarray(raw, dtype=float)  # (S, 2, 2)
+    raw = edge_pts[cell[:, None], pairs[cell, slot]]         # (S, 2, 2)
 
     in_p = model.domain.contains(raw[:, 0, :])
     in_q = model.domain.contains(raw[:, 1, :])

@@ -28,27 +28,11 @@ from .model import Model, target_quantile
 
 @dataclass
 class IndexForm:
-    """Scalar index with the implicit effective surplus.
-
-    sigma(z, y) is evaluated as s(x_rep(z), y) - s(x_rep(z), y_mid) along
-    a representative selection x_rep (nearest quadrature point by index
-    value), which pins sigma down without recovering alpha.
-    """
+    """Scalar index I with the sign of the effective surplus's mixed
+    derivative, which orients the 1-d rearrangement."""
 
     index: Callable                  # (N, m) -> (N,)
     modularity_sign: int             # +1 supermodular, -1 submodular
-    y_mid: float
-    _rep_points: np.ndarray = None   # sorted representatives
-    _rep_values: np.ndarray = None
-
-    def sigma(self, model: Model, z, y) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        idx = np.searchsorted(self._rep_values, z)
-        idx = np.clip(idx, 0, self._rep_values.size - 1)
-        reps = self._rep_points[idx]
-        s_here = np.asarray(model.surplus.s(reps, y), dtype=float)
-        s_mid = np.asarray(model.surplus.s(reps, self.y_mid), dtype=float)
-        return s_here - s_mid
 
 
 @dataclass
@@ -196,7 +180,6 @@ def build_index_form(model: Model, index: Optional[Callable] = None,
     the effective surplus changes sign across samples."""
     if index is None:
         index = canonical_index(model)
-    y_mid = model.target.mid
     pts = model.domain.sample_interior(sign_probes, seed=seed, margin=0.01)
     h = 1e-6 * model.domain.scale
     grad_i = np.empty((pts.shape[0], model.domain.dim))
@@ -220,14 +203,7 @@ def build_index_form(model: Model, index: Optional[Callable] = None,
         raise NonMonotoneSign(
             "mixed derivative of the effective surplus changes sign")
     sign = 1 if np.all(signs >= 0) else -1
-
-    i_vals = np.asarray(index(model.grid.points), dtype=float)
-    order = np.argsort(i_vals, kind="stable")
-    step = max(1, order.size // 512)
-    reps = order[::step]
-    return IndexForm(index=index, modularity_sign=sign, y_mid=y_mid,
-                     _rep_points=model.grid.points[reps],
-                     _rep_values=i_vals[reps])
+    return IndexForm(index=index, modularity_sign=sign)
 
 
 def reduce_and_solve_1d(model: Model, index: Optional[IndexForm] = None,

@@ -148,7 +148,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     node (twice on planar tensor grids, where the tangential flag needs
     band samples besides the contour).  Nodes flagged tangential (level set
     hugging the domain boundary, or empty) get one-sided difference-quotient
-    derivatives instead of -h_y/h_k, whose hypotheses fail there.
+    derivatives instead of -h_y/h_k, whose hypotheses fail there.  The
+    plateau, tangential and empty-level-set nodes are logged at DEBUG.
     """
     model.require_nondegenerate()
     if y_grid is None:
@@ -196,6 +197,12 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
         tangential[i] |= not h_k[i] > 0
         if not tangential[i]:
             kprime[i] = -h_y[i] / h_k[i]
+
+    empty = np.isnan(h_k) | np.isnan(area)
+    for what, mask in (("plateau", plateau), ("tangential", tangential),
+                       ("with an empty level set", empty)):
+        logger.debug("split curve: %d of %d nodes %s at y = %s", np.sum(mask),
+                     n, what, np.round(y_grid[mask], 6).tolist())
 
     # difference quotients at tangential nodes (one-sided at the ends)
     fd = np.gradient(k_plus, y_grid)

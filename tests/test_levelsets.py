@@ -243,6 +243,19 @@ def test_closed_contour_has_no_ends():
     assert abs(res["A"] - np.pi) < 0.03
 
 
+@pytest.mark.parametrize("k", [1e-3, -1e-3])
+def test_saddle_cell_keeps_quadrants_apart(k):
+    # s_y = x1 x2 on a 7x7 grid: the middle cell is centred on the saddle
+    # at the origin and crossed on all four edges; the centre-average rule
+    # must pair its crossings so no segment jumps between quadrants
+    from nestor.surplus import polynomial_surplus
+    model = Model(box_domain([-1, -1], [1, 1]), TargetInterval(0.5, 1.5),
+                  polynomial_surplus([(1.0, (1, 1), 1)], 2),
+                  quadrature=Quadrature("tensor", 7))
+    seg = level_set(model, 1.0, k, "contour2d").segments
+    assert np.all(np.sign(seg[:, 0, :]) == np.sign(seg[:, 1, :]))
+
+
 def test_tangential_detection(square, bowl):
     assert is_tangential(square, 0.5, 0.002)       # level hugging a face
     assert not is_tangential(square, 0.5, 0.5)

@@ -288,6 +288,35 @@ def test_debug_records(par2, monkeypatch, caplog):
                for r in caplog.records)
 
 
+def test_split_curve_debug_records(caplog):
+    # a source with a gap in x1 gives a mass plateau at y = 0.5; pie-slice
+    # at theta0 = 1.2 has tangential end nodes and two empty level sets
+    from nestor import scenarios as sc
+    from nestor.geometry import Domain
+
+    def inside(x):
+        return (x[:, 0] > 0) & (x[:, 0] < 1) & (np.abs(x[:, 0] - 0.5) > 0.1)
+
+    gap = Model(Domain(dim=1, bbox=np.array([[0.0], [1.0]]), inside=inside),
+                TargetInterval(0, 1), bilinear_surplus([1.0]))
+    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
+        solve_split_curve(gap, y_grid=np.array([0.25, 0.5, 0.75]))
+    assert "1 of 3 nodes plateau at y = [0.5]" in caplog.text
+    assert "0 of 3 nodes with an empty level set at y = []" in caplog.text
+    caplog.clear()
+    pie = sc.build("pie-slice", theta0=1.2, resolution=96).model
+    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
+        c = solve_split_curve(pie, n_nodes=65)
+    n_tan = int(np.sum(c.tangential_flags))
+    assert n_tan > 2
+    assert f"{n_tan} of 65 nodes tangential at y = [-1.19965, " in caplog.text
+    assert ("2 of 65 nodes with an empty level set at y = [-1.19965, 1.19965]"
+            in caplog.text)
+    assert len(caplog.records) == 3
+    assert all(r.levelno == logging.DEBUG and r.name == "nestor.solver"
+               for r in caplog.records)
+
+
 def test_map_gradient_examples(uni1d, par2):
     df = map_gradient(par2.model, par2.curve, np.array([0.25, 0.0]))
     assert np.linalg.norm(df - np.array([0.75, 0.0])) <= 1e-2 * 0.75

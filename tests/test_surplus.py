@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestor.geometry import TargetInterval, box_domain
 from nestor.surplus import (SurplusBundle, arc_surplus, bilinear_surplus,
@@ -17,6 +19,25 @@ TGT = TargetInterval(0.0, 1.0)
 ])
 def test_finite_difference_consistency(bundle):
     report = bundle.check_consistency(DOM, TGT, n_probes=100, seed=0)
+    assert max(report.values()) <= 1e-5
+
+
+@st.composite
+def _poly_tables(draw):
+    """A random coefficient table: dim 1-3, powers 0-3, coefficients in
+    [-3, 3]."""
+    dim = draw(st.integers(1, 3))
+    term = st.tuples(st.floats(-3.0, 3.0),
+                     st.tuples(*[st.integers(0, 3)] * dim), st.integers(0, 3))
+    return dim, draw(st.lists(term, min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table=_poly_tables())
+def test_random_polynomial_tables_are_consistent(table):
+    dim, terms = table
+    box = box_domain([-1.0] * dim, [1.0] * dim)
+    report = polynomial_surplus(terms, dim).check_consistency(box, TGT)
     assert max(report.values()) <= 1e-5
 
 
