@@ -150,7 +150,8 @@ def _densities_from_spec(model_spec: dict, dim: int) -> DensityPair:
 
 
 def build_model_from_config(config: dict):
-    """Returns (model, scenario or None, params echo)."""
+    """Returns (model, scenario or None, params echo); a ValueError while
+    the scenario or the inline model is built is a ConfigError."""
     tol = config["tolerances"]
     model_kw = {key: tol[key]
                 for key in ("cdf_nodes", "nondegeneracy_rel_threshold")}
@@ -160,20 +161,23 @@ def build_model_from_config(config: dict):
         quad = Quadrature(mode=quad_spec.get("mode", "tensor"),
                           resolution=quad_spec.get("resolution", 256),
                           seed=quad_spec.get("seed", 0))
-    if "scenario" in config:
-        params = dict(config.get("params", {}))
-        if quad is not None:
-            params["resolution"] = quad.resolution
-            params["seed"] = quad.seed
-        scenario = sc.build(config["scenario"], **params, **model_kw)
-        return scenario.model, scenario, params
-    spec = config["model"]
-    dom = _domain_from_spec(spec["domain"])
-    target = TargetInterval(*spec["target"])
-    surplus = _surplus_from_spec(spec["surplus"], dom.dim)
-    dens = _densities_from_spec(spec, dom.dim)
-    model = Model(dom, target, surplus, dens, quadrature=quad, **model_kw)
-    return model, None, {}
+    try:
+        if "scenario" in config:
+            params = dict(config.get("params", {}))
+            if quad is not None:
+                params["resolution"] = quad.resolution
+                params["seed"] = quad.seed
+            scenario = sc.build(config["scenario"], **params, **model_kw)
+            return scenario.model, scenario, params
+        spec = config["model"]
+        dom = _domain_from_spec(spec["domain"])
+        target = TargetInterval(*spec["target"])
+        surplus = _surplus_from_spec(spec["surplus"], dom.dim)
+        dens = _densities_from_spec(spec, dom.dim)
+        model = Model(dom, target, surplus, dens, quadrature=quad, **model_kw)
+        return model, None, {}
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the model: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +443,11 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _config_from_args(args) -> dict:
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config!r}: {exc}") from None
     else:
         if not args.scenario:
             raise ConfigError("need a scenario name or --config FILE")

@@ -305,15 +305,13 @@ def default_tangential_threshold(model: Model) -> float:
     return 0.05 if model.domain.dim <= 2 else 0.25
 
 
-def is_tangential(model: Model, y: float, k: float,
-                  threshold: Optional[float] = None) -> bool:
-    """Plateau detection: the query is flagged when more than ``threshold``
-    of the band area sits in boundary-touching cells, i.e. the
-    indifference set hugs the domain boundary and the derivative formulas
-    for k are unreliable there."""
-    if threshold is None:
-        threshold = default_tangential_threshold(model)
-    return level_set(model, y, k, "band").boundary_fraction > threshold
+def is_tangential(model: Model, y: float, k: float) -> bool:
+    """Plateau detection: the query is flagged when more than
+    ``default_tangential_threshold(model)`` of the band area sits in
+    boundary-touching cells, i.e. the indifference set hugs the domain
+    boundary and the derivative formulas for k are unreliable there."""
+    return (level_set(model, y, k, "band").boundary_fraction
+            > default_tangential_threshold(model))
 
 
 def level_set_sizes(model: Model, y: float, k: float) -> dict:

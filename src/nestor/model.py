@@ -196,7 +196,7 @@ class Model:
                 f"|grad_x s_y| reaches {cert.min_grad_norm:.3e} "
                 f"(threshold {cert.threshold:.3e}) at witness {cert.witness}")
 
-    def _check_boundary_normals(self, tol: float = 1e-9):
+    def _check_boundary_normals(self):
         if self.domain.boundary_normal is None:
             return
         pts = self.grid.points[self.grid.boundary_adjacent]
@@ -205,7 +205,7 @@ class Model:
         sel = pts[:: max(1, pts.shape[0] // 64)]
         normals = np.atleast_2d(self.domain.boundary_normal(sel))
         norms = np.linalg.norm(normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > tol):
+        if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("boundary_normal oracle returned non-unit vectors")
 
 
@@ -221,17 +221,17 @@ def default_quadrature(dim: int) -> Quadrature:
 # Operations
 # ---------------------------------------------------------------------------
 
-def certify_nondegeneracy(model: Model, y_samples: int = 17,
-                          threshold: Optional[float] = None) -> NondegeneracyCertificate:
-    """Minimum of |grad_x s_y| over quadrature points and a clustered y
-    sample, polished by a local search so interior zeros hiding between
-    grid points are found; passes iff the minimum clears the threshold."""
+def certify_nondegeneracy(model: Model) -> NondegeneracyCertificate:
+    """Minimum of |grad_x s_y| over quadrature points and a clustered
+    17-node y sample, polished by a local search so interior zeros hiding
+    between grid points are found; passes iff the minimum clears
+    ``model.nondegeneracy_threshold``."""
     if model.grid.n_points == 0:
         raise EmptyDomain("no interior quadrature points")
-    thr = model.nondegeneracy_threshold if threshold is None else threshold
+    thr = model.nondegeneracy_threshold
     best = np.inf
     witness = None
-    for y in model.target.interior_grid(y_samples):
+    for y in model.target.interior_grid(17):
         sl = model.slice_at(float(y))
         i = int(np.argmin(sl.gnorm))
         if sl.gnorm[i] < best:

@@ -83,14 +83,13 @@ def _jsonable(obj):
 # criterion 1: direct sublevel-set monotonicity
 # ---------------------------------------------------------------------------
 
-def check_sublevel_monotonicity(model: Model, curve: SplitCurve,
-                                y_pairs: Optional[list] = None,
-                                margin_tol: Optional[float] = None,
-                                max_witnesses: int = 20) -> CriterionResult:
+def check_sublevel_monotonicity(
+        model: Model, curve: SplitCurve, y_pairs: Optional[list] = None,
+        margin_tol: Optional[float] = None) -> CriterionResult:
     """For sampled y < y', every quadrature point of X_<=(y, k(y)) must lie
     strictly inside X_<(y', k(y')).  A point violates when
     s_y(x, y') - k(y') exceeds the margin tolerance (which absorbs one
-    cell of discretization jitter)."""
+    cell of discretization jitter); the 20 worst violations are kept."""
     if y_pairs is None:
         levels = curve.y_grid[:: max(1, curve.y_grid.size // 12)]
         y_pairs = [(float(a), float(b))
@@ -116,7 +115,7 @@ def check_sublevel_monotonicity(model: Model, curve: SplitCurve,
         worst = max(worst, float(np.max(margin[inside0]))
                     if np.any(inside0) else -np.inf)
     witnesses.sort(key=lambda t: -t[3])
-    witnesses = witnesses[:max_witnesses]
+    witnesses = witnesses[:20]
     status = "fail" if witnesses else "pass"
     return CriterionResult(name="sublevel_monotone", status=status,
                            witnesses=witnesses,
@@ -149,7 +148,6 @@ def _speed_resolution_floor(model: Model) -> float:
 
 
 def dynamic_criterion(model: Model, curve: SplitCurve,
-                      y_nodes: Optional[np.ndarray] = None,
                       tol: Optional[float] = None) -> CriterionResult:
     """Check k' - s_yy >= 0 on each sampled indifference set, with a strict
     maximum somewhere; strict positivity everywhere with no tangential
@@ -161,11 +159,7 @@ def dynamic_criterion(model: Model, curve: SplitCurve,
     with the speed resolution of the grid (one cell of s_yy variation):
     deficits below it are not distinguishable from sampling error.
     """
-    if y_nodes is None:
-        idx = np.arange(curve.y_grid.size)[:: max(1, curve.y_grid.size // 41)]
-    else:
-        idx = np.array([np.argmin(np.abs(curve.y_grid - y)) for y in y_nodes],
-                       dtype=int)
+    idx = np.arange(curve.y_grid.size)[:: max(1, curve.y_grid.size // 41)]
     if tol is None:
         tol = max(1e-4 * (1.0 + float(np.max(np.abs(curve.kprime)))),
                   _speed_resolution_floor(model))
@@ -204,10 +198,9 @@ def unique_splitting_check(model: Model,
                            x_probes: Optional[np.ndarray] = None,
                            n_probes: int = 100, seed: int = 0,
                            scan_nodes: int = 201,
-                           deadband: float = 1e-3,
-                           max_witnesses: int = 20) -> CriterionResult:
+                           deadband: float = 1e-3) -> CriterionResult:
     """Count roots of psi_x(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y) per
-    probe; any probe with several roots witnesses non-nestedness."""
+    probe; the first 20 probes with several roots witness non-nestedness."""
     model.require_nondegenerate()
     if x_probes is None:
         x_probes = model.domain.sample_interior(n_probes, seed=seed,
@@ -228,7 +221,7 @@ def unique_splitting_check(model: Model,
             n_single += 1
         else:
             n_multi += 1
-            if len(witnesses) < max_witnesses:
+            if len(witnesses) < 20:
                 roots = [0.5 * (y_scan[a] + y_scan[b]) for a, b in brackets]
                 witnesses.append((x_probes[i].copy(), roots))
     status = "fail" if witnesses else "pass"

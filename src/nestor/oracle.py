@@ -246,13 +246,14 @@ class _RootedTree:
         return np.array(pot[:self.ns]), np.array(pot[self.ns:])
 
 
-def solve_transport(inst: DiscreteInstance, tol: float = None,
+def solve_transport(inst: DiscreteInstance,
                     max_pivots: int = None) -> DiscretePlan:
     """Maximize sum gamma_ij S_ij over the transportation polytope.
 
     Dantzig pricing (largest reduced benefit) with a switch to Bland's
     smallest-index rule during runs of degenerate pivots, which prevents
-    cycling; terminates at reduced benefits <= tol everywhere.
+    cycling; terminates at reduced benefits <= tol everywhere, with
+    tol = 1e-11 max(1, max |S|).
 
     The basis is a tree rooted at source 0.  The reduced benefits
     R = S - u - v are kept across pivots: a pivot walks the cycle up by
@@ -269,8 +270,7 @@ def solve_transport(inst: DiscreteInstance, tol: float = None,
     ns, nt = s_mat.shape
     a = np.asarray(inst.source_weights, dtype=float)
     b = np.asarray(inst.target_weights, dtype=float)
-    if tol is None:
-        tol = 1e-11 * max(1.0, float(np.max(np.abs(s_mat))))
+    tol = 1e-11 * max(1.0, float(np.max(np.abs(s_mat))))
     if max_pivots is None:
         max_pivots = 200 * (ns + nt) + 10_000
 
@@ -392,24 +392,23 @@ def compare_with_map(model: Model, curve, inst: DiscreteInstance,
             "objective": plan.objective, "graph_value": graph_value}
 
 
-def cyclical_monotonicity_audit(plan: DiscretePlan, s_matrix: np.ndarray,
-                                cycle_length: int = 3,
-                                n_samples: int = 4000,
-                                seed: int = 0) -> float:
-    """Worst surplus improvement over sampled cyclic reassignments of
-    support pairs/triples; an optimal plan admits none (<= 0 up to
-    roundoff)."""
+def cyclical_monotonicity_audit(plan: DiscretePlan,
+                                s_matrix: np.ndarray) -> float:
+    """Worst surplus improvement over cyclic reassignments of support
+    pairs (all of them, or 4000 random ones when there are more) and of
+    4000 random support triples, drawn with seed 0; an optimal plan admits
+    none (<= 0 up to roundoff)."""
     rows, cols, _ = plan.support
     n = rows.size
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = -np.inf
 
-    if cycle_length >= 2 and n >= 2:
-        if n * (n - 1) // 2 <= n_samples:
+    if n >= 2:
+        if n * (n - 1) // 2 <= 4000:
             ii, kk = np.triu_indices(n, k=1)
         else:
-            ii = rng.integers(0, n, n_samples)
-            kk = rng.integers(0, n, n_samples)
+            ii = rng.integers(0, n, 4000)
+            kk = rng.integers(0, n, 4000)
             keep = ii != kk
             ii, kk = ii[keep], kk[keep]
         gain = (s_matrix[rows[ii], cols[kk]] + s_matrix[rows[kk], cols[ii]]
@@ -417,8 +416,8 @@ def cyclical_monotonicity_audit(plan: DiscretePlan, s_matrix: np.ndarray,
         if gain.size:
             worst = max(worst, float(np.max(gain)))
 
-    if cycle_length >= 3 and n >= 3:
-        ii = rng.integers(0, n, (n_samples, 3))
+    if n >= 3:
+        ii = rng.integers(0, n, (4000, 3))
         ok = (ii[:, 0] != ii[:, 1]) & (ii[:, 1] != ii[:, 2]) & (ii[:, 0] != ii[:, 2])
         ii = ii[ok]
         base = (s_matrix[rows[ii[:, 0]], cols[ii[:, 0]]]

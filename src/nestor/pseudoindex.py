@@ -72,11 +72,11 @@ class Rearrangement1D:
 # ---------------------------------------------------------------------------
 
 def _project_to_level(model: Model, x: np.ndarray, y0: float,
-                      target_vals: np.ndarray, iters: int = 6) -> np.ndarray:
-    """Newton steps along grad s_y pulling each row of x onto its assigned
-    level {s_y(., y0) = target}."""
+                      target_vals: np.ndarray) -> np.ndarray:
+    """Six Newton steps along grad s_y pulling each row of x onto its
+    assigned level {s_y(., y0) = target}."""
     x = x.copy()
-    for _ in range(iters):
+    for _ in range(6):
         vals = np.asarray(model.surplus.s_y(x, y0), dtype=float)
         grad = np.asarray(model.surplus.grad_x_s_y(x, y0), dtype=float)
         gn2 = np.sum(grad * grad, axis=1)
@@ -85,16 +85,16 @@ def _project_to_level(model: Model, x: np.ndarray, y0: float,
     return x
 
 
-def detect_index_form(model: Model, y_pairs: Optional[list] = None,
-                      pair_probes: int = 400, seed: int = 0,
-                      fail_rate_threshold: float = 0.01,
-                      max_witnesses: int = 10) -> dict:
+def detect_index_form(model: Model, pair_probes: int = 400,
+                      seed: int = 0) -> dict:
     """Decide whether the level sets of x -> s_y(x, y) move with y.
 
-    Pairs matched at y0 (|difference| at roundoff level after projection)
-    are re-tested at the other y values; a pair fails when its s_y values
-    separate by more than 1e-6 of the sampled s_y spread.  Raises
-    InsufficientPairs below 100 usable pairs.
+    Pairs matched at the midpoint y0 of the target (|difference| at
+    roundoff level after projection) are re-tested 0.15, 0.35, 0.65 and
+    0.85 of the way along the target; a pair fails when its s_y values
+    separate by more than 1e-6 of the sampled s_y spread.  The surplus has
+    index form when under 1% of these tests fail; up to 10 failures are
+    kept as witnesses.  Raises InsufficientPairs below 100 usable pairs.
     """
     model.require_nondegenerate()
     if model.domain.dim == 1:
@@ -104,55 +104,47 @@ def detect_index_form(model: Model, y_pairs: Optional[list] = None,
                 "n_pairs": 0, "n_tests": 0}
     rng = np.random.default_rng(seed)
     t = model.target
-    if y_pairs is None:
-        y0 = t.mid
-        others = [t.y_lo + q * t.length for q in (0.15, 0.35, 0.65, 0.85)]
-        y_pairs = [(y0, y1) for y1 in others]
-
+    y0 = t.mid
     base = model.domain.sample_interior(pair_probes, seed=seed, margin=0.02)
-    witnesses = []
-    n_tests = 0
-    n_fail = 0
-    n_pairs = 0
-    for y0 in sorted({p[0] for p in y_pairs}):
-        y1s = [p[1] for p in y_pairs if p[0] == y0]
-        vals0 = np.asarray(model.surplus.s_y(base, y0), dtype=float)
-        grad0 = np.asarray(model.surplus.grad_x_s_y(base, y0), dtype=float)
-        gn = np.linalg.norm(grad0, axis=1)
-        # random tangent step, then project back onto the level set
-        step = rng.standard_normal(base.shape)
-        step -= (np.sum(step * grad0, axis=1) / np.maximum(gn, 1e-300) ** 2)[:, None] * grad0
-        norms = np.linalg.norm(step, axis=1)
-        ok = norms > 1e-12
-        step[ok] /= norms[ok][:, None]
-        partner = base + 0.05 * model.domain.scale * step
-        partner = _project_to_level(model, partner, y0, vals0)
-        inside = model.domain.contains(partner) & ok
-        d0 = np.abs(np.asarray(model.surplus.s_y(partner, y0), dtype=float) - vals0)
-        spread0 = max(float(np.max(vals0) - np.min(vals0)), 1e-12)
-        matched = inside & (d0 <= 1e-9 * spread0)
-        if int(np.sum(matched)) == 0:
-            continue
-        n_pairs += int(np.sum(matched))
-        xa = base[matched]
-        xb = partner[matched]
-        for y1 in y1s:
-            va = np.asarray(model.surplus.s_y(xa, y1), dtype=float)
-            vb = np.asarray(model.surplus.s_y(xb, y1), dtype=float)
-            spread1 = max(float(np.max(va) - np.min(va)), 1e-12)
-            d1 = np.abs(va - vb)
-            bad = d1 > 1e-6 * spread1
-            n_tests += d1.size
-            n_fail += int(np.sum(bad))
-            for i in np.nonzero(bad)[0][:3]:
-                if len(witnesses) < max_witnesses:
-                    witnesses.append((xa[i].copy(), xb[i].copy(), float(y1),
-                                      float(d1[i])))
+    vals0 = np.asarray(model.surplus.s_y(base, y0), dtype=float)
+    grad0 = np.asarray(model.surplus.grad_x_s_y(base, y0), dtype=float)
+    gn = np.linalg.norm(grad0, axis=1)
+    # random tangent step, then project back onto the level set
+    step = rng.standard_normal(base.shape)
+    step -= (np.sum(step * grad0, axis=1) / np.maximum(gn, 1e-300) ** 2)[:, None] * grad0
+    norms = np.linalg.norm(step, axis=1)
+    ok = norms > 1e-12
+    step[ok] /= norms[ok][:, None]
+    partner = base + 0.05 * model.domain.scale * step
+    partner = _project_to_level(model, partner, y0, vals0)
+    inside = model.domain.contains(partner) & ok
+    d0 = np.abs(np.asarray(model.surplus.s_y(partner, y0), dtype=float) - vals0)
+    spread0 = max(float(np.max(vals0) - np.min(vals0)), 1e-12)
+    matched = inside & (d0 <= 1e-9 * spread0)
+    n_pairs = int(np.sum(matched))
     if n_pairs < 100:
         raise InsufficientPairs(
             f"only {n_pairs} matched pairs (need 100); increase pair_probes")
-    rate = n_fail / max(n_tests, 1)
-    return {"is_index": rate < fail_rate_threshold,
+    xa = base[matched]
+    xb = partner[matched]
+    witnesses = []
+    n_tests = 0
+    n_fail = 0
+    for q in (0.15, 0.35, 0.65, 0.85):
+        y1 = t.y_lo + q * t.length
+        va = np.asarray(model.surplus.s_y(xa, y1), dtype=float)
+        vb = np.asarray(model.surplus.s_y(xb, y1), dtype=float)
+        spread1 = max(float(np.max(va) - np.min(va)), 1e-12)
+        d1 = np.abs(va - vb)
+        bad = d1 > 1e-6 * spread1
+        n_tests += d1.size
+        n_fail += int(np.sum(bad))
+        for i in np.nonzero(bad)[0][:3]:
+            if len(witnesses) < 10:
+                witnesses.append((xa[i].copy(), xb[i].copy(), float(y1),
+                                  float(d1[i])))
+    rate = n_fail / n_tests
+    return {"is_index": rate < 0.01,
             "confidence": 1.0 - rate, "witnesses": witnesses,
             "n_pairs": n_pairs, "n_tests": n_tests}
 
@@ -173,14 +165,14 @@ def canonical_index(model: Model) -> Callable:
     return index
 
 
-def build_index_form(model: Model, index: Optional[Callable] = None,
-                     sign_probes: int = 64, seed: int = 0) -> IndexForm:
+def build_index_form(model: Model,
+                     index: Optional[Callable] = None) -> IndexForm:
     """Wrap an index callable (default: the canonical midpoint slope) with
     its modularity sign; raises NonMonotoneSign if the mixed derivative of
-    the effective surplus changes sign across samples."""
+    the effective surplus changes sign across 64 interior probes."""
     if index is None:
         index = canonical_index(model)
-    pts = model.domain.sample_interior(sign_probes, seed=seed, margin=0.01)
+    pts = model.domain.sample_interior(64, seed=0, margin=0.01)
     h = 1e-6 * model.domain.scale
     grad_i = np.empty((pts.shape[0], model.domain.dim))
     for j in range(model.domain.dim):
@@ -206,18 +198,18 @@ def build_index_form(model: Model, index: Optional[Callable] = None,
     return IndexForm(index=index, modularity_sign=sign)
 
 
-def reduce_and_solve_1d(model: Model, index: Optional[IndexForm] = None,
-                        resolution: int = 257) -> Rearrangement1D:
-    """Push mu through the index, build its CDF on a grid, and compose
-    with the target quantile function (orientation per the modularity
-    sign).  The result matches the full nested solve whenever the surplus
-    really is of index form."""
+def reduce_and_solve_1d(model: Model,
+                        index: Optional[IndexForm] = None) -> Rearrangement1D:
+    """Push mu through the index, build its CDF on a 257-point grid, and
+    compose with the target quantile function (orientation per the
+    modularity sign).  The result matches the full nested solve whenever
+    the surplus really is of index form."""
     form = index if isinstance(index, IndexForm) else \
         build_index_form(model, index)
     i_vals = np.asarray(form.index(model.grid.points), dtype=float)
     lo, hi = float(np.min(i_vals)), float(np.max(i_vals))
     pad = 1e-9 * max(hi - lo, 1.0)
-    grid = np.linspace(lo - pad, hi + pad, resolution)
+    grid = np.linspace(lo - pad, hi + pad, 257)
     order = np.argsort(i_vals, kind="stable")
     sorted_vals = i_vals[order]
     cum = np.cumsum(model.point_mass[order])
@@ -234,19 +226,13 @@ def reduce_and_solve_1d(model: Model, index: Optional[IndexForm] = None,
                            model=model, index=form.index)
 
 
-def verify_1d_ode(rearr: Rearrangement1D, probes: Optional[np.ndarray] = None,
-                  n_probes: int = 101) -> float:
+def verify_1d_ode(rearr: Rearrangement1D) -> float:
     """Max residual of the scalar mass-balance equation
-    f1(t) = F1'(t) g(F1(t)) over interior index probes, with F1' by
-    central differences."""
+    f1(t) = F1'(t) g(F1(t)) over the 101 index quantiles in [0.05, 0.95],
+    with F1' by central differences."""
     model = rearr.model
-    if probes is None:
-        qs = np.linspace(0.05, 0.95, n_probes)
-        # invert the index CDF by bisection on the grid
-        grid = rearr.index_grid
-        cdf_on_grid = rearr.cdf(grid)
-        probes = np.interp(qs, cdf_on_grid, grid)
-    probes = np.asarray(probes, dtype=float)
+    grid = rearr.index_grid
+    probes = np.interp(np.linspace(0.05, 0.95, 101), rearr.cdf(grid), grid)
     h = 1e-4 * (rearr.index_grid[-1] - rearr.index_grid[0])
     f1 = rearr.density(probes)
     fp = (np.asarray(rearr.map_1d(probes + h), dtype=float)

@@ -248,16 +248,14 @@ def _bracket_roots(phi: np.ndarray):
 
 
 def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray,
-                method: str = "by-level", y_tol: Optional[float] = None,
-                scan_nodes: int = 65, on_multiple: str = "raise",
-                mass_deadband: float = 1e-3):
+                method: str = "by-level", y_tol: Optional[float] = None):
     """Map source points to targets.
 
     by-level roots phi(y) = s_y(x, y) - k(y) on the curve grid;
     by-splitting roots psi(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y),
-    raising NonNested when psi changes sign more than once (pass
-    on_multiple='first' to force the first downward root instead).
-    Points beyond the extreme level sets clamp to the interval ends.
+    scanned on 65 uniform nodes, raising NonNested when psi changes sign
+    more than once.  Points beyond the extreme level sets clamp to the
+    interval ends.
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -266,8 +264,7 @@ def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray,
     if method == "by-level":
         out = _map_by_level(model, curve, x, y_tol)
     elif method == "by-splitting":
-        out = _map_by_splitting(model, curve, x, y_tol, scan_nodes, on_multiple,
-                                mass_deadband)
+        out = _map_by_splitting(model, curve, x, y_tol)
     else:
         raise ValueError(f"unknown map method {method!r}")
     return float(out[0]) if single else out
@@ -369,11 +366,10 @@ def effective_deadband(model: Model, mass_deadband: float) -> float:
 
 
 def _map_by_splitting(model: Model, curve: SplitCurve, x: np.ndarray,
-                      y_tol: float, scan_nodes: int, on_multiple: str,
-                      mass_deadband: float = 1e-3) -> np.ndarray:
-    y_scan = model.target.interior_grid(scan_nodes, clustered=False)
+                      y_tol: float) -> np.ndarray:
+    y_scan = model.target.interior_grid(65, clustered=False)
     psi = splitting_profile(model, x, y_scan)
-    mass_noise = effective_deadband(model, mass_deadband)
+    mass_noise = effective_deadband(model, 1e-3)
     out = np.empty(x.shape[0])
     witnesses = []
     for i in range(x.shape[0]):
@@ -381,16 +377,11 @@ def _map_by_splitting(model: Model, curve: SplitCurve, x: np.ndarray,
         if n_changes == 0:
             out[i] = curve.y_hi if psi[i, -1] > 0 else curve.y_lo
             continue
-        if n_changes > 1 and on_multiple == "raise":
+        if n_changes > 1:
             roots = [0.5 * (y_scan[ja] + y_scan[jb]) for ja, jb in brackets]
             witnesses.append((x[i].copy(), roots))
             continue
-        # first downward crossing (+ to -); fall back to the first crossing
-        ja, jb = brackets[0]
-        for cand in brackets:
-            if psi[i, cand[0]] > 0:
-                ja, jb = cand
-                break
+        (ja, jb), = brackets
 
         def psi_at(yv):
             kv = np.asarray(model.surplus.s_y(x[i][None, :], float(yv)), dtype=float)
@@ -511,8 +502,7 @@ def balance_residual(model: Model, curve: SplitCurve, y: float) -> float:
 
 
 def weighted_ks_distance(model: Model, f_vals: np.ndarray,
-                         weights: np.ndarray,
-                         merge_tol: Optional[float] = None) -> float:
+                         weights: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between a weighted sample law and the
     target distribution G.
 
@@ -520,14 +510,14 @@ def weighted_ks_distance(model: Model, f_vals: np.ndarray,
     ties (whole lattice slabs mapping to one value, up to root-finder
     jitter) are merged and each merged atom is charged half its weight at
     its location; otherwise the statistic reports the quadrature
-    atomization itself rather than transport error.
+    atomization itself rather than transport error.  Sorted values at
+    most 1e-7 of the target length apart are ties.
     """
-    if merge_tol is None:
-        merge_tol = 1e-7 * model.target.length
     order = np.argsort(f_vals, kind="stable")
     f = f_vals[order]
     w = weights[order]
-    new_group = np.concatenate([[True], np.diff(f) > merge_tol])
+    tie = 1e-7 * model.target.length
+    new_group = np.concatenate([[True], np.diff(f) > tie])
     gid = np.cumsum(new_group) - 1
     gw = np.bincount(gid, weights=w)
     gf = np.bincount(gid, weights=w * f) / gw
@@ -538,18 +528,9 @@ def weighted_ks_distance(model: Model, f_vals: np.ndarray,
     return float(np.max(np.abs(mid - g_here)))
 
 
-def pushforward_distance(model: Model, curve: SplitCurve,
-                         resolution: Optional[int] = None,
-                         method: str = "by-level") -> float:
-    """Kolmogorov-Smirnov distance between the f-weighted law of F over the
-    quadrature points and the target distribution G."""
-    pts = model.grid.points
-    pm = model.point_mass
-    if resolution is not None and resolution < pts.shape[0]:
-        stride = int(np.ceil(pts.shape[0] / resolution))
-        pts = pts[::stride]
-        pm = pm[::stride]
-    f_vals = optimal_map(model, curve, pts, method=method,
-                         on_multiple="first")
-    return weighted_ks_distance(model, f_vals, pm)
+def pushforward_distance(model: Model, curve: SplitCurve) -> float:
+    """Kolmogorov-Smirnov distance between the f-weighted law of the
+    by-level F over the quadrature points and the target distribution G."""
+    f_vals = optimal_map(model, curve, model.grid.points)
+    return weighted_ks_distance(model, f_vals, model.point_mass)
 

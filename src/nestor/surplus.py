@@ -27,14 +27,13 @@ class SurplusBundle:
     name: str = "custom"
 
     def check_consistency(self, dom: Domain, target: TargetInterval,
-                          n_probes: int = 100, seed: int = 0,
-                          rel_tol: float = 1e-5) -> dict:
+                          n_probes: int = 100, seed: int = 0) -> dict:
         """Probe the declared derivatives against central differences.
 
         Steps are 1e-5 of the box scale (1e-4 for the second y-derivative,
         where roundoff dominates at smaller steps).  Errors are relative to
         the larger of |exact| and the sampled magnitude of s_y.
-        Raises ValueError when any probe exceeds rel_tol.
+        Raises ValueError when any probe exceeds 1e-5.
         """
         rng = np.random.default_rng(seed)
         x = dom.sample_interior(n_probes, seed=seed)
@@ -68,10 +67,10 @@ class SurplusBundle:
         report = {"s_y": float(err_sy), "grad_x_s_y": float(err_grad),
                   "s_yy": float(err_syy)}
         worst = max(report.values())
-        if worst > rel_tol:
+        if worst > 1e-5:
             raise ValueError(
                 f"surplus bundle {self.name!r} fails finite-difference "
-                f"consistency: {report} (tol {rel_tol:g})")
+                f"consistency: {report} (tol 1e-05)")
         return report
 
 

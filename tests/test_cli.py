@@ -271,6 +271,40 @@ def test_removed_area_settings_are_rejected(tmp_path, capsys, key, value):
     assert "config invalid at '/tolerances'" in err and repr(key) in err
 
 
+_BOX = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+_BILINEAR = {"polynomial": [{"coeff": 1.0, "x_powers": [1, 0], "y_power": 1}]}
+
+
+def _inline(**model):
+    return {"model": {"domain": _BOX, "target": [0.0, 1.0],
+                      "surplus": _BILINEAR, **model},
+            "quadrature": {"resolution": 16}}
+
+
+@pytest.mark.parametrize("config, args", [
+    pytest.param(None, [], id="missing-file"),
+    pytest.param("{not json", [], id="not-json"),
+    pytest.param(_inline(target=[1.0, 0.0]), [], id="reversed-target"),
+    pytest.param(_inline(surplus={"polynomial": [
+        {"coeff": 1.0, "x_powers": [1], "y_power": 1}]}), [],
+        id="short-x-powers"),
+    pytest.param(_inline(density_f={"polynomial": [
+        {"coeff": -1.0, "x_powers": [0, 0]}]}), [], id="negative-density"),
+    pytest.param(None, ["paraboloid-segment", "--m", "1"],
+                 id="bad-scenario-param"),
+])
+def test_input_errors_are_config_errors(tmp_path, capsys, config, args):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str)
+                        else json.dumps(config))
+    if not args:
+        args = ["--config", str(path)]
+    assert run_main(["solve", *args, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err, err
+
+
 def test_scenario_config_applies_model_tolerances(tmp_path, capsys):
     # a non-degeneracy threshold above every |grad_x s_y| fails the
     # certificate, for a built-in scenario exactly as for an inline model

@@ -356,6 +356,22 @@ def test_balance_residual_examples(uni1d, par2):
     assert bad > 5 * good
 
 
+@pytest.mark.parametrize("f_vals, expected", [
+    # within 1e-7 of the target length: one atom at the mean, 0.75 + 5e-10
+    pytest.param([0.25, 0.25, 0.75, 0.75 + 1e-9], 5e-10, id="merged"),
+    # farther apart: the atom at 0.75 has mass midpoint 0.625, so 0.125
+    pytest.param([0.25, 0.25, 0.75, 0.75 + 1e-6], 0.125, id="apart"),
+    # each atom at the midpoint of its quarter of the mass
+    pytest.param([0.125, 0.375, 0.625, 0.875], 0.0, id="midpoints"),
+])
+def test_weighted_ks_distance_merges_ties(f_vals, expected):
+    from nestor.scenarios import build
+    model = build("uniform-1d", resolution=64).model
+    got = solver.weighted_ks_distance(model, np.array(f_vals),
+                                      np.array([0.25] * 4))
+    assert got == pytest.approx(expected, rel=1e-6, abs=1e-15)
+
+
 def test_pushforward_examples(uni1d, par2, ball):
     assert pushforward_distance(uni1d.model, uni1d.curve) <= 1e-3
     assert pushforward_distance(par2.model, par2.curve) <= 0.01
