@@ -16,8 +16,7 @@ from .geometry import (Domain, Quadrature, TargetInterval, annulus_domain,
                        box_domain, interval_domain, paraboloid_domain,
                        pie_slice_domain)
 from .levelsets import (GradH, LevelSet, SurfaceIntegralResult, grad_h,
-                        is_tangential, level_set, level_set_sizes,
-                        normal_velocity, split_function, sublevel_levels,
+                        is_tangential, level_set, sublevel_levels,
                         sublevel_mass, surface_integral)
 from .model import (DensityPair, Model, NondegeneracyCertificate,
                     certify_nondegeneracy, region_mass, target_cdf,

@@ -11,8 +11,11 @@ Subcommands map one-to-one onto the library pipelines:
     scenario-list  names of the built-in fixtures
 
 Runs are configured either by flags or a JSON document validated against
-the schema shipped as ``nestor/config_schema.json``; every numerical
-tolerance is settable there and echoed into summary.json.  Artifacts
+the schema shipped as ``nestor/config_schema.json``.  Its ``tolerances``
+object sets ``tol_mass``, ``splitting_deadband``,
+``nondegeneracy_rel_threshold``, ``zero_speed_threshold``,
+``nestedness_probes`` and ``scan_nodes``, and all six are echoed into
+summary.json; every other tolerance is fixed by the library.  Artifacts
 (curve.csv, map.csv, nestedness.json, summary.json) are deterministic
 for a fixed configuration: CSV floats carry 17 significant digits and
 timings are recorded only when requested.
@@ -28,6 +31,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -37,27 +41,21 @@ from . import pseudoindex as pix
 from . import scenarios as sc
 from . import solver as sv
 from .errors import ConfigError, NestorError
-from .geometry import (Quadrature, TargetInterval, annulus_domain, box_domain,
+from .geometry import (TargetInterval, annulus_domain, box_domain,
                        interval_domain, paraboloid_domain, pie_slice_domain)
 from .levelsets import EmptyBand, level_set
-from .model import DensityPair, Model
+from .model import DensityPair, Model, default_quadrature
 from .oracle import (compare_with_map, cyclical_monotonicity_audit,
                      sample_instance, solve_transport)
 from .surplus import arc_surplus, bilinear_surplus, polynomial_surplus
 
 DEFAULT_TOLERANCES = {
     "tol_mass": 1e-6,
-    "y_tol_rel": 1e-8,
-    "tangential_threshold": None,
-    "mono_margin_tol": None,
-    "dynamic_tol": None,
     "splitting_deadband": 1e-3,
     "nondegeneracy_rel_threshold": 1e-8,
     "zero_speed_threshold": 1e-8,
     "nestedness_probes": 100,
     "scan_nodes": 201,
-    "holder_window": [0.005, 0.08],
-    "cdf_nodes": 2049,
 }
 
 
@@ -150,30 +148,31 @@ def _densities_from_spec(model_spec: dict, dim: int) -> DensityPair:
 
 
 def build_model_from_config(config: dict):
-    """Returns (model, scenario or None, params echo); a ValueError while
-    the scenario or the inline model is built is a ConfigError."""
-    tol = config["tolerances"]
-    model_kw = {key: tol[key]
-                for key in ("cdf_nodes", "nondegeneracy_rel_threshold")}
-    quad_spec = config.get("quadrature")
-    quad = None
-    if quad_spec:
-        quad = Quadrature(mode=quad_spec.get("mode", "tensor"),
-                          resolution=quad_spec.get("resolution", 256),
-                          seed=quad_spec.get("seed", 0))
+    """Returns (model, scenario or None, params echo).  A quadrature spec
+    fills its missing fields from ``default_quadrature(dim)``, and its
+    ``mode`` applies to inline models only.  A ValueError while the
+    scenario or the inline model is built is a ConfigError."""
+    model_kw = {"nondegeneracy_rel_threshold":
+                config["tolerances"]["nondegeneracy_rel_threshold"]}
+    quad_spec = config.get("quadrature", {})
+    if "scenario" in config and "mode" in quad_spec:
+        raise ConfigError("quadrature.mode applies to inline models only; "
+                          "a scenario picks the mode for its dimension")
     try:
         if "scenario" in config:
             params = dict(config.get("params", {}))
-            if quad is not None:
-                params["resolution"] = quad.resolution
-                params["seed"] = quad.seed
-            scenario = sc.build(config["scenario"], **params, **model_kw)
+            scenario = sc.build(config["scenario"], **params, **quad_spec,
+                                **model_kw)
+            if quad_spec:
+                quad = scenario.model.quadrature
+                params.update(resolution=quad.resolution, seed=quad.seed)
             return scenario.model, scenario, params
         spec = config["model"]
         dom = _domain_from_spec(spec["domain"])
         target = TargetInterval(*spec["target"])
         surplus = _surplus_from_spec(spec["surplus"], dom.dim)
         dens = _densities_from_spec(spec, dom.dim)
+        quad = replace(default_quadrature(dom.dim), **quad_spec)
         model = Model(dom, target, surplus, dens, quadrature=quad, **model_kw)
         return model, None, {}
     except ValueError as exc:
@@ -282,8 +281,7 @@ def run(config: dict, out_dir: str = None) -> int:
 
     t0 = time.perf_counter()
     curve = sv.solve_split_curve(model, tol_mass=tol["tol_mass"],
-                                 n_nodes=config["y_nodes"],
-                                 tangential_threshold=tol["tangential_threshold"])
+                                 n_nodes=config["y_nodes"])
     timings["solve_split_curve_s"] = time.perf_counter() - t0
     v_vals = curve.v_values
     summary["k_nondecreasing"] = curve.k_nondecreasing
@@ -305,8 +303,7 @@ def run(config: dict, out_dir: str = None) -> int:
     if config["outputs"]["map_csv"]:
         pts = model.domain.sample_interior(config["map_samples"],
                                            seed=config["seed"], margin=0.01)
-        f_vals = sv.optimal_map(model, curve, pts,
-                                y_tol=tol["y_tol_rel"] * model.target.length)
+        f_vals = sv.optimal_map(model, curve, pts)
         u_vals, _ = sv.source_payoff(model, curve, pts)
         grad_norm = np.full(pts.shape[0], np.nan)
         try:
@@ -331,8 +328,6 @@ def run(config: dict, out_dir: str = None) -> int:
         report = nd.nestedness_report(model, curve, seed=config["seed"],
                                       n_probes=tol["nestedness_probes"],
                                       scan_nodes=tol["scan_nodes"],
-                                      margin_tol=tol["mono_margin_tol"],
-                                      dynamic_tol=tol["dynamic_tol"],
                                       deadband=tol["splitting_deadband"])
         timings["nestedness_s"] = time.perf_counter() - t0
         summary["nestedness_verdict"] = report.verdict
@@ -393,8 +388,7 @@ def run(config: dict, out_dir: str = None) -> int:
             scenario = sc.Scenario(name="inline", model=model, params={},
                                    expected_verdict="nested")
         try:
-            expo = sc.holder_probe(scenario, tuple(tol["holder_window"]),
-                                   curve=curve)
+            expo = sc.holder_probe(scenario, curve=curve)
             summary["holder_exponent"] = expo
         except NestorError as exc:
             summary["holder_exponent"] = None

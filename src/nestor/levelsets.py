@@ -42,8 +42,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BracketFailure, Degenerate, EmptyBand
-from .model import Model, SurplusSlice, target_cdf
+from .errors import BracketFailure, EmptyBand
+from .model import Model, SurplusSlice
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,6 @@ def sublevel_mass(model: Model, y: float, k):
         frac = _sublevel_fractions(sl, k_arr[i:i + chunk])
         out[i:i + chunk] = model.point_mass @ frac
     return out
-
-
-def split_function(model: Model, y: float, k):
-    """h(y, k) = mu[sublevel] - G(y); non-decreasing in k."""
-    return sublevel_mass(model, y, k) - target_cdf(model, y)
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +276,6 @@ def grad_h(model: Model, y: float, k: float,
     return GradH(h_y=-float(model.g_at(y)[0]) - ls.flux, h_k=ls.h_k)
 
 
-def normal_velocity(model: Model, y: float, k: float, kprime: float,
-                    x: np.ndarray):
-    """Outward normal speed (k' - s_yy) / |grad_x s_y| of the sublevel set
-    at points x near the indifference set."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    grad = np.asarray(model.surplus.grad_x_s_y(x, float(y)), dtype=float)
-    gnorm = np.linalg.norm(grad, axis=1)
-    if np.any(gnorm < model.nondegeneracy_threshold):
-        raise Degenerate("|grad_x s_y| below threshold at a velocity probe")
-    syy = np.asarray(model.surplus.s_yy(x, float(y)), dtype=float)
-    out = (kprime - syy) / gnorm
-    return out if out.size > 1 else float(out[0])
-
-
 def default_tangential_threshold(model: Model) -> float:
     """Boundary-band share above which a query counts as tangential.
 
@@ -312,31 +293,6 @@ def is_tangential(model: Model, y: float, k: float) -> bool:
     boundary and the derivative formulas for k are unreliable there."""
     return (level_set(model, y, k, "band").boundary_fraction
             > default_tangential_threshold(model))
-
-
-def level_set_sizes(model: Model, y: float, k: float) -> dict:
-    """Area A = H^{m-1}[X(y,k)] and boundary measure B = H^{m-2} of its
-    trace on the domain boundary.
-
-    A is the band estimate.  B comes from counting endpoints of the
-    clipped contour when m = 2 and from a boundary-collar band estimate
-    (requires the boundary-normal oracle) when m >= 3; it is None when
-    unavailable.
-    """
-    ls = level_set(model, y, k, "band")
-    b_val = None
-    m = model.domain.dim
-    if m == 1:
-        b_val = 0.0
-    elif m == 2:
-        segments = _contour_segments(model, y, k)
-        if segments.shape[0]:
-            b_val = float(_chain_ends(model, segments))
-    elif model.domain.boundary_normal is not None and model.grid.spacing is not None:
-        collar = float(np.max(model.grid.spacing))
-        b_val = float(np.sum(ls.measure[ls.boundary])) / collar
-    return {"A": ls.area, "B": b_val, "tangential":
-            ls.boundary_fraction > default_tangential_threshold(model)}
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +376,3 @@ def _contour_segments(model: Model, y: float, k: float):
         cut = inside_pt + a[:, None] * (outside_pt - inside_pt)
         clipped = np.stack([inside_pt, cut], axis=1)
     return np.concatenate([full, clipped], axis=0)
-
-
-def _chain_ends(model: Model, segments: np.ndarray) -> int:
-    """Number of contour chain ends: points used by exactly one segment
-    (grid-edge exits and clip cuts), counted after quantizing to 1e-9 of
-    the domain scale to kill float jitter."""
-    scale = max(model.domain.scale, 1.0)
-    keys = np.rint(segments.reshape(-1, 2) / scale * 1e9).astype(np.int64)
-    _, counts = np.unique(keys, axis=0, return_counts=True)
-    return int(np.sum(counts == 1))

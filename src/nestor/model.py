@@ -36,8 +36,8 @@ class DensityPair:
     """Raw (unnormalized) source and target densities.
 
     ``f`` maps (N, m) points to positive values, ``g`` maps an (N,) array
-    of target coordinates to positive values.  Normalization constants and
-    the resulting log bounds are computed by the Model.
+    of target coordinates to positive values.  Normalization constants are
+    computed by the Model.
     """
 
     f: Callable = uniform_density
@@ -73,7 +73,7 @@ class Model:
     def __init__(self, domain: Domain, target: TargetInterval,
                  surplus: SurplusBundle, densities: Optional[DensityPair] = None,
                  quadrature: Optional[Quadrature] = None, *,
-                 validate: bool = True, cdf_nodes: int = 2049,
+                 validate: bool = True,
                  nondegeneracy_rel_threshold: float = 1e-8):
         self.domain = domain
         self.target = target
@@ -100,7 +100,7 @@ class Model:
         self.point_mass = self.grid.weights * self.f_vals  # w_i f(x_i)
 
         # -- normalize g by Gauss-Legendre panels and cache the CDF
-        nodes = np.linspace(target.y_lo, target.y_hi, cdf_nodes)
+        nodes = np.linspace(target.y_lo, target.y_hi, 2049)
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         half = 0.5 * np.diff(nodes)
         eval_pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
@@ -115,14 +115,6 @@ class Model:
         cdf[-1] = 1.0
         self._cdf = PchipInterpolator(nodes, cdf, extrapolate=False)
         self._quantile = PchipInterpolator(cdf, nodes, extrapolate=False)
-
-        g_node_vals = np.asarray(densities.g(nodes), dtype=float) * self.g_scale
-        self.log_bounds = {
-            "log_f": (float(np.min(np.log(self.f_vals))),
-                      float(np.max(np.log(self.f_vals)))),
-            "log_g": (float(np.min(np.log(g_node_vals))),
-                      float(np.max(np.log(g_node_vals)))),
-        }
 
         if validate:
             surplus.check_consistency(domain, target)

@@ -84,12 +84,13 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 def check_sublevel_monotonicity(
-        model: Model, curve: SplitCurve, y_pairs: Optional[list] = None,
-        margin_tol: Optional[float] = None) -> CriterionResult:
+        model: Model, curve: SplitCurve,
+        y_pairs: Optional[list] = None) -> CriterionResult:
     """For sampled y < y', every quadrature point of X_<=(y, k(y)) must lie
     strictly inside X_<(y', k(y')).  A point violates when
-    s_y(x, y') - k(y') exceeds the margin tolerance (which absorbs one
-    cell of discretization jitter); the 20 worst violations are kept."""
+    s_y(x, y') - k(y') exceeds the margin tolerance, 1e-3 of the spread of
+    s_y(., y') (it absorbs one cell of discretization jitter); the 20
+    worst violations are kept."""
     if y_pairs is None:
         levels = curve.y_grid[:: max(1, curve.y_grid.size // 12)]
         y_pairs = [(float(a), float(b))
@@ -101,8 +102,7 @@ def check_sublevel_monotonicity(
             continue
         sl0 = model.slice_at(y0)
         sl1 = model.slice_at(y1)
-        tol = 1e-3 * max(float(np.max(sl1.sy) - np.min(sl1.sy)), 1e-12) \
-            if margin_tol is None else margin_tol
+        tol = 1e-3 * max(float(np.max(sl1.sy) - np.min(sl1.sy)), 1e-12)
         inside0 = sl0.sy <= curve.k_at(y0)
         margin = sl1.sy - curve.k_at(y1)
         viol = inside0 & (margin > tol)
@@ -147,22 +147,20 @@ def _speed_resolution_floor(model: Model) -> float:
     return lip * h
 
 
-def dynamic_criterion(model: Model, curve: SplitCurve,
-                      tol: Optional[float] = None) -> CriterionResult:
+def dynamic_criterion(model: Model, curve: SplitCurve) -> CriterionResult:
     """Check k' - s_yy >= 0 on each sampled indifference set, with a strict
     maximum somewhere; strict positivity everywhere with no tangential
     nodes additionally certifies the model nested.  At node i, k' - s_yy
     spans kprime - syy_max .. kprime - syy_min (the curve's own sample);
     tangential nodes and empty level sets are skipped and counted apart.
 
-    The default tolerance combines the usual discretization-noise floor
+    The tolerance combines the usual discretization-noise floor
     with the speed resolution of the grid (one cell of s_yy variation):
     deficits below it are not distinguishable from sampling error.
     """
     idx = np.arange(curve.y_grid.size)[:: max(1, curve.y_grid.size // 41)]
-    if tol is None:
-        tol = max(1e-4 * (1.0 + float(np.max(np.abs(curve.kprime)))),
-                  _speed_resolution_floor(model))
+    tol = max(1e-4 * (1.0 + float(np.max(np.abs(curve.kprime)))),
+              _speed_resolution_floor(model))
     tangential = curve.tangential_flags[idx]
     empty = ~tangential & np.isnan(curve.syy_max[idx])
     idx = idx[~tangential & ~empty]
@@ -307,14 +305,12 @@ def kprime_bound_gap(model: Model, curve: SplitCurve,
 
 def nestedness_report(model: Model, curve: SplitCurve, seed: int = 0,
                       n_probes: int = 100, scan_nodes: int = 201,
-                      margin_tol: Optional[float] = None,
-                      dynamic_tol: Optional[float] = None,
                       deadband: float = 1e-3) -> NestednessReport:
     """Run all three criteria plus the transversality and speed-limit
     diagnostics; nested requires all three to pass, non-nested at least one
     definite failure witness, anything else is inconclusive."""
-    mono = check_sublevel_monotonicity(model, curve, margin_tol=margin_tol)
-    dyn = dynamic_criterion(model, curve, tol=dynamic_tol)
+    mono = check_sublevel_monotonicity(model, curve)
+    dyn = dynamic_criterion(model, curve)
     uniq = unique_splitting_check(model, seed=seed, n_probes=n_probes,
                                   scan_nodes=scan_nodes, deadband=deadband)
     try:

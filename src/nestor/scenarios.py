@@ -170,8 +170,8 @@ def list_scenarios() -> list:
 
 def build(name: str, **params) -> Scenario:
     """Construct a named scenario; unknown names raise UnknownScenario.
-    Keywords that are not scenario parameters (``cdf_nodes``,
-    ``nondegeneracy_rel_threshold``) go to the Model."""
+    ``nondegeneracy_rel_threshold``, which is not a scenario parameter,
+    goes to the Model."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -208,21 +208,20 @@ def validate_analytic(scenario: Scenario) -> dict:
     return out
 
 
-def holder_probe(scenario: Scenario, exponent_window=(0.005, 0.08), *,
-                 curve) -> float:
+def holder_probe(scenario: Scenario, *, curve) -> float:
     """Fitted growth exponent of k(y) - k(y_lo) near the lower endpoint by
-    log-log regression over the window (fractions of the target length).
+    log-log regression over the nodes with y - y_lo between 0.005 and 0.08
+    of the target length.
 
     k(y_lo) is the essential infimum of s_y(., y_lo) over the domain: the
     split level sinks to the bottom of the slope range as the target mass
     vanishes.  Raises InsufficientRange below 5 usable nodes in the window.
     """
     model = scenario.model
-    lo_frac, hi_frac = exponent_window
     length = model.target.length
     y0 = model.target.y_lo
-    mask = ((curve.y_grid >= y0 + lo_frac * length)
-            & (curve.y_grid <= y0 + hi_frac * length))
+    mask = ((curve.y_grid >= y0 + 0.005 * length)
+            & (curve.y_grid <= y0 + 0.08 * length))
     if int(np.sum(mask)) < 5:
         raise InsufficientRange(
             f"only {int(np.sum(mask))} nodes in the fit window")

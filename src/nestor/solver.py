@@ -139,23 +139,22 @@ class SplitCurve:
 # ---------------------------------------------------------------------------
 
 def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
-                      tol_mass: float = 1e-6, n_nodes: int = 257,
-                      tangential_threshold: Optional[float] = None) -> SplitCurve:
+                      tol_mass: float = 1e-6, n_nodes: int = 257) -> SplitCurve:
     """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
     k_minus and k_plus are the edges of {k : |h(y, k)| <= tol_mass},
     clamped to the padded range of s_y.  X(y, k_plus) is sampled once per
     node (twice on planar tensor grids, where the tangential flag needs
-    band samples besides the contour).  Nodes flagged tangential (level set
-    hugging the domain boundary, or empty) get one-sided difference-quotient
+    band samples besides the contour).  Nodes flagged tangential (more than
+    ``default_tangential_threshold(model)`` of the band area in
+    boundary-adjacent cells, or an empty level set) get difference-quotient
     derivatives instead of -h_y/h_k, whose hypotheses fail there.  The
     plateau, tangential and empty-level-set nodes are logged at DEBUG.
     """
     model.require_nondegenerate()
     if y_grid is None:
         y_grid = model.target.interior_grid(n_nodes)
-    if tangential_threshold is None:
-        tangential_threshold = default_tangential_threshold(model)
+    tangential_threshold = default_tangential_threshold(model)
     y_grid = np.asarray(y_grid, dtype=float)
     n = y_grid.size
     k_minus = np.empty(n)
@@ -248,19 +247,18 @@ def _bracket_roots(phi: np.ndarray):
 
 
 def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray,
-                method: str = "by-level", y_tol: Optional[float] = None):
+                method: str = "by-level"):
     """Map source points to targets.
 
     by-level roots phi(y) = s_y(x, y) - k(y) on the curve grid;
     by-splitting roots psi(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y),
     scanned on 65 uniform nodes, raising NonNested when psi changes sign
     more than once.  Points beyond the extreme level sets clamp to the
-    interval ends.
+    interval ends.  Roots are resolved to 1e-8 of the target length.
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if y_tol is None:
-        y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
+    y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
     if method == "by-level":
         out = _map_by_level(model, curve, x, y_tol)
     elif method == "by-splitting":

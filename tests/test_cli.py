@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nestor
-from nestor.cli import main, validate_config
+from nestor.cli import build_model_from_config, main, validate_config
 from nestor.errors import ConfigError
 
 
@@ -259,9 +259,13 @@ def test_default_area_column_reads_the_curve(tmp_path):
     assert np.array_equal(rows["area"], curve.area, equal_nan=True)
 
 
-@pytest.mark.parametrize("key, value", [("estimator", "contour2d"),
-                                        ("epsilon_band", 0.01)])
-def test_removed_area_settings_are_rejected(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value", [
+    ("estimator", "contour2d"), ("epsilon_band", 0.01),
+    ("tangential_threshold", 0.05), ("mono_margin_tol", 1e-3),
+    ("dynamic_tol", 1e-3), ("y_tol_rel", 1e-8), ("cdf_nodes", 2049),
+    pytest.param("holder_window", [0.005, 0.08],
+                 id="holder_window-0.005-0.08")])
+def test_removed_tolerances_are_rejected(tmp_path, capsys, key, value):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"scenario": "uniform-1d",
                                   "tolerances": {key: value}}))
@@ -269,6 +273,35 @@ def test_removed_area_settings_are_rejected(tmp_path, capsys, key, value):
                      "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config invalid at '/tolerances'" in err and repr(key) in err
+
+
+def test_seed_flag_keeps_the_default_resolution(tmp_path):
+    assert run_main(["solve", "uniform-1d", "--seed", "3", "--y-nodes", "17",
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["quadrature"]["resolution"] == 2048
+    assert summary["quadrature"]["seed"] == 3
+
+
+def test_inline_quadrature_spec_fills_from_the_dimension_default():
+    config = validate_config({
+        "model": {"domain": {"type": "interval"}, "target": [0.0, 1.0],
+                  "surplus": {"builtin": "bilinear"}},
+        "quadrature": {"seed": 1}})
+    model, _, _ = build_model_from_config(config)
+    assert (model.quadrature.mode, model.quadrature.resolution,
+            model.quadrature.seed) == ("tensor", 2048, 1)
+
+
+def test_quadrature_mode_with_a_scenario_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "scenario": "uniform-1d", "y_nodes": 17,
+        "quadrature": {"mode": "monte-carlo", "resolution": 5000}}))
+    assert run_main(["solve", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "quadrature.mode" in err
 
 
 _BOX = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nestor.errors import Degenerate, EmptyBand
+from nestor.errors import EmptyBand
 from nestor.geometry import (Quadrature, TargetInterval, annulus_domain,
                              box_domain, interval_domain, paraboloid_domain)
 from nestor.levelsets import (grad_h, is_tangential, level_set,
-                              level_set_sizes, normal_velocity, split_function,
                               sublevel_levels, sublevel_mass, surface_integral)
 from nestor.model import Model, target_cdf
 from nestor.surplus import arc_surplus, bilinear_surplus
@@ -119,6 +118,11 @@ def test_sublevel_levels_invert_the_mass(request, name, y, a, b):
         assert lower <= upper
 
 
+def split_function(model, y, k):
+    """h(y, k) = mu[{s_y <= k}] - G(y)."""
+    return sublevel_mass(model, y, k) - target_cdf(model, y)
+
+
 def test_split_function_examples(seg1d, bowl):
     assert abs(split_function(seg1d, 0.5, 0.5)) < 1e-6
     for y in (0.2, 0.5, 0.9):
@@ -201,35 +205,11 @@ def test_coarea_consistency(bowl):
     assert abs(integral - increment) <= 0.02 * increment
 
 
-def test_normal_velocity_examples(seg1d, bowl):
-    y = 1.0 - 1e-9
-    v = normal_velocity(bowl, y, 1.0, 2.0 / 3.0, np.array([1.0 - 1e-9, 0.0]))
-    assert abs(v - 2.0 / 3.0) < 1e-9
-    v1 = normal_velocity(seg1d, 0.5, 0.5, 1.0, np.array([0.5]))
-    assert abs(v1 - 1.0) < 1e-12
-    x = np.array([0.3, 0.1])
-    syy = float(bowl.surplus.s_yy(x[None, :], 0.5)[0])
-    assert normal_velocity(bowl, 0.5, 0.3, syy, x) == 0.0
-
-
-def test_normal_velocity_degenerate():
-    from nestor.surplus import polynomial_surplus
-    vanishing = polynomial_surplus([(1.0, (2, 0), 1), (1.0, (0, 2), 1)], 2)
-    model = Model(box_domain([-1, -1], [1, 1]), TargetInterval(0, 1),
-                  vanishing, quadrature=Quadrature("tensor", 64))
-    with pytest.raises(Degenerate):
-        normal_velocity(model, 0.5, 0.0, 1.0, np.array([0.0, 0.0]))
-
-
 def test_level_set_sizes_examples(square, bowl):
-    res = level_set_sizes(bowl, 0.3, 0.5)
-    assert abs(res["A"] - 2.0) < 0.02
-    assert res["B"] == 2.0
-    res = level_set_sizes(square, 0.5, 0.5)
-    assert abs(res["A"] - 1.0) < 1e-3
-    assert res["B"] == 2.0
+    assert abs(level_set(bowl, 0.3, 0.5, "band").area - 2.0) < 0.02
+    assert abs(level_set(square, 0.5, 0.5, "band").area - 1.0) < 1e-3
     with pytest.raises(EmptyBand):
-        level_set_sizes(bowl, 0.5, 5.0)
+        level_set(bowl, 0.5, 5.0, "band")
 
 
 def test_closed_contour_has_no_ends():
@@ -238,9 +218,11 @@ def test_closed_contour_has_no_ends():
     rings = polynomial_surplus([(1.0, (2, 0), 1), (1.0, (0, 2), 1)], 2)
     model = Model(box_domain([-1, -1], [1, 1]), TargetInterval(0.5, 1.0),
                   rings, quadrature=Quadrature("tensor", 128))
-    res = level_set_sizes(model, 0.75, 0.25)  # radius-0.5 circle
-    assert res["B"] == 0.0
-    assert abs(res["A"] - np.pi) < 0.03
+    # radius-0.5 circle: every contour endpoint is shared by two segments
+    ends = level_set(model, 0.75, 0.25, "contour2d").segments.reshape(-1, 2)
+    _, counts = np.unique(np.rint(ends * 1e9), axis=0, return_counts=True)
+    assert np.all(counts == 2)
+    assert abs(level_set(model, 0.75, 0.25, "band").area - np.pi) < 0.03
 
 
 @pytest.mark.parametrize("k", [1e-3, -1e-3])
@@ -264,6 +246,5 @@ def test_tangential_detection(square, bowl):
 
 
 def test_one_dimensional_sizes(seg1d):
-    res = level_set_sizes(seg1d, 0.5, 0.5)
-    assert abs(res["A"] - 1.0) < 1e-9  # counting measure of one point
-    assert res["B"] == 0.0
+    # counting measure of one point
+    assert abs(level_set(seg1d, 0.5, 0.5, "band").area - 1.0) < 1e-9

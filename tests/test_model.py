@@ -108,8 +108,3 @@ def test_density_positivity_enforced():
     with pytest.raises(ValueError):
         Model(interval_domain(), TargetInterval(0, 1), bilinear_surplus([1.0]),
               DensityPair(g=lambda y: y - 0.5))
-
-
-def test_log_bounds_recorded(square):
-    lo, hi = square.log_bounds["log_f"]
-    assert np.isfinite(lo) and np.isfinite(hi) and lo <= hi

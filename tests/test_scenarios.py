@@ -4,7 +4,7 @@ import pytest
 from nestor.errors import InsufficientRange, UnknownScenario
 from nestor.scenarios import build, holder_probe, list_scenarios, \
     validate_analytic
-from nestor.solver import optimal_map
+from nestor.solver import SplitCurve, optimal_map
 
 
 def test_registry():
@@ -76,9 +76,11 @@ def test_holder_probe_examples(par2, par3, uni1d):
 
 
 def test_holder_insufficient_range(uni1d):
+    # no node of [0.1, 0.9] falls in the fit window [0.005, 0.08]
+    curve = SplitCurve.from_function(uni1d.model.target,
+                                     np.linspace(0.1, 0.9, 9), lambda y: y)
     with pytest.raises(InsufficientRange):
-        holder_probe(uni1d.scenario, exponent_window=(0.0101, 0.0102),
-                     curve=uni1d.curve)
+        holder_probe(uni1d.scenario, curve=curve)
 
 
 def test_flat_paraboloid_exponent_degrades(flat3):

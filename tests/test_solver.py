@@ -10,8 +10,8 @@ from nestor import solver
 from nestor.errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
 from nestor.levelsets import (grad_h, level_set, sublevel_levels,
-                              surface_integral)
-from nestor.model import Model
+                              sublevel_mass, surface_integral)
+from nestor.model import Model, target_cdf
 from nestor.solver import (SplitCurve, balance_residual, map_gradient,
                            optimal_map, pushforward_distance,
                            solve_split_curve, source_payoff)
@@ -36,10 +36,11 @@ def test_split_curve_paraboloid(par2):
 
 
 def test_nodes_satisfy_mass_tolerance(par2):
-    from nestor.levelsets import split_function
     c = par2.curve
     for i in range(0, c.y_grid.size, 32):
-        h = split_function(par2.model, float(c.y_grid[i]), float(c.k_plus[i]))
+        y = float(c.y_grid[i])
+        h = (sublevel_mass(par2.model, y, float(c.k_plus[i]))
+             - target_cdf(par2.model, y))
         assert abs(h) <= 1e-6 + 1e-12
 
 
@@ -487,6 +488,40 @@ def test_curved_surplus_end_to_end():
     rep = nestedness_report(model, curve, n_probes=50)
     assert rep.verdict == "nested"
     assert rep.speed_limit > 0.1
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(-2.0, 2.0), length=st.floats(0.25, 4.0))
+def test_solve_is_invariant_under_affine_rescaling_of_y(a, length):
+    # on y' = a + L y the surplus s'(x, y') = s(x, (y' - a) / L) has
+    # s'_y' = s_y / L, so k' = k / L and F' = a + L F, and the flags and
+    # the verdict carry over
+    from nestor.geometry import box_domain
+    from nestor.model import DensityPair
+    from nestor.nestedness import nestedness_report
+    from nestor.surplus import polynomial_surplus
+
+    def model(lo, span, terms):
+        return Model(box_domain([0, 0], [1, 1]), TargetInterval(lo, lo + span),
+                     polynomial_surplus(terms, 2),
+                     DensityPair(g=lambda y: 0.5 + (y - lo) / span),
+                     quadrature=Quadrature("tensor", 48))
+
+    b, c = 1.0 / length, 0.35 / length ** 2
+    models = (model(0.0, 1.0, [(1.0, (1, 0), 1), (0.35, (0, 1), 2)]),
+              model(a, length, [(b, (1, 0), 1), (-a * b, (1, 0), 0),
+                                (c, (0, 1), 2), (-2 * a * c, (0, 1), 1),
+                                (a * a * c, (0, 1), 0)]))
+    base, scaled = (solve_split_curve(m, n_nodes=33) for m in models)
+    assert np.max(np.abs(length * scaled.k_plus - base.k_plus)) <= 1e-9
+    xs = models[0].domain.sample_interior(50, seed=5, margin=0.01)
+    f_base = optimal_map(models[0], base, xs)
+    f_scaled = optimal_map(models[1], scaled, xs)
+    assert np.max(np.abs((f_scaled - a) / length - f_base)) <= 1e-9
+    assert np.array_equal(scaled.tangential_flags, base.tangential_flags)
+    assert np.array_equal(scaled.plateau_flags, base.plateau_flags)
+    assert (nestedness_report(models[1], scaled).verdict
+            == nestedness_report(models[0], base).verdict)
 
 
 def test_kprime_diverges_where_level_sets_shrink(par2):
