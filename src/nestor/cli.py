@@ -148,16 +148,18 @@ def _densities_from_spec(model_spec: dict, dim: int) -> DensityPair:
 
 
 def build_model_from_config(config: dict):
-    """Returns (model, scenario or None, params echo).  A quadrature spec
-    fills its missing fields from ``default_quadrature(dim)``, and its
-    ``mode`` applies to inline models only.  A ValueError while the
-    scenario or the inline model is built is a ConfigError."""
+    """Returns (model, params echo).  A quadrature spec fills its missing
+    fields from ``default_quadrature(dim)``, and its ``mode`` applies to
+    inline models only; ``params`` applies to scenarios only.  A ValueError
+    while the scenario or the inline model is built is a ConfigError."""
     model_kw = {"nondegeneracy_rel_threshold":
                 config["tolerances"]["nondegeneracy_rel_threshold"]}
     quad_spec = config.get("quadrature", {})
     if "scenario" in config and "mode" in quad_spec:
         raise ConfigError("quadrature.mode applies to inline models only; "
                           "a scenario picks the mode for its dimension")
+    if "model" in config and "params" in config:
+        raise ConfigError("params apply to built-in scenarios only")
     try:
         if "scenario" in config:
             params = dict(config.get("params", {}))
@@ -166,7 +168,7 @@ def build_model_from_config(config: dict):
             if quad_spec:
                 quad = scenario.model.quadrature
                 params.update(resolution=quad.resolution, seed=quad.seed)
-            return scenario.model, scenario, params
+            return scenario.model, params
         spec = config["model"]
         dom = _domain_from_spec(spec["domain"])
         target = TargetInterval(*spec["target"])
@@ -174,7 +176,7 @@ def build_model_from_config(config: dict):
         dens = _densities_from_spec(spec, dom.dim)
         quad = replace(default_quadrature(dom.dim), **quad_spec)
         model = Model(dom, target, surplus, dens, quadrature=quad, **model_kw)
-        return model, None, {}
+        return model, {}
     except ValueError as exc:
         raise ConfigError(f"cannot build the model: {exc}") from None
 
@@ -261,7 +263,7 @@ def run(config: dict, out_dir: str = None) -> int:
     timings = {}
     t_all = time.perf_counter()
 
-    model, scenario, params = build_model_from_config(config)
+    model, params = build_model_from_config(config)
     summary = {
         "scenario": config.get("scenario"),
         "params": params,
@@ -384,11 +386,8 @@ def run(config: dict, out_dir: str = None) -> int:
         summary["reduce_1d"] = entry
 
     if config["outputs"]["holder_probe"]:
-        if scenario is None:
-            scenario = sc.Scenario(name="inline", model=model, params={},
-                                   expected_verdict="nested")
         try:
-            expo = sc.holder_probe(scenario, curve=curve)
+            expo = sc.holder_probe(model, curve=curve)
             summary["holder_exponent"] = expo
         except NestorError as exc:
             summary["holder_exponent"] = None

@@ -5,8 +5,9 @@ balance residuals downstream are free of normalization bias), caches the
 target CDF on a fine grid with monotone interpolation, and certifies
 non-degeneracy |grad_x s_y| > 0 on demand.
 
-A Model is not immutable: ``slice_at`` keeps a small FIFO cache of
-surplus slices, and ``certificate`` and ``surplus_scale`` are computed on
+A Model is not immutable: ``slice_at`` keeps the last surplus slice (only
+a solve node revisits a target value, back to back, and a 3-d slice is
+tens of MB), and ``certificate`` and ``surplus_scale`` are computed on
 first use and stored.  None of this is locked, so one Model must not be
 called from several threads at once; give each thread its own Model.
 """
@@ -68,7 +69,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class Model:
-    """Bundled problem data with cached quadrature and target CDF."""
+    """Bundled problem data; caches quadrature, target CDF and last slice."""
 
     def __init__(self, domain: Domain, target: TargetInterval,
                  surplus: SurplusBundle, densities: Optional[DensityPair] = None,
@@ -120,7 +121,7 @@ class Model:
             surplus.check_consistency(domain, target)
             self._check_boundary_normals()
 
-        self._slice_cache: dict = {}
+        self._slice: Optional[SurplusSlice] = None
         self._certificate: Optional[NondegeneracyCertificate] = None
         self._surplus_scale: Optional[float] = None
 
@@ -141,26 +142,19 @@ class Model:
 
     def slice_at(self, y: float) -> SurplusSlice:
         key = float(y)
-        cached = self._slice_cache.get(key)
-        if cached is not None:
-            return cached
+        last = self._slice
+        if last is not None and last.y == key:
+            return last
         pts = self.grid.points
         sy = np.asarray(self.surplus.s_y(pts, key), dtype=float)
         grad = np.asarray(self.surplus.grad_x_s_y(pts, key), dtype=float)
         gnorm = np.linalg.norm(grad, axis=1)
         syy = np.asarray(self.surplus.s_yy(pts, key), dtype=float)
-        if self.grid.spacing is not None:
-            span = np.abs(grad) @ self.grid.spacing
-            span = np.maximum(span, 1e-30)
-        else:
-            span = None
-        sl = SurplusSlice(y=key, sy=sy, grad=grad, gnorm=gnorm, syy=syy, span=span)
-        # solves and scans revisit at most a handful of target values at a
-        # time; a deep cache would hold O(100 MB) of slices on 3-d grids
-        if len(self._slice_cache) >= 8:
-            self._slice_cache.pop(next(iter(self._slice_cache)))
-        self._slice_cache[key] = sl
-        return sl
+        span = None if self.grid.spacing is None \
+            else np.maximum(np.abs(grad) @ self.grid.spacing, 1e-30)
+        self._slice = SurplusSlice(y=key, sy=sy, grad=grad, gnorm=gnorm,
+                                   syy=syy, span=span)
+        return self._slice
 
     @property
     def surplus_scale(self) -> float:

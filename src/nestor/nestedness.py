@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyBand, NoBoundaryOracle
-from .levelsets import level_set
+from .errors import NoBoundaryOracle
 from .model import Model
 from .solver import (SplitCurve, count_sign_changes, effective_deadband,
                      splitting_profile)
@@ -90,21 +89,22 @@ def check_sublevel_monotonicity(
     strictly inside X_<(y', k(y')).  A point violates when
     s_y(x, y') - k(y') exceeds the margin tolerance, 1e-3 of the spread of
     s_y(., y') (it absorbs one cell of discretization jitter); the 20
-    worst violations are kept."""
+    worst violations are kept.  s_y is evaluated once per distinct level."""
     if y_pairs is None:
         levels = curve.y_grid[:: max(1, curve.y_grid.size // 12)]
         y_pairs = [(float(a), float(b))
                    for i, a in enumerate(levels) for b in levels[i + 1:]]
+    sy = {y: np.asarray(model.surplus.s_y(model.grid.points, y), dtype=float)
+          for y in sorted({float(y) for pair in y_pairs for y in pair})}
     witnesses = []
     worst = -np.inf
     for y0, y1 in y_pairs:
         if not y0 < y1:
             continue
-        sl0 = model.slice_at(y0)
-        sl1 = model.slice_at(y1)
-        tol = 1e-3 * max(float(np.max(sl1.sy) - np.min(sl1.sy)), 1e-12)
-        inside0 = sl0.sy <= curve.k_at(y0)
-        margin = sl1.sy - curve.k_at(y1)
+        sy0, sy1 = sy[float(y0)], sy[float(y1)]
+        tol = 1e-3 * max(float(np.max(sy1) - np.min(sy1)), 1e-12)
+        inside0 = sy0 <= curve.k_at(y0)
+        margin = sy1 - curve.k_at(y1)
         viol = inside0 & (margin > tol)
         if np.any(viol):
             idx = np.nonzero(viol)[0]
@@ -233,28 +233,26 @@ def unique_splitting_check(model: Model,
 # boundary transversality and speed limit
 # ---------------------------------------------------------------------------
 
+def _node_indices(curve: SplitCurve, y_nodes, candidates: np.ndarray):
+    """Every (size // 41)-th candidate node, or the nodes nearest y_nodes."""
+    if y_nodes is None:
+        return candidates[:: max(1, candidates.size // 41)]
+    return np.array([np.argmin(np.abs(curve.y_grid - y)) for y in y_nodes],
+                    dtype=int)
+
+
 def transversality_diagnostic(model: Model, curve: SplitCurve,
                               y_nodes: Optional[np.ndarray] = None) -> float:
-    """min over boundary-adjacent band samples of 1 - (n_X . n_levelset)^2;
-    values near 0 flag tangential intersections with the domain boundary."""
+    """Least stored transversality 1 - (n_X . n_levelset)^2 over sampled
+    nodes (explicit y_nodes snap to the nearest node), 1.0 when none has a
+    boundary-adjacent sample; values near 0 flag tangential intersections
+    with the domain boundary."""
     if model.domain.boundary_normal is None:
         raise NoBoundaryOracle("domain carries no boundary-normal oracle")
-    if y_nodes is None:
-        y_nodes = curve.y_grid[:: max(1, curve.y_grid.size // 41)]
-    best = np.inf
-    for y in y_nodes:
-        try:
-            ls = level_set(model, y, curve.k_at(float(y)), "band")
-        except EmptyBand:
-            continue
-        mask = ls.boundary
-        if not np.any(mask):
-            continue
-        n_x = np.atleast_2d(model.domain.boundary_normal(ls.points[mask]))
-        n_level = ls.grad[mask] / ls.gnorm[mask][:, None]
-        dots = np.sum(n_x * n_level, axis=1)
-        best = min(best, float(np.min(1.0 - dots ** 2)))
-    return 1.0 if best is np.inf or not np.isfinite(best) else best
+    vals = curve.transversality[_node_indices(
+        curve, y_nodes, np.arange(curve.y_grid.size))]
+    vals = vals[np.isfinite(vals)]
+    return float(np.min(vals)) if vals.size else 1.0
 
 
 def speed_limit(model: Model, curve: SplitCurve,
@@ -280,12 +278,7 @@ def kprime_bound_gap(model: Model, curve: SplitCurve,
     at sampled non-tangential nodes (explicit y_nodes snap to the nearest
     node), with A the curve's own band area; returns (|k'| values, bound
     values), the bound NaN where that band sample is empty."""
-    if y_nodes is None:
-        idx = np.flatnonzero(~curve.tangential_flags)
-        idx = idx[:: max(1, idx.size // 41)]
-    else:
-        idx = np.array([np.argmin(np.abs(curve.y_grid - y)) for y in y_nodes],
-                       dtype=int)
+    idx = _node_indices(curve, y_nodes, np.flatnonzero(~curve.tangential_flags))
     lhs = []
     rhs = []
     for i in idx:
@@ -313,10 +306,8 @@ def nestedness_report(model: Model, curve: SplitCurve, seed: int = 0,
     dyn = dynamic_criterion(model, curve)
     uniq = unique_splitting_check(model, seed=seed, n_probes=n_probes,
                                   scan_nodes=scan_nodes, deadband=deadband)
-    try:
-        trans = transversality_diagnostic(model, curve)
-    except NoBoundaryOracle:
-        trans = None
+    trans = None if model.domain.boundary_normal is None \
+        else transversality_diagnostic(model, curve)
     ell = speed_limit(model, curve)
 
     criteria = (mono, dyn, uniq)

@@ -19,6 +19,7 @@ known to admit, so solver output can be regressed against ground truth:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -169,7 +170,8 @@ def list_scenarios() -> list:
 
 
 def build(name: str, **params) -> Scenario:
-    """Construct a named scenario; unknown names raise UnknownScenario.
+    """Construct a named scenario; unknown names raise UnknownScenario and
+    parameters the scenario does not take raise ValueError.
     ``nondegeneracy_rel_threshold``, which is not a scenario parameter,
     goes to the Model."""
     try:
@@ -177,6 +179,11 @@ def build(name: str, **params) -> Scenario:
     except KeyError:
         raise UnknownScenario(
             f"{name!r}; known: {', '.join(list_scenarios())}") from None
+    takes = {p.name for p in inspect.signature(builder).parameters.values()
+             if p.kind is p.POSITIONAL_OR_KEYWORD}
+    stray = sorted(set(params) - takes - {"nondegeneracy_rel_threshold"})
+    if stray:
+        raise ValueError(f"{name!r} takes no parameter {', '.join(stray)}")
     return builder(**params)
 
 
@@ -208,7 +215,7 @@ def validate_analytic(scenario: Scenario) -> dict:
     return out
 
 
-def holder_probe(scenario: Scenario, *, curve) -> float:
+def holder_probe(model: Model, *, curve) -> float:
     """Fitted growth exponent of k(y) - k(y_lo) near the lower endpoint by
     log-log regression over the nodes with y - y_lo between 0.005 and 0.08
     of the target length.
@@ -217,7 +224,6 @@ def holder_probe(scenario: Scenario, *, curve) -> float:
     split level sinks to the bottom of the slope range as the target mass
     vanishes.  Raises InsufficientRange below 5 usable nodes in the window.
     """
-    model = scenario.model
     length = model.target.length
     y0 = model.target.y_lo
     mask = ((curve.y_grid >= y0 + 0.005 * length)
@@ -226,11 +232,8 @@ def holder_probe(scenario: Scenario, *, curve) -> float:
         raise InsufficientRange(
             f"only {int(np.sum(mask))} nodes in the fit window")
     sl = model.slice_at(y0 + 1e-12 * length)
-    if sl.span is not None:
-        # midpoint samples sit half a cell above the true infimum
-        k_floor = float(np.min(sl.sy - 0.5 * sl.span))
-    else:
-        k_floor = float(np.min(sl.sy))
+    # tensor midpoint samples sit half a cell above the true infimum
+    k_floor = float(np.min(sl.sy if sl.span is None else sl.sy - 0.5 * sl.span))
     dk = curve.k_plus[mask] - k_floor
     dy = curve.y_grid[mask] - y0
     good = dk > 0

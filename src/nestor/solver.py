@@ -44,8 +44,11 @@ class SplitCurve:
     are NaN where it is empty; the balance residual and the speed criteria
     are arithmetic on them.  ``area`` is the surface area of the default
     band sample of X(y, k_plus) (the one the tangential flag reads), NaN
-    where that sample is empty.  ``from_function`` curves carry only k and
-    k': their level-set fields are NaN and x_syy_max has no columns.
+    where that sample is empty; ``transversality`` is the least
+    1 - (n_X . n_level)^2 over its boundary-adjacent samples, NaN where it
+    has none or the domain no boundary-normal oracle.  ``from_function``
+    curves carry only k and k': their level-set fields are NaN and
+    x_syy_max has no columns.
     """
 
     y_grid: np.ndarray
@@ -62,6 +65,7 @@ class SplitCurve:
     syy_max: np.ndarray
     x_syy_max: np.ndarray
     area: np.ndarray
+    transversality: np.ndarray
     interpolation: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -88,7 +92,7 @@ class SplitCurve:
                    tangential_flags=flags, plateau_flags=flags.copy(),
                    y_lo=target.y_lo, y_hi=target.y_hi, h_k=nan, h_y=nan,
                    syy_min=nan, syy_max=nan, x_syy_max=np.empty((nan.size, 0)),
-                   area=nan)
+                   area=nan, transversality=nan)
 
     # -- evaluation (constant extension beyond the node range) -------------
 
@@ -144,11 +148,12 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
 
     k_minus and k_plus are the edges of {k : |h(y, k)| <= tol_mass},
     clamped to the padded range of s_y.  X(y, k_plus) is sampled once per
-    node (twice on planar tensor grids, where the tangential flag needs
-    band samples besides the contour).  Nodes flagged tangential (more than
-    ``default_tangential_threshold(model)`` of the band area in
-    boundary-adjacent cells, or an empty level set) get difference-quotient
-    derivatives instead of -h_y/h_k, whose hypotheses fail there.  The
+    node (twice on planar tensor grids, where the tangential flag and the
+    boundary transversality need band samples besides the contour).  Nodes
+    flagged tangential (more than ``default_tangential_threshold(model)`` of
+    the band area in boundary-adjacent cells, or an empty level set) get
+    difference-quotient derivatives instead of -h_y/h_k, whose hypotheses
+    fail there.  The
     plateau, tangential and empty-level-set nodes are logged at DEBUG.
     """
     model.require_nondegenerate()
@@ -162,7 +167,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     kprime = np.full(n, np.nan)
     tangential = np.zeros(n, dtype=bool)
     plateau = np.zeros(n, dtype=bool)
-    h_k, h_y, syy_min, syy_max, area = (np.full(n, np.nan) for _ in range(5))
+    h_k, h_y, syy_min, syy_max, area, transversality = np.full((6, n), np.nan)
+    normal = model.domain.boundary_normal
     x_syy_max = np.full((n, model.domain.dim), np.nan)
 
     for i, y in enumerate(y_grid):
@@ -190,6 +196,11 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
                 else level_set(model, y, k_plus[i], "band")
             area[i] = band.area
             tangential[i] = band.boundary_fraction > tangential_threshold
+            b = band.boundary
+            if normal is not None and np.any(b):
+                n_level = band.grad[b] / band.gnorm[b][:, None]
+                dots = np.sum(np.atleast_2d(normal(band.points[b])) * n_level, axis=1)
+                transversality[i] = np.min(1.0 - dots ** 2)
         except EmptyBand:
             tangential[i] = True
         # not h_k > 0 also catches an empty auto set (NaN)
@@ -213,7 +224,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
                       plateau_flags=plateau,
                       y_lo=model.target.y_lo, y_hi=model.target.y_hi,
                       h_k=h_k, h_y=h_y, syy_min=syy_min, syy_max=syy_max,
-                      x_syy_max=x_syy_max, area=area)
+                      x_syy_max=x_syy_max, area=area,
+                      transversality=transversality)
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,8 @@ def test_criterion_06_nestedness_verdicts(par2, ball):
 
 
 def test_criterion_07_holder_exponents(par2, par3):
-    e2 = sc.holder_probe(par2.scenario, curve=par2.curve)
-    e3 = sc.holder_probe(par3.scenario, curve=par3.curve)
+    e2 = sc.holder_probe(par2.model, curve=par2.curve)
+    e3 = sc.holder_probe(par3.model, curve=par3.curve)
     ok = abs(e2 - 2 / 3) <= 0.05 and abs(e3 - 0.5) <= 0.05
     _report(7, ok, f"fitted exponents m=2: {e2:.3f} (2/3 +- 0.05), "
             f"m=3: {e3:.3f} (0.5 +- 0.05)")

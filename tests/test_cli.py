@@ -288,7 +288,7 @@ def test_inline_quadrature_spec_fills_from_the_dimension_default():
         "model": {"domain": {"type": "interval"}, "target": [0.0, 1.0],
                   "surplus": {"builtin": "bilinear"}},
         "quadrature": {"seed": 1}})
-    model, _, _ = build_model_from_config(config)
+    model, _ = build_model_from_config(config)
     assert (model.quadrature.mode, model.quadrature.resolution,
             model.quadrature.seed) == ("tensor", 2048, 1)
 
@@ -325,6 +325,11 @@ def _inline(**model):
         {"coeff": -1.0, "x_powers": [0, 0]}]}), [], id="negative-density"),
     pytest.param(None, ["paraboloid-segment", "--m", "1"],
                  id="bad-scenario-param"),
+    pytest.param(None, ["uniform-1d", "--m", "2"], id="stray-scenario-param"),
+    pytest.param(None, ["paraboloid-segment", "--theta0", "1.0"],
+                 id="param-of-another-scenario"),
+    pytest.param({**_inline(), "params": {"m": 3}}, [],
+                 id="params-beside-inline-model"),
 ])
 def test_input_errors_are_config_errors(tmp_path, capsys, config, args):
     path = tmp_path / "config.json"

@@ -152,6 +152,58 @@ def test_transversality_needs_oracle(par2):
         transversality_diagnostic(stripped, curve)
 
 
+def _resampled_transversality(model, curve):
+    """Per-node 1 - (n_X . n_level)^2 minimum over a fresh band sample at
+    (y, k(y)), NaN where the band is empty or misses the boundary."""
+    out = np.full(curve.y_grid.size, np.nan)
+    for i, y in enumerate(curve.y_grid):
+        try:
+            ls = level_set(model, float(y), curve.k_at(float(y)), "band")
+        except EmptyBand:
+            continue
+        mask = ls.boundary
+        if not np.any(mask):
+            continue
+        n_x = np.atleast_2d(model.domain.boundary_normal(ls.points[mask]))
+        n_level = ls.grad[mask] / ls.gnorm[mask][:, None]
+        dots = np.sum(n_x * n_level, axis=1)
+        out[i] = np.min(1.0 - dots ** 2)
+    return out
+
+
+def test_curve_transversality_matches_resampled_bands(par2):
+    from nestor.scenarios import build
+    cases = [(par2.model, par2.curve)]
+    for name, params in (("paraboloid-segment", {"m": 3, "resolution": 24}),
+                         ("pie-slice", {"theta0": 1.2, "resolution": 96})):
+        model = build(name, **params).model
+        cases.append((model, solve_split_curve(model, n_nodes=65)))
+    for model, curve in cases:
+        ref = _resampled_transversality(model, curve)
+        assert np.array_equal(curve.transversality, ref, equal_nan=True)
+        assert np.any(np.isfinite(ref))
+    analytic = SplitCurve.from_function(par2.model.target, par2.curve.y_grid,
+                                        lambda y: y ** (2 / 3))
+    assert np.all(np.isnan(analytic.transversality))
+    assert transversality_diagnostic(par2.model, analytic) == 1.0
+
+
+@pytest.mark.parametrize("name", ["par2", "par3"])
+def test_report_reads_the_solved_curve(name, request, monkeypatch):
+    # the report takes no level-set sample and builds no surplus slice:
+    # a band sample needs a slice, a contour needs _contour_segments
+    solved = request.getfixturevalue(name)
+    model, curve = solved.model, solved.curve
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the nestedness report sampled the surplus")
+
+    monkeypatch.setattr(levelsets, "level_set", no_sample)
+    monkeypatch.setattr(levelsets, "_contour_segments", no_sample)
+    monkeypatch.setattr(Model, "slice_at", no_sample)
+    assert nestedness_report(model, curve).verdict == "nested"
+
+
 def test_speed_limit(par2, uni1d, pie_wide):
     ell = speed_limit(par2.model, par2.curve, region_y=(0.1, 1.0))
     assert abs(ell - 2.0 / 3.0) <= 2e-2

@@ -268,7 +268,10 @@ def test_tiny_instances_match_enumeration(ns, nt, levels, equal_weights,
 def _shuffled(inst, seed):
     rng = np.random.default_rng(seed)
     ns, nt = inst.shape
-    r, c = rng.permutation(ns), rng.permutation(nt)
+    return _permuted(inst, rng.permutation(ns), rng.permutation(nt))
+
+
+def _permuted(inst, r, c):
     return DiscreteInstance(inst.source_points[r], inst.source_weights[r],
                             inst.target_points[c], inst.target_weights[c],
                             inst.surplus_matrix[np.ix_(r, c)])
@@ -278,6 +281,26 @@ def test_shuffled_par2_1000x100_is_optimal(par2):
     inst = _shuffled(sample_instance(par2.model, 1000, 100, seed=7), seed=4)
     plan = _assert_optimal(inst)
     assert plan.n_pivots > 0
+
+
+@pytest.fixture(scope="module")
+def par2_atoms():
+    from nestor.scenarios import build
+    model = build("paraboloid-segment", m=2, resolution=96).model
+    inst = sample_instance(model, 200, 20, seed=7)
+    plan = solve_transport(inst)
+    assert plan.n_pivots == 0
+    return inst, plan.objective
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(r=st.permutations(range(200)), c=st.permutations(range(20)))
+def test_objective_does_not_depend_on_atom_order(par2_atoms, r, c):
+    # the sorted par2 atoms solve with no pivot; any reordering of the
+    # same atoms must reach the same optimum
+    inst, objective = par2_atoms
+    plan = _assert_optimal(_permuted(inst, np.asarray(r), np.asarray(c)))
+    assert abs(plan.objective - objective) <= 1e-12
 
 
 def test_unpivoted_plan_is_the_northwest_corner(par2):

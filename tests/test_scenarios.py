@@ -70,9 +70,9 @@ def test_flat_paraboloid_map(flat3):
 
 
 def test_holder_probe_examples(par2, par3, uni1d):
-    assert abs(holder_probe(par2.scenario, curve=par2.curve) - 2 / 3) <= 0.05
-    assert abs(holder_probe(par3.scenario, curve=par3.curve) - 0.5) <= 0.05
-    assert abs(holder_probe(uni1d.scenario, curve=uni1d.curve) - 1.0) <= 0.05
+    assert abs(holder_probe(par2.model, curve=par2.curve) - 2 / 3) <= 0.05
+    assert abs(holder_probe(par3.model, curve=par3.curve) - 0.5) <= 0.05
+    assert abs(holder_probe(uni1d.model, curve=uni1d.curve) - 1.0) <= 0.05
 
 
 def test_holder_insufficient_range(uni1d):
@@ -80,13 +80,13 @@ def test_holder_insufficient_range(uni1d):
     curve = SplitCurve.from_function(uni1d.model.target,
                                      np.linspace(0.1, 0.9, 9), lambda y: y)
     with pytest.raises(InsufficientRange):
-        holder_probe(uni1d.scenario, curve=curve)
+        holder_probe(uni1d.model, curve=curve)
 
 
 def test_flat_paraboloid_exponent_degrades(flat3):
     # k = y^(6/7): the split curve stays closer to linear than the round
     # bowl's y^(2/3)
-    expo = holder_probe(flat3.scenario, curve=flat3.curve)
+    expo = holder_probe(flat3.model, curve=flat3.curve)
     assert abs(expo - 6 / 7) <= 0.05
 
 
