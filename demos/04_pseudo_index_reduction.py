@@ -2,10 +2,11 @@
 
 When the surplus decomposes as alpha(x) + sigma(I(x), y) the whole
 multi-dimensional problem collapses: push the source density through the
-index I, then match quantiles with the target (monotonely or antitonely,
-per the sign of sigma's mixed derivative).  Detection is statistical:
-pairs of points sharing a level set of s_y(., y0) are tested at other
-target values; pairs that separate witness that the level sets move.
+canonical index I = s_y(., y_mid), then match quantiles with the target
+(increasingly: sigma's mixed derivative at y_mid is |grad_x s_y|^2 > 0).
+Detection is statistical: pairs of points sharing a level set of
+s_y(., y0) are tested at other target values; pairs that separate witness
+that the level sets move.
 """
 
 import numpy as np

@@ -27,7 +27,7 @@ from .nestedness import (NestednessReport, check_sublevel_monotonicity,
 from .oracle import (DiscreteInstance, DiscretePlan,
                      cyclical_monotonicity_audit, compare_with_map,
                      sample_instance, solve_transport)
-from .pseudoindex import (IndexForm, Rearrangement1D, detect_index_form,
+from .pseudoindex import (Rearrangement1D, detect_index_form,
                           reduce_and_solve_1d, verify_1d_ode)
 from .scenarios import Scenario, build, holder_probe, list_scenarios
 from .solver import (SplitCurve, balance_residual, map_gradient,

@@ -264,6 +264,11 @@ def run(config: dict, out_dir: str = None) -> int:
     t_all = time.perf_counter()
 
     model, params = build_model_from_config(config)
+    for y_dump in config["dump_levels"]:
+        if not model.target.y_lo <= y_dump <= model.target.y_hi:
+            raise ConfigError(f"dump level {y_dump!r} is outside the target "
+                              f"interval [{model.target.y_lo:g}, "
+                              f"{model.target.y_hi:g}]")
     summary = {
         "scenario": config.get("scenario"),
         "params": params,
@@ -290,7 +295,7 @@ def run(config: dict, out_dir: str = None) -> int:
 
     # per-node diagnostics for curve.csv come from the solve's own samples;
     # an empty level set leaves its cell NaN
-    residuals = -(curve.h_y + curve.kprime_at(curve.y_grid) * curve.h_k)
+    residuals = sv.balance_residual(model, curve, curve.y_grid)
     summary["empty_level_sets"] = {
         "area": int(np.sum(np.isnan(curve.area))),
         "balance_residual": int(np.sum(np.isnan(residuals)))}
@@ -320,7 +325,7 @@ def run(config: dict, out_dir: str = None) -> int:
                    + ["F", "u", "grad_norm"],
                    cols + [f_vals, u_vals, grad_norm])
 
-    for y_dump in config.get("dump_levels", []):
+    for y_dump in config["dump_levels"]:
         _dump_level_set(model, curve, float(y_dump), out_dir)
 
     exit_code = 0

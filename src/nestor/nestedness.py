@@ -237,8 +237,7 @@ def _node_indices(curve: SplitCurve, y_nodes, candidates: np.ndarray):
     """Every (size // 41)-th candidate node, or the nodes nearest y_nodes."""
     if y_nodes is None:
         return candidates[:: max(1, candidates.size // 41)]
-    return np.array([np.argmin(np.abs(curve.y_grid - y)) for y in y_nodes],
-                    dtype=int)
+    return curve.nearest_nodes(y_nodes)
 
 
 def transversality_diagnostic(model: Model, curve: SplitCurve,

@@ -4,8 +4,9 @@ A surplus has index form when s(x, y) = alpha(x) + sigma(I(x), y) for a
 scalar index I; equivalently, the level sets of x -> s_y(x, y) do not
 move with y.  Such problems are nested for every pair of densities and
 collapse to a scalar monotone rearrangement: push mu through I, then
-match quantiles with the target (orientation given by the sign of the
-mixed derivative of sigma).
+match quantiles with the target.  With the canonical index
+I = s_y(., y_mid) the mixed derivative of sigma at y_mid is
+|grad_x s_y|^2 > 0, so the matching is always increasing.
 
 The detector is statistical: it manufactures pairs of points on a common
 level set of s_y(., y0) (a tangent step followed by a few Newton
@@ -17,7 +18,7 @@ breaks universal nestedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -27,22 +28,12 @@ from .model import Model, target_quantile
 
 
 @dataclass
-class IndexForm:
-    """Scalar index I with the sign of the effective surplus's mixed
-    derivative, which orients the 1-d rearrangement."""
-
-    index: Callable                  # (N, m) -> (N,)
-    modularity_sign: int             # +1 supermodular, -1 submodular
-
-
-@dataclass
 class Rearrangement1D:
     """Monotone scalar solution: CDF of the pushed index, the target CDF,
     and the quantile map F1 between them."""
 
     index_grid: np.ndarray
     index_cdf: PchipInterpolator
-    modularity_sign: int
     model: Model
     index: Callable
 
@@ -55,11 +46,8 @@ class Rearrangement1D:
         return np.maximum(self.index_cdf.derivative()(t), 0.0)
 
     def map_1d(self, t):
-        """F1 = G^{-1} o CDF (antitone composition for submodular sign)."""
-        q = self.cdf(t)
-        if self.modularity_sign < 0:
-            q = 1.0 - q
-        return target_quantile(self.model, q)
+        """F1 = G^{-1} o CDF."""
+        return target_quantile(self.model, self.cdf(t))
 
     def map_full(self, x):
         """F(x) = F1(I(x))."""
@@ -165,48 +153,33 @@ def canonical_index(model: Model) -> Callable:
     return index
 
 
-def build_index_form(model: Model,
-                     index: Optional[Callable] = None) -> IndexForm:
-    """Wrap an index callable (default: the canonical midpoint slope) with
-    its modularity sign; raises NonMonotoneSign if the mixed derivative of
-    the effective surplus changes sign across 64 interior probes."""
-    if index is None:
-        index = canonical_index(model)
+def _check_orientation(model: Model) -> None:
+    """Raise NonMonotoneSign unless grad_x s_y(., y_mid), the gradient of
+    the canonical index, is nonzero at 64 interior probes and keeps a
+    nonnegative dot product with grad_x s_y(., y) at 0.2, 0.5 and 0.8 of
+    the target: the mixed derivative of the effective surplus must not
+    change sign."""
     pts = model.domain.sample_interior(64, seed=0, margin=0.01)
-    h = 1e-6 * model.domain.scale
-    grad_i = np.empty((pts.shape[0], model.domain.dim))
-    for j in range(model.domain.dim):
-        xp = pts.copy()
-        xm = pts.copy()
-        xp[:, j] += h
-        xm[:, j] -= h
-        grad_i[:, j] = (np.asarray(index(xp), dtype=float)
-                        - np.asarray(index(xm), dtype=float)) / (2 * h)
+    grad_i = np.asarray(model.surplus.grad_x_s_y(pts, model.target.mid),
+                        dtype=float)
     if np.any(np.linalg.norm(grad_i, axis=1) < 1e-12):
         raise NonMonotoneSign("index gradient vanishes at a probe")
-    signs = []
     for q in (0.2, 0.5, 0.8):
         y = model.target.y_lo + q * model.target.length
         g_sy = np.asarray(model.surplus.grad_x_s_y(pts, y), dtype=float)
-        dots = np.sum(g_sy * grad_i, axis=1)
-        signs.append(np.sign(dots))
-    signs = np.concatenate(signs)
-    if np.any(signs > 0) and np.any(signs < 0):
-        raise NonMonotoneSign(
-            "mixed derivative of the effective surplus changes sign")
-    sign = 1 if np.all(signs >= 0) else -1
-    return IndexForm(index=index, modularity_sign=sign)
+        if np.any(np.sum(g_sy * grad_i, axis=1) < 0):
+            raise NonMonotoneSign(
+                "mixed derivative of the effective surplus changes sign")
 
 
-def reduce_and_solve_1d(model: Model,
-                        index: Optional[IndexForm] = None) -> Rearrangement1D:
-    """Push mu through the index, build its CDF on a 257-point grid, and
-    compose with the target quantile function (orientation per the
-    modularity sign).  The result matches the full nested solve whenever
-    the surplus really is of index form."""
-    form = index if isinstance(index, IndexForm) else \
-        build_index_form(model, index)
-    i_vals = np.asarray(form.index(model.grid.points), dtype=float)
+def reduce_and_solve_1d(model: Model) -> Rearrangement1D:
+    """Push mu through the canonical index, build its CDF on a 257-point
+    grid, and compose with the target quantile function.  The result
+    matches the full nested solve whenever the surplus really is of index
+    form."""
+    _check_orientation(model)
+    index = canonical_index(model)
+    i_vals = np.asarray(index(model.grid.points), dtype=float)
     lo, hi = float(np.min(i_vals)), float(np.max(i_vals))
     pad = 1e-9 * max(hi - lo, 1.0)
     grid = np.linspace(lo - pad, hi + pad, 257)
@@ -221,9 +194,8 @@ def reduce_and_solve_1d(model: Model,
     keep = np.concatenate([[True], np.diff(cdf_vals) > 1e-15])
     keep[0] = keep[-1] = True
     interp = PchipInterpolator(grid[keep], cdf_vals[keep])
-    return Rearrangement1D(index_grid=grid, index_cdf=interp,
-                           modularity_sign=form.modularity_sign,
-                           model=model, index=form.index)
+    return Rearrangement1D(index_grid=grid, index_cdf=interp, model=model,
+                           index=index)
 
 
 def verify_1d_ode(rearr: Rearrangement1D) -> float:
@@ -238,6 +210,4 @@ def verify_1d_ode(rearr: Rearrangement1D) -> float:
     fp = (np.asarray(rearr.map_1d(probes + h), dtype=float)
           - np.asarray(rearr.map_1d(probes - h), dtype=float)) / (2 * h)
     g_here = model.g_at(np.asarray(rearr.map_1d(probes), dtype=float))
-    sign = rearr.modularity_sign
-    resid = np.abs(f1 - sign * fp * g_here)
-    return float(np.max(resid))
+    return float(np.max(np.abs(f1 - fp * g_here)))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import EmptyBand, NonNested, ZeroSpeed
-from .levelsets import (cumulative_mass, default_tangential_threshold, grad_h,
+from .levelsets import (cumulative_mass, default_tangential_threshold,
                         level_set, sublevel_levels, sublevel_mass)
 from .model import Model, target_cdf
 
@@ -126,6 +126,12 @@ class SplitCurve:
         out[mid] = base + self._v_anti(y_arr[mid]) - a0
         out[high] = base + (float(self._v_anti(yn)) - a0) + kn * (y_arr[high] - yn)
         return out if np.ndim(y) else float(out[0])
+
+    def nearest_nodes(self, y):
+        """Index of the node nearest each y (the first one on ties)."""
+        y = np.asarray(y, dtype=float)
+        i = np.clip(np.searchsorted(self.y_grid, y), 1, self.y_grid.size - 1)
+        return np.where(y - self.y_grid[i - 1] <= self.y_grid[i] - y, i - 1, i)
 
     @property
     def v_values(self) -> np.ndarray:
@@ -497,18 +503,21 @@ def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray,
     return out[0] if single else out
 
 
-def balance_residual(model: Model, curve: SplitCurve, y: float) -> float:
+def balance_residual(model: Model, curve: SplitCurve, y):
     """g(y) minus the level-set balance integral
 
         integral_{X(y,k(y))} (k'(y) - s_yy) f / |grad_x s_y| dH^{m-1}
 
-    over the ``auto`` samples, i.e. -(h_y + k' h_k) with k' the slope of
-    the interpolated curve.  At a clean node, whose stored k' is -h_y/h_k,
-    this is h_k (k'_formula - k'_interp): how far the interpolant's slope
-    strays from the derivative formula, not an independent closure."""
-    y = float(y)
-    gh = grad_h(model, y, curve.k_at(y))
-    return -(gh.h_y + curve.kprime_at(y) * gh.h_k)
+    over the ``auto`` sample the solve kept at the node nearest each y,
+    i.e. -(h_y + k' h_k) with k' the slope of the interpolated curve; NaN
+    where that sample was empty and on ``from_function`` curves.  At a
+    clean node, whose stored k' is -h_y/h_k, this is
+    h_k (k'_formula - k'_interp): how far the interpolant's slope strays
+    from the derivative formula, not an independent closure.  Samples
+    nothing; ``model`` is not read."""
+    i = curve.nearest_nodes(y)
+    out = -(curve.h_y[i] + curve.kprime_at(curve.y_grid[i]) * curve.h_k[i])
+    return out if np.ndim(y) else float(out)
 
 
 def weighted_ks_distance(model: Model, f_vals: np.ndarray,

@@ -229,7 +229,6 @@ def test_map_gradient_failure_is_recorded(tmp_path):
 
 
 def test_curve_csv_residual_matches_library(tmp_path):
-    from nestor.errors import EmptyBand
     from nestor.scenarios import build
     from nestor.solver import balance_residual, solve_split_curve
     assert run_main(["solve", "paraboloid-segment", "--resolution", "48",
@@ -238,13 +237,9 @@ def test_curve_csv_residual_matches_library(tmp_path):
     model = build("paraboloid-segment", resolution=48).model
     curve = solve_split_curve(model, n_nodes=33)
     assert np.array_equal(rows["k"], curve.k_plus)
-    for y, res in zip(curve.y_grid, rows["balance_residual"]):
-        try:
-            ref = balance_residual(model, curve, float(y))
-        except EmptyBand:
-            assert np.isnan(res)
-            continue
-        assert abs(res - ref) <= 1e-12
+    ref = [balance_residual(model, curve, float(y)) for y in curve.y_grid]
+    assert np.allclose(rows["balance_residual"], ref, rtol=0, atol=1e-12,
+                       equal_nan=True)
 
 
 def test_default_area_column_reads_the_curve(tmp_path):
@@ -330,6 +325,10 @@ def _inline(**model):
                  id="param-of-another-scenario"),
     pytest.param({**_inline(), "params": {"m": 3}}, [],
                  id="params-beside-inline-model"),
+    pytest.param(None, ["uniform-1d", "--dump-level", "2.5"],
+                 id="dump-level-outside-target"),
+    pytest.param(None, ["uniform-1d", "--dump-level", "nan"],
+                 id="dump-level-nan"),
 ])
 def test_input_errors_are_config_errors(tmp_path, capsys, config, args):
     path = tmp_path / "config.json"

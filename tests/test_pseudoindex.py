@@ -4,11 +4,10 @@ import pytest
 from nestor.errors import InsufficientPairs, NonMonotoneSign
 from nestor.geometry import Quadrature, TargetInterval, box_domain
 from nestor.model import Model
-from nestor.pseudoindex import (build_index_form, canonical_index,
-                                detect_index_form, reduce_and_solve_1d,
-                                verify_1d_ode)
+from nestor.pseudoindex import (canonical_index, detect_index_form,
+                                reduce_and_solve_1d, verify_1d_ode)
 from nestor.solver import optimal_map
-from nestor.surplus import bilinear_surplus, polynomial_surplus
+from nestor.surplus import polynomial_surplus
 
 
 def test_detector_true_for_segment_target(par2):
@@ -45,7 +44,6 @@ def test_insufficient_pairs(par2):
 
 def test_reduction_matches_direct_solve(par2):
     rearr = reduce_and_solve_1d(par2.model)
-    assert rearr.modularity_sign == 1
     ts = np.linspace(0.05, 0.95, 31)
     assert np.max(np.abs(np.asarray(rearr.map_1d(ts)) - ts ** 1.5)) <= 5e-3
     probes = par2.model.domain.sample_interior(100, seed=2, margin=0.02)
@@ -76,25 +74,22 @@ def test_ode_residual_paraboloid(par2):
     assert resid <= 0.01 * sup_f1
 
 
-def test_antitone_composition_for_submodular_surplus():
-    # s = -x1 y is submodular in (I, y) with I = x1
-    model = Model(box_domain([0.0, 0.0], [1, 1]), TargetInterval(0, 1),
-                  bilinear_surplus([-1.0, 0.0]),
-                  quadrature=Quadrature("tensor", 128))
-    rearr = reduce_and_solve_1d(model, index=lambda x: np.atleast_2d(x)[:, 0])
-    assert rearr.modularity_sign == -1
-    ts = np.linspace(0.05, 0.95, 31)
-    # antitone matching: high x1 pairs with low y (half-cell CDF accuracy)
-    assert np.max(np.abs(np.asarray(rearr.map_1d(ts)) - (1 - ts))) <= 5e-3
-
-
 def test_non_monotone_sign_detected():
-    # sigma(I, y) = I y^2 on a y-interval through 0 flips its mixed partial
-    bundle = polynomial_surplus([(1.0, (1, 0), 2)], 2)
-    model = Model(box_domain([0.1, 0.1], [1, 1]), TargetInterval(-1, 1),
-                  bundle, quadrature=Quadrature("tensor", 64), validate=False)
-    with pytest.raises(NonMonotoneSign):
-        build_index_form(model, index=lambda x: np.atleast_2d(x)[:, 0])
+    # s = x1 y^2 on a y-interval centred on 0: the canonical index
+    # s_y(., 0) = 0 has no gradient
+    vanishing = Model(box_domain([0.1, 0.1], [1, 1]), TargetInterval(-1, 1),
+                      polynomial_surplus([(1.0, (1, 0), 2)], 2),
+                      quadrature=Quadrature("tensor", 64), validate=False)
+    with pytest.raises(NonMonotoneSign, match="vanishes"):
+        reduce_and_solve_1d(vanishing)
+    # s = x1 (y - 0.3)^2: s_y = 2 x1 (y - 0.3) turns with y through 0.3,
+    # so the mixed derivative of sigma(I, y) changes sign
+    turning = Model(box_domain([0.1, 0.1], [1, 1]), TargetInterval(-1, 1),
+                    polynomial_surplus([(1.0, (1, 0), 2), (-0.6, (1, 0), 1),
+                                        (0.09, (1, 0), 0)], 2),
+                    quadrature=Quadrature("tensor", 64), validate=False)
+    with pytest.raises(NonMonotoneSign, match="changes sign"):
+        reduce_and_solve_1d(turning)
 
 
 def test_canonical_index_is_midpoint_slope(par2):

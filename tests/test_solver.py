@@ -1,12 +1,13 @@
 import logging
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nestor import solver
+from nestor import levelsets, solver
 from nestor.errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
 from nestor.levelsets import (grad_h, level_set, sublevel_levels,
@@ -109,16 +110,35 @@ def _balance_integral_residual(model, curve, y):
 def test_balance_residual_equals_direct_integral(par2, pie_nested, uni1d):
     for solved in (par2, pie_nested, uni1d):
         model, c = solved.model, solved.curve
-        off_node = 0.5 * (c.y_grid[:-1] + c.y_grid[1:])[::16]
-        for y in np.concatenate([c.y_grid, off_node]):
+        for y in c.y_grid:
             y = float(y)
             try:
                 ref = _balance_integral_residual(model, c, y)
             except EmptyBand:
-                with pytest.raises(EmptyBand):
-                    balance_residual(model, c, y)
+                assert np.isnan(balance_residual(model, c, y))
                 continue
             assert abs(balance_residual(model, c, y) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["par2", "par3"])
+def test_balance_residual_reads_the_curve(name, request, monkeypatch):
+    # the residual is arithmetic on the solve's stored h_y and h_k: it takes
+    # no level-set sample and builds no surplus slice
+    solved = request.getfixturevalue(name)
+    model, curve = solved.model, solved.curve
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("balance_residual sampled the surplus")
+
+    monkeypatch.setattr(solver, "level_set", no_sample)
+    monkeypatch.setattr(levelsets, "level_set", no_sample)
+    monkeypatch.setattr(levelsets, "grad_h", no_sample)
+    monkeypatch.setattr(Model, "slice_at", no_sample)
+    res = balance_residual(model, curve, curve.y_grid)
+    scalar = [balance_residual(model, curve, float(y)) for y in curve.y_grid]
+    assert np.array_equal(res, scalar, equal_nan=True)
+    expected = -(curve.h_y + curve.kprime_at(curve.y_grid) * curve.h_k)
+    assert np.array_equal(res, expected, equal_nan=True)
 
 
 def test_bracket_failure_when_mass_cannot_reach_target():
@@ -347,11 +367,14 @@ def test_map_gradient_matches_finite_differences(par2):
 
 
 def test_balance_residual_examples(uni1d, par2):
+    # 0.5 reads the node nearest it, y_grid[128] = 0.49999999999999994
+    assert par2.curve.nearest_nodes(0.5) == 128
     assert abs(balance_residual(uni1d.model, uni1d.curve, 0.5)) < 1e-6
     assert abs(balance_residual(par2.model, par2.curve, 0.5)) <= 0.02
-    bumped = SplitCurve.from_function(
-        par2.model.target, par2.curve.y_grid,
-        lambda y: np.interp(y, par2.curve.y_grid, par2.curve.k_plus) * 1.01)
+    bumped = replace(par2.curve, k_plus=1.01 * par2.curve.k_plus)
+    analytic = SplitCurve.from_function(uni1d.model.target, uni1d.curve.y_grid,
+                                        lambda y: y)
+    assert np.isnan(balance_residual(uni1d.model, analytic, 0.5))
     good = abs(balance_residual(par2.model, par2.curve, 0.5))
     bad = abs(balance_residual(par2.model, bumped, 0.5))
     assert bad > 5 * good
@@ -543,3 +566,52 @@ def test_k_monotonicity_recorded(par2, ball):
         par2.model.target, par2.curve.y_grid,
         lambda y: y + 0.1 * np.sin(8 * np.pi * y))
     assert not wiggly.k_nondecreasing
+
+
+@dataclass(frozen=True)
+class _PermutedQuadrature(Quadrature):
+    """A quadrature whose materialized points come out in ``order``."""
+
+    order: tuple = ()
+
+    def materialize(self, dom):
+        grid = super().materialize(dom)
+        p = np.asarray(self.order)
+        return replace(grid, points=grid.points[p], weights=grid.weights[p],
+                       boundary_adjacent=grid.boundary_adjacent[p])
+
+
+@pytest.fixture(scope="module")
+def quadrature_order_cases():
+    from nestor.nestedness import nestedness_report
+    from nestor.scenarios import build
+    cases = {}
+    for name, scenario, params in (
+            ("par2", "paraboloid-segment", {"m": 2}),
+            ("pie", "pie-slice", {"theta0": 1.2})):
+        model = build(scenario, resolution=48, **params).model
+        curve = solve_split_curve(model, n_nodes=33)
+        cases[name] = (model, curve, nestedness_report(model, curve).verdict)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["par2", "pie"])
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(data=st.data())
+def test_solve_does_not_depend_on_quadrature_order(quadrature_order_cases,
+                                                    name, data):
+    # the quadrature is a set of weighted points: listing them in another
+    # order must not move the split curve, its flags or the verdict
+    from nestor.nestedness import nestedness_report
+    model, curve, verdict = quadrature_order_cases[name]
+    order = data.draw(st.permutations(range(model.grid.n_points)))
+    quad = model.quadrature
+    permuted = Model(model.domain, model.target, model.surplus,
+                     model.densities,
+                     _PermutedQuadrature(quad.mode, quad.resolution, quad.seed,
+                                         order=tuple(order)))
+    got = solve_split_curve(permuted, n_nodes=33)
+    assert np.max(np.abs(got.k_plus - curve.k_plus)) <= 1e-12
+    assert np.array_equal(got.tangential_flags, curve.tangential_flags)
+    assert nestedness_report(permuted, got).verdict == verdict
