@@ -30,9 +30,9 @@ from .oracle import (DiscreteInstance, DiscretePlan,
 from .pseudoindex import (Rearrangement1D, detect_index_form,
                           reduce_and_solve_1d, verify_1d_ode)
 from .scenarios import Scenario, build, holder_probe, list_scenarios
-from .solver import (SplitCurve, balance_residual, map_gradient,
-                     optimal_map, pushforward_distance, solve_split_curve,
-                     source_payoff)
+from .solver import (SplitCurve, balance_residual, interpolation_error,
+                     map_gradient, optimal_map, pushforward_distance,
+                     solve_split_curve, source_payoff)
 from .surplus import SurplusBundle, arc_surplus, bilinear_surplus, \
     polynomial_surplus
 

@@ -80,7 +80,7 @@ def validate_config(config: dict) -> dict:
     tol.update(config.get("tolerances", {}))
     merged["tolerances"] = tol
     merged.setdefault("seed", 0)
-    merged.setdefault("y_nodes", 257)
+    merged.setdefault("y_nodes", 65)
     merged.setdefault("map_samples", 500)
     merged.setdefault("require_nested", False)
     merged.setdefault("dump_levels", [])
@@ -292,6 +292,7 @@ def run(config: dict, out_dir: str = None) -> int:
     timings["solve_split_curve_s"] = time.perf_counter() - t0
     v_vals = curve.v_values
     summary["k_nondecreasing"] = curve.k_nondecreasing
+    summary["interpolation_error"] = sv.interpolation_error(curve)
 
     # per-node diagnostics for curve.csv come from the solve's own samples;
     # an empty level set leaves its cell NaN

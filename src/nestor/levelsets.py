@@ -367,7 +367,9 @@ def _contour_segments(model: Model, y: float, k: float):
         outside_pt = np.where(in_p[mixed_mask][:, None], seg[:, 1, :], seg[:, 0, :])
         a = np.zeros(seg.shape[0])
         b = np.ones(seg.shape[0])
-        for _ in range(40):
+        # a segment spans at most a cell diagonal, so 24 halvings put the
+        # cut within 2^-24 (6e-8) of a cell diagonal of the boundary
+        for _ in range(24):
             mid = 0.5 * (a + b)
             x = inside_pt + mid[:, None] * (outside_pt - inside_pt)
             ok = model.domain.contains(x)

@@ -85,13 +85,15 @@ def _jsonable(obj):
 def check_sublevel_monotonicity(
         model: Model, curve: SplitCurve,
         y_pairs: Optional[list] = None) -> CriterionResult:
-    """For sampled y < y', every quadrature point of X_<=(y, k(y)) must lie
+    """For sampled y < y' (by default all pairs of 13 nodes spread evenly
+    over the grid), every quadrature point of X_<=(y, k(y)) must lie
     strictly inside X_<(y', k(y')).  A point violates when
     s_y(x, y') - k(y') exceeds the margin tolerance, 1e-3 of the spread of
     s_y(., y') (it absorbs one cell of discretization jitter); the 20
     worst violations are kept.  s_y is evaluated once per distinct level."""
     if y_pairs is None:
-        levels = curve.y_grid[:: max(1, curve.y_grid.size // 12)]
+        n = curve.y_grid.size
+        levels = curve.y_grid[np.unique(np.linspace(0, n - 1, 13).astype(int))]
         y_pairs = [(float(a), float(b))
                    for i, a in enumerate(levels) for b in levels[i + 1:]]
     sy = {y: np.asarray(model.surplus.s_y(model.grid.points, y), dtype=float)
@@ -158,12 +160,11 @@ def dynamic_criterion(model: Model, curve: SplitCurve) -> CriterionResult:
     with the speed resolution of the grid (one cell of s_yy variation):
     deficits below it are not distinguishable from sampling error.
     """
-    idx = np.arange(curve.y_grid.size)[:: max(1, curve.y_grid.size // 41)]
     tol = max(1e-4 * (1.0 + float(np.max(np.abs(curve.kprime)))),
               _speed_resolution_floor(model))
-    tangential = curve.tangential_flags[idx]
-    empty = ~tangential & np.isnan(curve.syy_max[idx])
-    idx = idx[~tangential & ~empty]
+    tangential = curve.tangential_flags
+    empty = ~tangential & np.isnan(curve.syy_max)
+    idx = np.flatnonzero(~tangential & ~empty)
     lo = curve.kprime[idx] - curve.syy_max[idx]
     hi = curve.kprime[idx] - curve.syy_min[idx]
     per_node = list(zip(curve.y_grid[idx].tolist(), lo.tolist(), hi.tolist()))
@@ -234,15 +235,13 @@ def unique_splitting_check(model: Model,
 # ---------------------------------------------------------------------------
 
 def _node_indices(curve: SplitCurve, y_nodes, candidates: np.ndarray):
-    """Every (size // 41)-th candidate node, or the nodes nearest y_nodes."""
-    if y_nodes is None:
-        return candidates[:: max(1, candidates.size // 41)]
-    return curve.nearest_nodes(y_nodes)
+    """Every candidate node, or the nodes nearest y_nodes."""
+    return candidates if y_nodes is None else curve.nearest_nodes(y_nodes)
 
 
 def transversality_diagnostic(model: Model, curve: SplitCurve,
                               y_nodes: Optional[np.ndarray] = None) -> float:
-    """Least stored transversality 1 - (n_X . n_levelset)^2 over sampled
+    """Least stored transversality 1 - (n_X . n_levelset)^2 over all
     nodes (explicit y_nodes snap to the nearest node), 1.0 when none has a
     boundary-adjacent sample; values near 0 flag tangential intersections
     with the domain boundary."""
@@ -256,16 +255,14 @@ def transversality_diagnostic(model: Model, curve: SplitCurve,
 
 def speed_limit(model: Model, curve: SplitCurve,
                 region_y: Optional[tuple] = None) -> float:
-    """ell = min over sampled nodes (within region_y) and level-set samples
+    """ell = min over the nodes (within region_y) and level-set samples
     of k' - s_yy, i.e. of kprime - syy_max over the nodes whose level set
     is not empty (+inf when none is); ell > 0 bounds the Lipschitz
     constant of the map by sup|grad_x s_y| / ell."""
-    idx = np.arange(curve.y_grid.size)
+    speeds = curve.kprime - curve.syy_max
     if region_y is not None:
         lo, hi = region_y
-        idx = idx[(curve.y_grid >= lo) & (curve.y_grid <= hi)]
-    idx = idx[:: max(1, idx.size // 64)]
-    speeds = curve.kprime[idx] - curve.syy_max[idx]
+        speeds = speeds[(curve.y_grid >= lo) & (curve.y_grid <= hi)]
     speeds = speeds[~np.isnan(speeds)]
     return float(np.min(speeds)) if speeds.size else float(np.inf)
 
@@ -274,7 +271,7 @@ def kprime_bound_gap(model: Model, curve: SplitCurve,
                      y_nodes: Optional[np.ndarray] = None):
     """Evaluate the a.e. bound
         |k'(y)| <= sup|s_yy| + g(y) sup|grad_x s_y / f| / A(y)
-    at sampled non-tangential nodes (explicit y_nodes snap to the nearest
+    at the non-tangential nodes (explicit y_nodes snap to the nearest
     node), with A the curve's own band area; returns (|k'| values, bound
     values), the bound NaN where that band sample is empty."""
     idx = _node_indices(curve, y_nodes, np.flatnonzero(~curve.tangential_flags))

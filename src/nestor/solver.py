@@ -144,12 +144,22 @@ class SplitCurve:
         return bool(np.all(np.diff(self.k_plus) >= -1e-12))
 
 
+def interpolation_error(curve: SplitCurve) -> float:
+    """Largest |k(y_i) - P_i(y_i)| over the interior nodes i, with P_i the
+    PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) through the
+    other nodes: how far the interpolant strays between nodes."""
+    y, k = curve.y_grid, curve.k_plus
+    return max(abs(float(k[i] - PchipInterpolator(np.delete(y, i),
+                                                  np.delete(k, i))(y[i])))
+               for i in range(1, y.size - 1))
+
+
 # ---------------------------------------------------------------------------
 # split-curve solve
 # ---------------------------------------------------------------------------
 
 def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
-                      tol_mass: float = 1e-6, n_nodes: int = 257) -> SplitCurve:
+                      tol_mass: float = 1e-6, n_nodes: int = 65) -> SplitCurve:
     """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
     k_minus and k_plus are the edges of {k : |h(y, k)| <= tol_mass},

@@ -45,13 +45,31 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     lines = (tmp_path / "curve.csv").read_text().splitlines()
     assert lines[0].split(",") == ["y", "k", "kprime", "v", "area",
                                    "balance_residual", "tangential"]
-    assert len(lines) == 1 + 257  # default node count
+    assert len(lines) == 1 + 65  # default node count
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["nestedness_verdict"] == "nested"
     assert summary["nondegeneracy"]["passed"] is True
     assert "tol_mass" in summary["tolerances"]
     assert "timings_seconds" not in summary
     assert "map_gradient_error" not in summary
+
+
+def test_default_nodes_keep_the_paraboloid_accuracy(tmp_path):
+    # the default 65 nodes lose nothing against 257: err_k and err_map sit
+    # at the quadrature's floor, and the balance residual stays below the
+    # 257-node run's 0.01629
+    assert run_main(["solve", "paraboloid-segment", "--out", str(tmp_path)]) == 0
+    curve = np.loadtxt(tmp_path / "curve.csv", delimiter=",", skiprows=1)
+    maps = np.loadtxt(tmp_path / "map.csv", delimiter=",", skiprows=1)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    y, k = curve[:, 0], curve[:, 1]
+    inner = (y >= 0.02) & (y <= 0.98)
+    assert y.size == summary["y_nodes"] == 65
+    assert np.max(np.abs(k - y ** (2 / 3))[inner]) <= 2.5e-4
+    assert np.max(np.abs(maps[:, 2] - maps[:, 0] ** 1.5)) <= 1.5e-4
+    assert summary["balance_residual_max"] <= 0.01629
+    assert np.isfinite(summary["interpolation_error"])
+    assert summary["nestedness_verdict"] == "nested"
 
 
 def test_require_nested_exit_code(tmp_path):
@@ -207,9 +225,10 @@ def test_empty_level_sets_are_counted_per_column(tmp_path):
                      "--resolution", "96", "--out", str(tmp_path)]) == 0
     rows = np.genfromtxt(tmp_path / "curve.csv", delimiter=",", names=True)
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["empty_level_sets"] == {"area": 0, "balance_residual": 12}
+    # two of the 65 default nodes (twelve of 257)
+    assert summary["empty_level_sets"] == {"area": 0, "balance_residual": 2}
     assert np.all(np.isfinite(rows["area"]))
-    assert int(np.sum(np.isnan(rows["balance_residual"]))) == 12
+    assert int(np.sum(np.isnan(rows["balance_residual"]))) == 2
     assert isinstance(summary["balance_residual_max"], float)
 
 

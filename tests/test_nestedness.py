@@ -46,8 +46,7 @@ def test_dynamic_criterion_skip_reasons(par2, pie_wide):
     for solved in (par2, pie_wide):
         c = solved.curve
         details = dynamic_criterion(solved.model, c).details
-        idx = np.arange(c.y_grid.size)[:: max(1, c.y_grid.size // 41)]
-        assert details["skipped_tangential"] == int(np.sum(c.tangential_flags[idx]))
+        assert details["skipped_tangential"] == int(np.sum(c.tangential_flags))
         assert details["skipped_tangential"] > 0
         assert details["skipped_empty"] == 0  # the solve flags empty sets
         assert details["skipped"] == details["skipped_tangential"]
@@ -57,7 +56,8 @@ def test_dynamic_criterion_skip_reasons(par2, pie_wide):
     res = dynamic_criterion(par2.model, analytic)
     assert res.status == "indeterminate"
     assert res.details["skipped_tangential"] == 0
-    assert res.details["skipped_empty"] == res.details["skipped"] == 43
+    assert res.details["skipped_empty"] == res.details["skipped"] \
+        == par2.curve.y_grid.size
 
 
 def _resampled_speed_stats(model, curve, i):
@@ -70,14 +70,19 @@ def _resampled_speed_stats(model, curve, i):
 
 
 def test_speed_criteria_match_resampled_reference(par2, pie_wide, ball, uni1d):
+    # both criteria read every node
     for solved in (par2, pie_wide, ball, uni1d):
         model, c = solved.model, solved.curve
+        stats = {}
+        for i in range(c.y_grid.size):
+            try:
+                stats[i] = _resampled_speed_stats(model, c, i)
+            except EmptyBand:
+                continue
         dyn = dynamic_criterion(model, c)
         per_node, witnesses = [], []
-        for i in np.arange(c.y_grid.size)[:: max(1, c.y_grid.size // 41)]:
-            if c.tangential_flags[i]:
-                continue
-            lo, hi, x_min = _resampled_speed_stats(model, c, i)
+        for i in np.flatnonzero(~c.tangential_flags):
+            lo, hi, x_min = stats[i]
             per_node.append((float(c.y_grid[i]), lo, hi))
             if lo < -dyn.details["tol"]:
                 witnesses.append((float(c.y_grid[i]), lo, x_min))
@@ -87,15 +92,9 @@ def test_speed_criteria_match_resampled_reference(par2, pie_wide, ball, uni1d):
             assert got[:2] == ref[:2] and np.array_equal(got[2], ref[2])
 
         for region in (None, (0.1, 1.0)):
-            idx = np.arange(c.y_grid.size)
-            if region is not None:
-                idx = idx[(c.y_grid >= region[0]) & (c.y_grid <= region[1])]
-            best = np.inf
-            for i in idx[:: max(1, idx.size // 64)]:
-                try:
-                    best = min(best, _resampled_speed_stats(model, c, i)[0])
-                except EmptyBand:
-                    continue
+            lo_y, hi_y = region or (-np.inf, np.inf)
+            best = min((lo for i, (lo, _, _) in stats.items()
+                        if lo_y <= c.y_grid[i] <= hi_y), default=np.inf)
             assert speed_limit(model, c, region_y=region) == best
 
 
@@ -233,11 +232,10 @@ def test_kprime_bound(par2):
     assert np.all(lhs <= rhs * 1.1)
 
 
-def _kprime_bound_resampled(model, curve):
-    """The k' bound with A(y) from a fresh band sample at every node."""
-    keep = ~curve.tangential_flags
+def _kprime_bound_resampled(model, curve, y_nodes):
+    """The k' bound with A(y) from a fresh band sample at each node."""
     lhs, rhs = [], []
-    for y in curve.y_grid[keep][:: max(1, int(np.sum(keep)) // 41)]:
+    for y in y_nodes:
         y = float(y)
         sl = model.slice_at(y)
         i = int(np.argmin(np.abs(curve.y_grid - y)))
@@ -250,21 +248,24 @@ def _kprime_bound_resampled(model, curve):
 
 @pytest.mark.parametrize("name", ["par2", "par3"])
 def test_kprime_bound_reads_the_curve_area(name, request, monkeypatch):
-    # the bound takes no level-set sample and matches a per-node resample
-    # bit for bit; explicit nodes snap to the nearest grid node
+    # the bound reads every non-tangential node, takes no level-set sample
+    # and matches a per-node resample bit for bit (checked on every 10th);
+    # explicit nodes snap to the nearest grid node
     solved = request.getfixturevalue(name)
     model, curve = solved.model, solved.curve
-    ref_lhs, ref_rhs = _kprime_bound_resampled(model, curve)
+    nodes = curve.y_grid[~curve.tangential_flags][:: 10]
+    ref = _kprime_bound_resampled(model, curve, nodes)
 
     def no_sample(*args, **kwargs):
         raise AssertionError("kprime_bound_gap sampled a level set")
 
     monkeypatch.setattr(levelsets, "level_set", no_sample)
     lhs, rhs = kprime_bound_gap(model, curve)
-    assert np.array_equal(lhs, ref_lhs) and np.array_equal(rhs, ref_rhs)
-    nodes = curve.y_grid[~curve.tangential_flags][:: 10]
-    snapped = kprime_bound_gap(model, curve, y_nodes=nodes + 1e-9)
+    assert lhs.size == rhs.size == int(np.sum(~curve.tangential_flags))
     exact = kprime_bound_gap(model, curve, y_nodes=nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(exact, ref))
+    assert np.array_equal(lhs[:: 10], ref[0]) and np.array_equal(rhs[:: 10], ref[1])
+    snapped = kprime_bound_gap(model, curve, y_nodes=nodes + 1e-9)
     assert all(np.array_equal(a, b) for a, b in zip(snapped, exact))
     assert snapped[0].size == nodes.size
 

@@ -13,8 +13,8 @@ from nestor.geometry import Quadrature, TargetInterval, interval_domain
 from nestor.levelsets import (grad_h, level_set, sublevel_levels,
                               sublevel_mass, surface_integral)
 from nestor.model import Model, target_cdf
-from nestor.solver import (SplitCurve, balance_residual, map_gradient,
-                           optimal_map, pushforward_distance,
+from nestor.solver import (SplitCurve, balance_residual, interpolation_error,
+                           map_gradient, optimal_map, pushforward_distance,
                            solve_split_curve, source_payoff)
 from nestor.surplus import bilinear_surplus
 
@@ -378,6 +378,19 @@ def test_balance_residual_examples(uni1d, par2):
     good = abs(balance_residual(par2.model, par2.curve, 0.5))
     bad = abs(balance_residual(par2.model, bumped, 0.5))
     assert bad > 5 * good
+
+
+def test_interpolation_error(par2):
+    y = par2.model.target.interior_grid(65)
+    line = SplitCurve.from_function(par2.model.target, y, lambda t: 2 * t - 1)
+    assert interpolation_error(line) <= 1e-12
+    # a node bumped off the line sits 1e-3 from the PCHIP of the others
+    bump = np.where(np.arange(y.size) == 10, 1e-3, 0.0)
+    bumped = SplitCurve.from_function(par2.model.target, y,
+                                      lambda t: 2 * t - 1 + bump)
+    assert interpolation_error(bumped) >= 1e-3 - 1e-12
+    err = interpolation_error(par2.curve)
+    assert np.isfinite(err) and err <= 5e-3  # the err_k tolerance
 
 
 @pytest.mark.parametrize("f_vals, expected", [
