@@ -88,7 +88,9 @@ def cumulative_mass(sy: np.ndarray, mass: np.ndarray):
 def _mass_knots(model: Model, sl: SurplusSlice):
     """Knots (k_j, M_j) of the sublevel mass M(k): M is linear between
     consecutive knots, 0 before the first and the total after the last;
-    two knots at one k make a jump (the binary indicator)."""
+    two knots at one k make a jump (the binary indicator).  On tensor grids
+    M_j is the raw running sum, which rounding can dip below an earlier
+    value; ``_invert_knots`` reads it as its running maximum."""
     if sl.span is None:
         sy, cum = cumulative_mass(sl.sy, model.point_mass)
         return np.repeat(sy, 2), np.repeat(cum, 2)[1:-1]
@@ -98,20 +100,29 @@ def _mass_knots(model: Model, sl: SurplusSlice):
     order = np.argsort(knots, kind="stable")
     knots = knots[order]
     rate = np.cumsum(np.concatenate([slope, -slope])[order])
-    mass = np.concatenate([[0.0], np.cumsum(rate[:-1] * np.diff(knots))])
-    return knots, np.maximum.accumulate(mass)
+    return knots, np.concatenate([[0.0], np.cumsum(rate[:-1] * np.diff(knots))])
 
 
 def _invert_knots(knots, mass, target: float, side: str) -> float:
     """Smallest k with M(k) >= target (side "left") or largest k with
-    M(k) <= target (side "right"); +-inf when no knot bounds it."""
-    j = int(np.searchsorted(mass, target, side))
-    if j in (0, mass.size):
-        return -np.inf if j == 0 else np.inf
+    M(k) <= target (side "right"), M read as the running maximum of the
+    knot masses; +-inf when no knot bounds it.
+
+    The first knot whose raw mass reaches the target (>= on the left, > on
+    the right) is where the running maximum first does, i.e. its
+    searchsorted index; there the running maximum is the raw mass, and at
+    the knot before it the maximum of the masses before."""
+    hit = mass >= target if side == "left" else mass > target
+    j = int(np.argmax(hit))
+    if not hit[j]:
+        return np.inf
+    if j == 0:
+        return -np.inf
     a, b = knots[j - 1], knots[j]
     if a == b and side == "right":  # a jump: M(a) already exceeds target
         return float(np.nextafter(a, -np.inf))
-    return float(a + (target - mass[j - 1]) / (mass[j] - mass[j - 1]) * (b - a))
+    m_a = np.max(mass[:j])
+    return float(a + (target - m_a) / (mass[j] - m_a) * (b - a))
 
 
 def sublevel_levels(model: Model, y: float, lo_mass: float, hi_mass: float):

@@ -148,7 +148,12 @@ class Model:
         pts = self.grid.points
         sy = np.asarray(self.surplus.s_y(pts, key), dtype=float)
         grad = np.asarray(self.surplus.grad_x_s_y(pts, key), dtype=float)
-        gnorm = np.linalg.norm(grad, axis=1)
+        # |grad| as np.linalg.norm(grad, axis=1) gives it (its row sums run
+        # in axis order for m < 8), without its strided short-row reduction
+        sq = grad[:, 0] * grad[:, 0]
+        for c in range(1, grad.shape[1]):
+            sq += grad[:, c] * grad[:, c]
+        gnorm = np.sqrt(sq)
         syy = np.asarray(self.surplus.s_yy(pts, key), dtype=float)
         span = None if self.grid.spacing is None \
             else np.maximum(np.abs(grad) @ self.grid.spacing, 1e-30)

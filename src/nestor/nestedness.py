@@ -256,13 +256,16 @@ def transversality_diagnostic(model: Model, curve: SplitCurve,
 def speed_limit(model: Model, curve: SplitCurve,
                 region_y: Optional[tuple] = None) -> float:
     """ell = min over the nodes (within region_y) and level-set samples
-    of k' - s_yy, i.e. of kprime - syy_max over the nodes whose level set
-    is not empty (+inf when none is); ell > 0 bounds the Lipschitz
-    constant of the map by sup|grad_x s_y| / ell."""
-    speeds = curve.kprime - curve.syy_max
+    of k' - s_yy, i.e. of kprime - syy_max over the non-tangential nodes
+    whose level set is not empty (+inf when none is); ell > 0 bounds the
+    Lipschitz constant of the map by sup|grad_x s_y| / ell.  Tangential
+    nodes are skipped, as by ``dynamic_criterion``: their kprime is a
+    difference quotient, not -h_y/h_k."""
+    keep = ~curve.tangential_flags
     if region_y is not None:
         lo, hi = region_y
-        speeds = speeds[(curve.y_grid >= lo) & (curve.y_grid <= hi)]
+        keep &= (curve.y_grid >= lo) & (curve.y_grid <= hi)
+    speeds = curve.kprime[keep] - curve.syy_max[keep]
     speeds = speeds[~np.isnan(speeds)]
     return float(np.min(speeds)) if speeds.size else float(np.inf)
 

@@ -28,7 +28,8 @@ from .model import Model, target_cdf
 
 logger = logging.getLogger(__name__)
 _ROOT_ITERS = 60  # Newton step cap; plain bisection needs about 30 steps
-_CHUNK = 8192  # rows per block of the node-grid scans
+_CHUNK = 8192  # rows per block of the node scans, which stream over the
+               # nodes and keep a few running values per row
 
 
 @dataclass
@@ -248,41 +249,17 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
 # map evaluation
 # ---------------------------------------------------------------------------
 
-def _surplus_matrix(evaluate: Callable, x: np.ndarray, ys: np.ndarray,
-                    shift: np.ndarray) -> np.ndarray:
-    """evaluate(x_i, y_j) - shift_j per row i and node j: s - v or s_y - k."""
-    out = np.empty((x.shape[0], ys.size))
-    for j, yj in enumerate(ys):
-        out[:, j] = evaluate(x, float(yj)) - shift[j]
-    return out
-
-
-def _bracket_roots(phi: np.ndarray):
-    """First downcrossing bracket per row of a sampled function.
-
-    Returns (index array, has_bracket, all_positive) where index j means a
-    sign change between columns j and j+1; downcrossings (+ to -) win over
-    upcrossings because the correct matching root always crosses downward.
-    """
-    pos = phi > 0
-    down = pos[:, :-1] & ~pos[:, 1:]
-    anyc = pos[:, :-1] != pos[:, 1:]
-    has_down = down.any(axis=1)
-    has_any = anyc.any(axis=1)
-    idx = np.where(has_down, np.argmax(down, axis=1), np.argmax(anyc, axis=1))
-    all_positive = pos.all(axis=1)
-    return idx, has_any, all_positive
-
-
 def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray,
                 method: str = "by-level"):
     """Map source points to targets.
 
-    by-level roots phi(y) = s_y(x, y) - k(y) on the curve grid;
-    by-splitting roots psi(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y),
-    scanned on 65 uniform nodes, raising NonNested when psi changes sign
-    more than once.  Points beyond the extreme level sets clamp to the
-    interval ends.  Roots are resolved to 1e-8 of the target length.
+    by-level roots phi(y) = s_y(x, y) - k(y) on the curve grid, bracketed
+    by one streamed pass over the nodes per block of points (no points x
+    nodes matrix is kept); by-splitting roots
+    psi(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y), scanned on 65 uniform
+    nodes, raising NonNested when psi changes sign more than once.  Points
+    beyond the extreme level sets clamp to the interval ends.  Roots are
+    resolved to 1e-8 of the target length.
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -334,17 +311,42 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
 
 def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
                   y_tol: float) -> np.ndarray:
+    """Bracket phi = s_y - k on the curve grid and root it per row.
+
+    The nodes are walked from last to first, keeping per row the bracket
+    [y_j, y_j+1] of the first downcrossing of phi (+ to -), else of its
+    first sign change, with phi at both ends: the correct matching root
+    always crosses downward, and the smallest j is written last.  Rows with
+    no sign change clamp to y_hi when phi > 0 at every node, else y_lo."""
     out = np.empty(x.shape[0])
-    ys = curve.y_grid
+    ys, k = curve.y_grid, curve.k_plus
     for start in range(0, x.shape[0], _CHUNK):
         xb = x[start:start + _CHUNK]
-        phi = _surplus_matrix(model.surplus.s_y, xb, ys, curve.k_plus)
-        idx, has_any, all_pos = _bracket_roots(phi)
+        n = xb.shape[0]
+        idx = np.zeros(n, dtype=np.intp)
+        fa, fb = np.empty(n), np.empty(n)
+        has_down, has_any = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        right = model.surplus.s_y(xb, float(ys[-1])) - k[-1]
+        pos_right = right > 0
+        all_pos = pos_right.copy()
+        for j in range(ys.size - 2, -1, -1):
+            left = model.surplus.s_y(xb, float(ys[j])) - k[j]
+            pos_left = left > 0
+            cross = pos_left != pos_right
+            down = cross & pos_left
+            take = down | (cross & ~has_down)
+            np.copyto(idx, j, where=take)
+            np.copyto(fa, left, where=take)
+            np.copyto(fb, right, where=take)
+            has_down |= down
+            has_any |= cross
+            all_pos &= pos_left
+            right, pos_right = left, pos_left
         out[start:start + _CHUNK] = np.where(all_pos, curve.y_hi, curve.y_lo)
         rows = np.nonzero(has_any)[0]
         j = idx[rows]
         out[start + rows] = _level_root(model, curve, xb[rows], ys[j], ys[j + 1],
-                                        phi[rows, j], phi[rows, j + 1], y_tol)
+                                        fa[rows], fb[rows], y_tol)
     return out
 
 
@@ -456,20 +458,30 @@ def _map_by_splitting(model: Model, curve: SplitCurve, x: np.ndarray,
 def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
     """u(x) = sup_y s(x, y) - v(y); returns (u, argmax_y) arrays.
 
-    The curve-grid node maximizing s - v guards the sup.  Where s_y - k
-    changes sign between its neighbours (interval ends past the end nodes)
-    the map's Newton solve roots it; u is the best of that root, the node
-    and the two neighbours."""
+    The curve-grid node maximizing s - v (the first on ties), found by one
+    streamed pass over the nodes per block of points, guards the sup.
+    Where s_y - k changes sign between its neighbours (interval ends past
+    the end nodes) the map's Newton solve roots it; u is the best of that
+    root, the node and the two neighbours."""
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
     ends = np.concatenate([[curve.y_lo], curve.y_grid, [curve.y_hi]])
     y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
     u_val, y_star = np.empty(x.shape[0]), np.empty(x.shape[0])
+    ys, v = curve.y_grid, curve.v_values
     for start in range(0, x.shape[0], _CHUNK):
         xb = x[start:start + _CHUNK]
         cols = np.arange(xb.shape[0])
-        vals = _surplus_matrix(model.surplus.s, xb, curve.y_grid, curve.v_values)
-        best = np.argmax(vals, axis=1)
+        # running best s - v over the nodes; the strict > keeps the first
+        # (selects and arithmetic, not masked copies, whose random masks
+        # stall the branch predictor)
+        best_val = model.surplus.s(xb, float(ys[0])) - v[0]
+        best = np.zeros(xb.shape[0], dtype=np.intp)
+        for j in range(1, ys.size):
+            val = model.surplus.s(xb, float(ys[j])) - v[j]
+            better = val > best_val
+            best_val = np.where(better, val, best_val)
+            best += better * (j - best)
         a, node, b = ends[best], ends[best + 1], ends[best + 2]
         fa, fb = (model.surplus.s_y(xb, e) - curve.k_at(e) for e in (a, b))
         # candidates: the root where phi changes sign (else the node), the
@@ -480,7 +492,7 @@ def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
                                       fa[rows], fb[rows], y_tol)
         cand_u = (model.surplus.s(np.tile(xb, (4, 1)), cand_y.ravel())
                   - curve.v_at(cand_y.ravel())).reshape(4, -1)
-        cand_u[1] = vals[cols, best]
+        cand_u[1] = best_val
         pick = np.argmax(cand_u, axis=0)
         u_val[start:start + _CHUNK] = cand_u[pick, cols]
         y_star[start:start + _CHUNK] = cand_y[pick, cols]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nestor.errors import EmptyBand
 from nestor.geometry import (Quadrature, TargetInterval, annulus_domain,
                              box_domain, interval_domain, paraboloid_domain)
+from nestor import levelsets
 from nestor.levelsets import (grad_h, is_tangential, level_set,
                               sublevel_levels, sublevel_mass, surface_integral)
 from nestor.model import Model, target_cdf
@@ -116,6 +117,54 @@ def test_sublevel_levels_invert_the_mass(request, name, y, a, b):
                         sl.sy.max() + sl.span.max(), 257)]))
         assert np.all(np.diff(sublevel_mass(model, y, ks)) >= -1e-12)
         assert lower <= upper
+
+
+def _invert_running_max(knots, mass, target, side):
+    """Reference inversion: searchsorted on the running maximum of the
+    knot masses."""
+    mass = np.maximum.accumulate(mass)
+    j = int(np.searchsorted(mass, target, side))
+    if j in (0, mass.size):
+        return -np.inf if j == 0 else np.inf
+    a, b = knots[j - 1], knots[j]
+    if a == b and side == "right":
+        return float(np.nextafter(a, -np.inf))
+    return float(a + (target - mass[j - 1]) / (mass[j] - mass[j - 1]) * (b - a))
+
+
+@pytest.mark.parametrize("name", ["seg1d", "bowl", "cube", "disk", "square_mc"])
+def test_sublevel_levels_match_running_max_reference(request, name):
+    # tensor grids in 1, 2 and 3 dimensions, and a Monte Carlo grid, whose
+    # binary sublevel mass makes every knot a jump
+    model = request.getfixturevalue(name)
+    total = float(np.sum(model.point_mass))
+    rng = np.random.default_rng(5)
+    lo_t, hi_t = model.target.y_lo, model.target.y_hi
+    for y in lo_t + (hi_t - lo_t) * np.array([0.0, 0.13, 0.5, 0.91, 1.0]):
+        knots, mass = levelsets._mass_knots(model, model.slice_at(float(y)))
+        targets = np.concatenate([[0.0, total, np.nextafter(total, 0.0)],
+                                  mass[rng.integers(0, mass.size, 8)],
+                                  total * rng.random(8)])
+        for lo in targets:
+            for hi in targets[targets >= lo][:4]:
+                assert sublevel_levels(model, float(y), lo, hi) == (
+                    _invert_running_max(knots, mass, lo, "left"),
+                    _invert_running_max(knots, mass, hi, "right"))
+
+
+def test_invert_knots_reads_through_a_rounding_dip():
+    # knot 3 dips one ulp below knot 2, as a running sum can by rounding;
+    # knots 4 and 5 sit at one k (a jump)
+    knots = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 4.0, 5.0])
+    mass = np.array([0.0, 0.3, 0.5, np.nextafter(0.5, 0.0), 0.7, 0.9, 1.0])
+    assert np.any(np.diff(mass) < 0)
+    values = np.concatenate([mass, [-1.0, 0.1, 0.4, 0.6, 0.8, 0.95, 2.0]])
+    targets = np.concatenate([values, np.nextafter(values, -np.inf),
+                              np.nextafter(values, np.inf)])
+    for target in targets:
+        for side in ("left", "right"):
+            assert levelsets._invert_knots(knots, mass, target, side) == \
+                _invert_running_max(knots, mass, target, side), (target, side)
 
 
 def split_function(model, y, k):

@@ -101,6 +101,22 @@ def test_determinism_bitwise():
     assert ca.min_grad_norm == cb.min_grad_norm
 
 
+@pytest.mark.parametrize("dim, quadrature", [
+    (1, Quadrature("tensor", 512)), (2, Quadrature("tensor", 96)),
+    (3, Quadrature("tensor", 24)), (4, Quadrature("monte-carlo", 20_000, seed=2)),
+])
+def test_slice_gradient_norm_matches_linalg_norm(dim, quadrature):
+    # a surplus whose x-gradient varies from point to point in every axis
+    terms = [(1.0, (1,) + (0,) * (dim - 1), 1)]
+    terms += [(0.3 + 0.2 * j, tuple(2 if i == j else 0 for i in range(dim)), 2)
+              for j in range(dim)]
+    model = Model(box_domain([0] * dim, [1] * dim), TargetInterval(0, 1),
+                  polynomial_surplus(terms, dim), quadrature=quadrature)
+    for y in (0.2, 0.7):
+        sl = model.slice_at(y)
+        assert np.array_equal(sl.gnorm, np.linalg.norm(sl.grad, axis=1))
+
+
 def test_density_positivity_enforced():
     with pytest.raises(ValueError):
         Model(interval_domain(), TargetInterval(0, 1), bilinear_surplus([1.0]),

@@ -91,10 +91,12 @@ def test_speed_criteria_match_resampled_reference(par2, pie_wide, ball, uni1d):
         for got, ref in zip(dyn.witnesses, witnesses):
             assert got[:2] == ref[:2] and np.array_equal(got[2], ref[2])
 
+        # the speed limit, like the dynamic criterion, skips tangential nodes
         for region in (None, (0.1, 1.0)):
             lo_y, hi_y = region or (-np.inf, np.inf)
             best = min((lo for i, (lo, _, _) in stats.items()
-                        if lo_y <= c.y_grid[i] <= hi_y), default=np.inf)
+                        if lo_y <= c.y_grid[i] <= hi_y
+                        and not c.tangential_flags[i]), default=np.inf)
             assert speed_limit(model, c, region_y=region) == best
 
 
@@ -208,6 +210,21 @@ def test_speed_limit(par2, uni1d, pie_wide):
     assert abs(ell - 2.0 / 3.0) <= 2e-2
     assert abs(speed_limit(uni1d.model, uni1d.curve) - 1.0) < 1e-3
     assert speed_limit(pie_wide.model, pie_wide.curve) < 0.0
+
+
+def test_speed_limit_skips_tangential_nodes():
+    # pie-slice theta0 = 1.2: the tangential node at y = 1.0949 carries a
+    # difference-quotient k' and reads -0.00319; the clean nodes' least
+    # k' - s_yy is -0.00024
+    from nestor import scenarios
+    model = scenarios.build("pie-slice", theta0=1.2, resolution=96).model
+    curve = solve_split_curve(model, n_nodes=257)
+    speeds = curve.kprime - curve.syy_max
+    clean = ~curve.tangential_flags & ~np.isnan(speeds)
+    ell = speed_limit(model, curve)
+    assert ell == np.min(speeds[clean])
+    assert ell == pytest.approx(-2.3733e-4, abs=1e-8)
+    assert np.nanmin(speeds) == pytest.approx(-3.19e-3, abs=1e-5)
 
 
 def test_lipschitz_bound_realized(par2):

@@ -262,6 +262,132 @@ def test_root_solve_map_and_payoff(request, name, seed, n):
     assert np.max(np.abs(u - on_graph)) <= 1e-12 * model.surplus_scale
 
 
+def _dense_scans(model, curve, x):
+    """Reference by-level map and source payoff with the points x nodes
+    matrices the streamed scans replace: the first downcrossing bracket
+    (else the first sign change) of the sampled phi = s_y - k, and
+    np.argmax of the sampled s - v, in the same row blocks and with the
+    same root and candidate arithmetic."""
+    def matrix(evaluate, xb, shift):
+        out = np.empty((xb.shape[0], curve.y_grid.size))
+        for j, yj in enumerate(curve.y_grid):
+            out[:, j] = evaluate(xb, float(yj)) - shift[j]
+        return out
+
+    ys, chunk = curve.y_grid, solver._CHUNK
+    y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
+    ends = np.concatenate([[curve.y_lo], ys, [curve.y_hi]])
+    f_val, u_val, y_star = (np.empty(x.shape[0]) for _ in range(3))
+    for start in range(0, x.shape[0], chunk):
+        xb = x[start:start + chunk]
+        phi = matrix(model.surplus.s_y, xb, curve.k_plus)
+        pos = phi > 0
+        down = pos[:, :-1] & ~pos[:, 1:]
+        anyc = pos[:, :-1] != pos[:, 1:]
+        idx = np.where(down.any(axis=1), np.argmax(down, axis=1),
+                       np.argmax(anyc, axis=1))
+        f_val[start:start + chunk] = np.where(pos.all(axis=1), curve.y_hi,
+                                              curve.y_lo)
+        rows = np.nonzero(anyc.any(axis=1))[0]
+        j = idx[rows]
+        f_val[start + rows] = solver._level_root(
+            model, curve, xb[rows], ys[j], ys[j + 1], phi[rows, j],
+            phi[rows, j + 1], y_tol)
+
+        cols = np.arange(xb.shape[0])
+        vals = matrix(model.surplus.s, xb, curve.v_values)
+        best = np.argmax(vals, axis=1)
+        a, node, b = ends[best], ends[best + 1], ends[best + 2]
+        fa, fb = (model.surplus.s_y(xb, e) - curve.k_at(e) for e in (a, b))
+        cand_y = np.stack([node, node, a, b])
+        rows = np.nonzero((fa > 0) != (fb > 0))[0]
+        cand_y[0, rows] = solver._level_root(model, curve, xb[rows], a[rows],
+                                             b[rows], fa[rows], fb[rows], y_tol)
+        cand_u = (model.surplus.s(np.tile(xb, (4, 1)), cand_y.ravel())
+                  - curve.v_at(cand_y.ravel())).reshape(4, -1)
+        cand_u[1] = vals[cols, best]
+        pick = np.argmax(cand_u, axis=0)
+        u_val[start:start + chunk] = cand_u[pick, cols]
+        y_star[start:start + chunk] = cand_y[pick, cols]
+    return f_val, u_val, y_star
+
+
+def _row_kinds(model, curve, x):
+    """Which sign patterns the rows of phi = s_y - k show on the nodes."""
+    phi = np.stack([model.surplus.s_y(x, float(y)) - k
+                    for y, k in zip(curve.y_grid, curve.k_plus)], axis=1)
+    pos = phi > 0
+    flips = np.sum(pos[:, :-1] != pos[:, 1:], axis=1)
+    down = np.any(pos[:, :-1] & ~pos[:, 1:], axis=1)
+    return {"down": np.any(down), "up only": np.any((flips > 0) & ~down),
+            "all positive": np.any(pos.all(axis=1)),
+            "all negative": np.any(~pos.any(axis=1)),
+            "several": np.any(flips > 1)}
+
+
+@pytest.mark.parametrize("name", ["par2", "par3", "pie_nested", "pie_wide"])
+def test_streamed_scans_match_dense_reference(request, name):
+    solved = request.getfixturevalue(name)
+    model, c = solved.model, solved.curve
+    # one block and 17 rows, inside the domain and far outside it
+    inner = model.domain.sample_interior(solver._CHUNK + 17, seed=3)
+    scale = model.domain.scale
+    x = np.concatenate([inner, inner[:200] + 3 * scale, inner[:200] - 3 * scale])
+    k_lo, k_hi = float(np.min(c.k_plus)), float(np.max(c.k_plus))
+    mid, amp = 0.5 * (k_lo + k_hi), 0.5 * (k_hi - k_lo)
+    curves = {
+        "solved": c,
+        # falling levels: phi crosses upward only
+        "reversed": SplitCurve.from_function(
+            model.target, c.y_grid, lambda y: c.k_at(c.y_lo + c.y_hi - y)),
+        # oscillating levels: several sign changes per row
+        "wiggly": SplitCurve.from_function(
+            model.target, c.y_grid,
+            lambda y: mid + 0.6 * amp * np.sin(
+                5 * np.pi * (y - c.y_lo) / (c.y_hi - c.y_lo))),
+        # shifted levels: rows that stay on one side at every node
+        "raised": SplitCurve.from_function(
+            model.target, c.y_grid, lambda y: c.k_at(y) + amp),
+        "lowered": SplitCurve.from_function(
+            model.target, c.y_grid, lambda y: c.k_at(y) - amp),
+    }
+    seen = dict.fromkeys(["down", "up only", "all positive", "all negative",
+                          "several"], False)
+    for curve in curves.values():
+        f_val = optimal_map(model, curve, x)
+        u_val, y_star = source_payoff(model, curve, x)
+        f_ref, u_ref, y_ref = _dense_scans(model, curve, x)
+        assert np.array_equal(f_val, f_ref)
+        assert np.array_equal(u_val, u_ref)
+        assert np.array_equal(y_star, y_ref)
+        for kind, present in _row_kinds(model, curve, x).items():
+            seen[kind] |= bool(present)
+    assert all(seen.values()), seen
+
+
+def test_payoff_tie_keeps_the_first_node():
+    # s = x1 (y^2/2 - y^4) - v with v = 0 peaks at y = -1/2 and y = 1/2,
+    # nodes 2 and 6, with bit-equal values: the first node wins, as with
+    # np.argmax, so the payoff lands at y = -1/2
+    from nestor.geometry import box_domain
+    from nestor.surplus import polynomial_surplus
+    model = Model(box_domain([0, 0], [1, 1]), TargetInterval(-1, 1),
+                  polynomial_surplus([(0.5, (1, 0), 2), (-1.0, (1, 0), 4)], 2),
+                  quadrature=Quadrature("tensor", 16))
+    curve = SplitCurve.from_function(model.target, np.linspace(-1, 1, 9),
+                                     lambda y: np.zeros_like(y))
+    x = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+    vals = np.stack([model.surplus.s(x, float(y)) for y in curve.y_grid], axis=1)
+    assert np.array_equal(vals[:, 2], vals[:, 6])
+    assert np.all(np.argmax(vals, axis=1) == 2)
+    u_val, y_star = source_payoff(model, curve, x)
+    _, u_ref, y_ref = _dense_scans(model, curve, x)
+    assert np.array_equal(u_val, u_ref) and np.array_equal(y_star, y_ref)
+    # the Newton root next to the node ties with it and is preferred
+    assert np.max(np.abs(y_star + 0.5)) <= 1e-8
+    assert np.all(u_val >= vals[:, 2])
+
+
 def test_map_on_staircase_curve(uni1d):
     # PCHIP through a staircase has k' = 0 at every node and flat steps, so
     # the Newton solve meets zero slopes, roots on bracket ends and points
