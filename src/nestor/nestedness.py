@@ -1,14 +1,17 @@
 """Nestedness diagnostics.
 
 A model is nested when its selected sublevel sets X_<=(y, k(y)) grow
-strictly with y.  Three independent sampled criteria probe this:
+strictly with y.  Three sampled criteria probe this:
 
 1. sublevel monotonicity - direct set inclusion on quadrature points;
 2. the dynamic criterion  - sign of the outward normal speed k' - s_yy
    on each indifference set (strict positivity certifies nestedness when
    no level set is tangential to the domain boundary);
 3. unique splitting       - each probe point must admit exactly one
-   target splitting the population proportionately.
+   target splitting the population proportionately, read off the solved
+   curve as the sign of h_k(y) (s_y(x, y) - k(y)); it is therefore not
+   independent of the solve, and the by-splitting map, which ranks the
+   grid afresh, is the independent cross-check.
 
 The report also carries the boundary-transversality modulus
 1 - (n_X . n_levelset)^2 (values near zero flag tangential intersections
@@ -19,6 +22,7 @@ ell = inf (k' - s_yy), whose positivity yields a Lipschitz bound
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,8 +30,9 @@ import numpy as np
 
 from .errors import NoBoundaryOracle
 from .model import Model
-from .solver import (SplitCurve, count_sign_changes, effective_deadband,
-                     splitting_profile)
+from .solver import SplitCurve, count_sign_changes, effective_deadband
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -193,20 +198,34 @@ def dynamic_criterion(model: Model, curve: SplitCurve) -> CriterionResult:
 # criterion 3: unique splitting
 # ---------------------------------------------------------------------------
 
-def unique_splitting_check(model: Model,
+def unique_splitting_check(model: Model, curve: SplitCurve,
                            x_probes: Optional[np.ndarray] = None,
                            n_probes: int = 100, seed: int = 0,
                            scan_nodes: int = 201,
                            deadband: float = 1e-3) -> CriterionResult:
-    """Count roots of psi_x(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y) per
-    probe; the first 20 probes with several roots witness non-nestedness."""
+    """Count the roots of psi_x(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y)
+    per probe; the first 20 probes with several roots witness
+    non-nestedness.
+
+    psi_x(y) = h(y, s_y(x, y)) has the sign of s_y(x, y) - k(y), as h(y, .)
+    increases, and psi ~ h_k(y) (s_y(x, y) - k(y)) near a root; so the scan
+    reads the solved curve and evaluates no mass: it counts the sign
+    changes of that product, with h_k interpolated linearly from
+    ``curve.h_k`` (NaN read as 0).  A curve without h_k (as from
+    ``SplitCurve.from_function``) leaves the criterion indeterminate.
+    Unlike the by-splitting map, it is not independent of the solve."""
     model.require_nondegenerate()
     if x_probes is None:
         x_probes = model.domain.sample_interior(n_probes, seed=seed,
                                                 margin=0.01)
     x_probes = np.atleast_2d(x_probes)
     y_scan = model.target.interior_grid(scan_nodes, clustered=False)
-    psi = splitting_profile(model, x_probes, y_scan)
+    h_k = np.interp(y_scan, curve.y_grid, np.nan_to_num(curve.h_k, nan=0.0))
+    k = curve.k_at(y_scan)
+    psi = np.empty((x_probes.shape[0], y_scan.size))
+    for j, yj in enumerate(y_scan):
+        sy = np.asarray(model.surplus.s_y(x_probes, float(yj)), dtype=float)
+        psi[:, j] = h_k[j] * (sy - k[j])
     band = effective_deadband(model, deadband)
     witnesses = []
     n_single = 0
@@ -223,7 +242,18 @@ def unique_splitting_check(model: Model,
             if len(witnesses) < 20:
                 roots = [0.5 * (y_scan[a] + y_scan[b]) for a, b in brackets]
                 witnesses.append((x_probes[i].copy(), roots))
-    status = "fail" if witnesses else "pass"
+    unread = np.isnan(curve.h_k) | curve.plateau_flags
+    logger.debug("unique splitting: %d single, %d flat, %d multi; %d of %d "
+                 "scan nodes interpolate a NaN (read as 0) or plateau h_k",
+                 n_single, n_flat, n_multi,
+                 int(np.sum(np.interp(y_scan, curve.y_grid, unread) > 0)),
+                 y_scan.size)
+    if witnesses:
+        status = "fail"
+    elif np.all(np.isnan(curve.h_k)):
+        status = "indeterminate"  # no level-set data to read the sign from
+    else:
+        status = "pass"
     return CriterionResult(
         name="unique_splitting", status=status, witnesses=witnesses,
         details={"n_probes": int(x_probes.shape[0]), "n_single": n_single,
@@ -303,8 +333,9 @@ def nestedness_report(model: Model, curve: SplitCurve, seed: int = 0,
     definite failure witness, anything else is inconclusive."""
     mono = check_sublevel_monotonicity(model, curve)
     dyn = dynamic_criterion(model, curve)
-    uniq = unique_splitting_check(model, seed=seed, n_probes=n_probes,
-                                  scan_nodes=scan_nodes, deadband=deadband)
+    uniq = unique_splitting_check(model, curve, seed=seed,
+                                  n_probes=n_probes, scan_nodes=scan_nodes,
+                                  deadband=deadband)
     trans = None if model.domain.boundary_normal is None \
         else transversality_diagnostic(model, curve)
     ell = speed_limit(model, curve)

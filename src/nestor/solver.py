@@ -353,7 +353,10 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
 def splitting_profile(model: Model, x: np.ndarray,
                       y_scan: np.ndarray) -> np.ndarray:
     """psi_x(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y) sampled on y_scan,
-    one row per probe point.
+    one row per probe point, for the by-splitting map; it ranks the grid
+    afresh at every scan node, so it does not read the solved curve (the
+    unique-splitting criterion does, and the tests use this profile as its
+    independent reference).
 
     Masses here are binary (sorted cumulative lookup, O(N log N) per scan
     node); their jitter is far below the sign deadbands used on psi.

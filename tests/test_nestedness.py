@@ -3,14 +3,15 @@ import pytest
 
 from nestor.errors import EmptyBand, NoBoundaryOracle
 from nestor.geometry import Quadrature, TargetInterval, box_domain
-from nestor import levelsets
+from nestor import levelsets, solver
 from nestor.levelsets import level_set, surface_integral
 from nestor.model import Model
 from nestor.nestedness import (check_sublevel_monotonicity, dynamic_criterion,
                                kprime_bound_gap, nestedness_report,
                                speed_limit, transversality_diagnostic,
                                unique_splitting_check)
-from nestor.solver import SplitCurve, solve_split_curve
+from nestor.solver import (SplitCurve, count_sign_changes, effective_deadband,
+                           solve_split_curve, splitting_profile)
 from nestor.surplus import bilinear_surplus
 
 
@@ -100,20 +101,94 @@ def test_speed_criteria_match_resampled_reference(par2, pie_wide, ball, uni1d):
             assert speed_limit(model, c, region_y=region) == best
 
 
+def _corner_probes(pie):
+    """40 seeded probes near the outer corner of a pie slice."""
+    rng = np.random.default_rng(4)
+    r = 0.9 + 0.08 * rng.random(40)
+    phi = pie.scenario.params["theta0"] * (0.8 + 0.19 * rng.random(40))
+    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+
+
 def test_unique_splitting(par2, ball, pie_wide):
-    ok = unique_splitting_check(par2.model, n_probes=100, seed=0)
+    ok = unique_splitting_check(par2.model, par2.curve, n_probes=100, seed=0)
     assert ok.status == "pass" and ok.details["n_single"] == 100
-    bad = unique_splitting_check(ball.model, n_probes=100, seed=0)
+    bad = unique_splitting_check(ball.model, ball.curve, n_probes=100, seed=0)
     assert bad.status == "fail" and bad.details["n_multi"] >= 5
     x_w, roots = bad.witnesses[0]
     assert len(roots) > 1
     # probes near the wide-slice corner split several ways
-    rng = np.random.default_rng(4)
-    r = 0.9 + 0.08 * rng.random(40)
-    phi = pie_wide.scenario.params["theta0"] * (0.8 + 0.19 * rng.random(40))
-    probes = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
-    corner = unique_splitting_check(pie_wide.model, x_probes=probes)
+    corner = unique_splitting_check(pie_wide.model, pie_wide.curve,
+                                    x_probes=_corner_probes(pie_wide))
     assert corner.status == "fail"
+
+
+def _mass_scan_reference(model, x_probes, scan_nodes=201, deadband=1e-3):
+    """(n_single, n_flat, n_multi), the roots of the first 20 multi-root
+    probes and the scan step, from binary sublevel masses on the grid."""
+    y_scan = model.target.interior_grid(scan_nodes, clustered=False)
+    psi = splitting_profile(model, x_probes, y_scan)
+    band = effective_deadband(model, deadband)
+    counts = [0, 0, 0]
+    roots = []
+    for row in psi:
+        n, brackets = count_sign_changes(row, band)
+        counts[0 if n == 1 else 1 if n <= 0 else 2] += 1
+        if n > 1 and len(roots) < 20:
+            roots.append([0.5 * (y_scan[a] + y_scan[b]) for a, b in brackets])
+    return tuple(counts), roots, float(y_scan[1] - y_scan[0])
+
+
+def _check_against_mass_scan(model, curve, x_probes):
+    res = unique_splitting_check(model, curve, x_probes=x_probes)
+    counts, roots, step = _mass_scan_reference(model, x_probes)
+    d = res.details
+    assert (d["n_single"], d["n_flat"], d["n_multi"]) == counts
+    assert len(res.witnesses) == len(roots)
+    return res, roots, step
+
+
+@pytest.mark.parametrize("name", ["par2", "par3", "ball", "pie_nested",
+                                  "pie_wide", "uni1d"])
+def test_unique_splitting_matches_mass_scan(name, request):
+    # the curve scan counts the same roots per probe as ranking the grid
+    # at every scan node; par3 (64^3, 257 nodes) carries plateau nodes
+    solved = request.getfixturevalue(name)
+    model, curve = solved.model, solved.curve
+    probes = [model.domain.sample_interior(100, seed=0, margin=0.01)]
+    if name == "pie_wide":
+        probes.append(_corner_probes(solved))
+    if name == "par3":
+        assert np.sum(curve.plateau_flags) == 2
+    for x_probes in probes:
+        res, roots, step = _check_against_mass_scan(model, curve, x_probes)
+        if name == "ball":
+            assert res.witnesses
+            for (_, got), want in zip(res.witnesses, roots):
+                assert len(got) == len(want)
+                assert np.max(np.abs(np.subtract(got, want))) \
+                    <= step * (1 + 1e-9)
+
+
+def test_unique_splitting_matches_mass_scan_at_plateau_nodes():
+    # pie-slice theta0 = 1.70 at 192^2 with 129 nodes: both end nodes sit
+    # on a mass plateau, and four probes split several ways
+    from nestor import scenarios
+    model = scenarios.build("pie-slice", theta0=1.70, resolution=192).model
+    curve = solve_split_curve(model, n_nodes=129)
+    assert np.sum(curve.plateau_flags) == 2
+    probes = model.domain.sample_interior(100, seed=0, margin=0.01)
+    res, _, _ = _check_against_mass_scan(model, curve, probes)
+    assert res.status == "fail" and res.details["n_multi"] == 4
+
+
+def test_unique_splitting_needs_level_set_data(par2):
+    # an analytic curve carries no h_k: the criterion cannot read a sign,
+    # so it is indeterminate rather than passing with every probe flat
+    analytic = SplitCurve.from_function(par2.model.target, par2.curve.y_grid,
+                                        lambda y: y ** (2 / 3))
+    res = unique_splitting_check(par2.model, analytic)
+    assert res.status == "indeterminate" and not res.witnesses
+    assert res.details["n_flat"] == res.details["n_probes"] == 100
 
 
 def test_probe_on_level_set_roots_there(par2):
@@ -202,6 +277,9 @@ def test_report_reads_the_solved_curve(name, request, monkeypatch):
     monkeypatch.setattr(levelsets, "level_set", no_sample)
     monkeypatch.setattr(levelsets, "_contour_segments", no_sample)
     monkeypatch.setattr(Model, "slice_at", no_sample)
+    # nor does it rank the grid for the unique-splitting criterion
+    monkeypatch.setattr(solver, "splitting_profile", no_sample)
+    monkeypatch.setattr(solver, "cumulative_mass", no_sample)
     assert nestedness_report(model, curve).verdict == "nested"
 
 
