@@ -9,13 +9,16 @@ solver: the two approaches share no code path beyond the surplus
 evaluator.
 
 No external LP dependency.  The basis tree is rooted at source 0 with a
-parent and a depth per node, and the dense reduced benefits S - u - v are
-kept across pivots: a pivot finds its cycle by climbing from both ends of
-the entering arc, re-hangs only the subtree cut off by the leaving arc,
-and shifts that subtree's duals (its rows and columns of the reduced
-benefits).  Pricing is Dantzig's with a Bland fallback during degenerate
-stalls (which restores the finite-termination guarantee).  Intended for
-desk-scale instances (thousands of source atoms, hundreds of targets).
+parent per node, a preorder of the nodes and a subtree size per node, so
+every subtree is one slice of the preorder; the dense reduced benefits
+S - u - v are kept across pivots.  A pivot finds its cycle by climbing
+from both ends of the entering arc, re-links only the stem (the path from
+the entering endpoint up to the leaving arc), moves the cut-off subtree's
+slice to its new place in the preorder, and shifts that subtree's duals
+(its rows and columns of the reduced benefits).  Pricing is Dantzig's
+with a Bland fallback during degenerate stalls (which restores the
+finite-termination guarantee).  Intended for desk-scale instances
+(thousands of source atoms, hundreds of targets).
 """
 
 from __future__ import annotations
@@ -160,56 +163,61 @@ class _RootedTree:
     """Spanning tree of basis arcs on nodes [0..ns) + [ns..ns+nt), rooted
     at source 0.
 
-    ``arcs[p]`` is the arc in basis position p; ``adj[node]`` maps each
-    tree neighbour to the position of the arc joining them; ``parent``,
-    ``depth`` and ``parent_arc`` (a basis position) hang every node below
-    the root, whose parent is -1.
+    ``arcs[p]`` is the arc in basis position p; ``parent`` and
+    ``parent_arc`` (a basis position) hang every node below the root,
+    whose parent is -1.  ``order`` lists the nodes in preorder (parents
+    before children, each subtree contiguous), ``pos`` is its inverse and
+    ``size[n]`` counts the nodes below and at n, so the subtree of n is
+    ``order[pos[n]:pos[n] + size[n]]``.  ``stem_nodes`` and ``cut_nodes``
+    total the stems walked and the subtrees moved by ``replace``.
     """
 
     def __init__(self, ns, nt, rows, cols):
         self.ns = ns
+        n = ns + nt
         self.arcs = list(zip(rows.tolist(), cols.tolist()))
-        self.adj = [{} for _ in range(ns + nt)]
+        adj = [[] for _ in range(n)]
         for p, (i, j) in enumerate(self.arcs):
-            self.adj[i][ns + j] = p
-            self.adj[ns + j][i] = p
-        self.parent = [-1] * (ns + nt)
-        self.depth = [0] * (ns + nt)
-        self.parent_arc = [-1] * (ns + nt)
-        self._hang(0)
-
-    def _hang(self, top):
-        """Hang every node below ``top``, whose own links are already set;
-        returns the nodes of its subtree, parents before children."""
-        parent, depth, parent_arc = self.parent, self.depth, self.parent_arc
-        order = [top]
-        for node in order:
-            up = parent[node]
-            below = depth[node] + 1
-            for other, p in self.adj[node].items():
-                if other != up:
+            adj[i].append((ns + j, p))
+            adj[ns + j].append((i, p))
+        parent = self.parent = [-1] * n
+        parent_arc = self.parent_arc = [-1] * n
+        order, stack = [], [0]
+        while stack:  # depth first, so every subtree is contiguous
+            node = stack.pop()
+            order.append(node)
+            for other, p in adj[node]:
+                if other != parent[node]:
                     parent[other] = node
-                    depth[other] = below
                     parent_arc[other] = p
-                    order.append(other)
-        return order
+                    stack.append(other)
+        size = self.size = [1] * n
+        for node in reversed(order[1:]):
+            size[parent[node]] += size[node]
+        self.order = np.array(order, dtype=np.intp)
+        self.pos = np.empty(n, dtype=np.intp)
+        self.pos[self.order] = np.arange(n)
+        self.join = 0
+        self.stem_nodes = self.cut_nodes = 0
 
     def cycle(self, i_in, j_in):
         """Arcs on the tree path from source i_in to target j_in, in walk
         order, as (basis position, loses, on_source_side); ``loses`` means
         the arc gives up mass as the entering arc (i_in, j_in) gains, and
         ``on_source_side`` that it lies between i_in and the meeting point.
-        The two walks climb by depth until they meet."""
-        ns, parent, depth = self.ns, self.parent, self.depth
+        The two walks climb from the end with the smaller subtree, which
+        cannot be an ancestor of the other, until they meet at ``join``."""
+        ns, parent, size = self.ns, self.parent, self.size
         x, y = i_in, ns + j_in
         up_x, up_y = [], []
         while x != y:
-            if depth[x] >= depth[y]:
+            if size[x] < size[y]:
                 up_x.append(x)
                 x = parent[x]
             else:
                 up_y.append(y)
                 y = parent[y]
+        self.join = x
         # walking from i_in, an arc left from a source loses mass and one
         # left from a target gains; on the target side the walk runs down
         parent_arc = self.parent_arc
@@ -220,29 +228,74 @@ class _RootedTree:
     def replace(self, p, i_in, j_in, entering_below):
         """Put (i_in, j_in) in basis position p, cutting the arc there, and
         re-hang the cut-off subtree from its entering endpoint
-        ``entering_below``; returns the subtree's nodes."""
-        ns = self.ns
+        ``entering_below``; returns the subtree's nodes in their new
+        preorder.  Called after ``cycle(i_in, j_in)``, whose join it reads.
+
+        Only the stem, the path w0 = entering_below, ..., wk up to the
+        cut, changes parents.  The new preorder of the subtree is w0's old
+        subtree, then for each wi the parts of its old subtree before and
+        after w(i-1)'s; that block moves to sit right after its new
+        parent.  Sizes change on the stem (wi keeps all but w(i-1)'s old
+        subtree) and on the two cycle paths below the join."""
+        ns, parent, parent_arc, size = (self.ns, self.parent,
+                                        self.parent_arc, self.size)
+        order, pos = self.order, self.pos
         i, j = self.arcs[p]
-        child, up = (i, ns + j) if self.parent[i] == ns + j else (ns + j, i)
-        del self.adj[child][up]
-        del self.adj[up][child]
-        t_in = ns + j_in
-        self.adj[i_in][t_in] = p
-        self.adj[t_in][i_in] = p
+        top = i if parent[i] == ns + j else ns + j
         self.arcs[p] = (i_in, j_in)
-        other = t_in if entering_below == i_in else i_in
-        self.parent[entering_below] = other
-        self.depth[entering_below] = self.depth[other] + 1
-        self.parent_arc[entering_below] = p
-        return self._hang(entering_below)
+        new_up = ns + j_in if entering_below == i_in else i_in
+        total = size[top]
+        stem = [entering_below]
+        while stem[-1] != top:
+            stem.append(parent[stem[-1]])
+
+        at = pos[stem].tolist()
+        pieces = [order[at[0]:at[0] + size[entering_below]]]
+        for k in range(1, len(stem)):
+            cut = at[k - 1]
+            pieces += [order[at[k]:cut],
+                       order[cut + size[stem[k - 1]]:at[k] + size[stem[k]]]]
+        block = np.concatenate(pieces)
+
+        node = parent[top]
+        while node != self.join:
+            size[node] -= total
+            node = parent[node]
+        node = new_up
+        while node != self.join:
+            size[node] += total
+            node = parent[node]
+        for k in range(len(stem) - 1, 0, -1):
+            parent[stem[k]] = stem[k - 1]
+            parent_arc[stem[k]] = parent_arc[stem[k - 1]]
+            size[stem[k]] = total - size[stem[k - 1]]
+        parent[entering_below] = new_up
+        parent_arc[entering_below] = p
+        size[entering_below] = total
+
+        # rotate the block out of its old place to just after new_up
+        start, after = at[-1], int(pos[new_up]) + 1
+        if after <= start:
+            lo, hi = after, start + total
+            order[lo + total:hi] = order[lo:start]
+            order[lo:lo + total] = block
+        else:
+            lo, hi = start, after
+            order[lo:hi - total] = order[start + total:hi]
+            order[hi - total:hi] = block
+        pos[order[lo:hi]] = np.arange(lo, hi)
+        self.stem_nodes += len(stem)
+        self.cut_nodes += total
+        return block
 
     def duals(self, s_matrix):
         """u_i + v_j = S_ij on every basis arc, anchored at u_0 = 0: one
-        pass down the tree, each node from its parent."""
+        pass down the preorder, each node from its parent."""
         pot = [0.0] * len(self.parent)
-        for node in sorted(range(1, len(pot)), key=self.depth.__getitem__):
-            i, j = self.arcs[self.parent_arc[node]]
-            pot[node] = s_matrix[i, j] - pot[self.parent[node]]
+        parent, parent_arc, arcs = self.parent, self.parent_arc, self.arcs
+        for node in self.order[1:].tolist():
+            i, j = arcs[parent_arc[node]]
+            pot[node] = s_matrix[i, j] - pot[parent[node]]
         return np.array(pot[:self.ns]), np.array(pot[self.ns:])
 
 
@@ -255,12 +308,15 @@ def solve_transport(inst: DiscreteInstance,
     cycling; terminates at reduced benefits <= tol everywhere, with
     tol = 1e-11 max(1, max |S|).
 
-    The basis is a tree rooted at source 0.  The reduced benefits
-    R = S - u - v are kept across pivots: a pivot walks the cycle up by
-    depth, cuts the leaving arc and re-hangs only the cut-off subtree
-    under the entering arc, whose reduced benefit r is then zeroed by
-    shifting the subtree's duals (its rows of R move by -r, its columns
-    by +r, or the reverse when the entering target is in the subtree).
+    The basis is a tree rooted at source 0, kept in preorder with
+    subtree sizes.  The reduced benefits R = S - u - v are kept across
+    pivots: a pivot walks the cycle up from the smaller subtree, cuts the
+    leaving arc and re-hangs the cut-off subtree under the entering arc by
+    reversing only its stem; the subtree comes back as an index array,
+    split into sources and targets by one mask.  The entering arc's
+    reduced benefit r is then zeroed by shifting the subtree's duals (its
+    rows of R move by -r, its columns by +r, or the reverse when the
+    entering target is in the subtree).
     At the end the duals are recomputed from the tree and R afresh, so
     rounding drift cannot hide an improving arc; pivoting resumes if one
     remains.  Raises PivotBudgetExceeded when it needs more than
@@ -323,12 +379,9 @@ def solve_transport(inst: DiscreteInstance,
 
         # the subtree's duals shift by +shift (sources) and -shift (targets)
         shift = r if i_in_cut_off else -r
-        sub_rows = [node for node in subtree if node < ns]
-        sub_cols = [node - ns for node in subtree if node >= ns]
-        if sub_rows:
-            reduced[sub_rows] -= shift
-        if sub_cols:
-            reduced[:, sub_cols] += shift
+        is_source = subtree < ns
+        reduced[subtree[is_source]] -= shift
+        reduced[:, subtree[~is_source] - ns] += shift
         exact = False
 
         n_piv += 1
@@ -341,9 +394,13 @@ def solve_transport(inst: DiscreteInstance,
         else:
             stall = 0
 
+    per_pivot = max(n_piv, 1)
     logger.debug("%dx%d transportation simplex: %d pivots, %d degenerate; "
-                 "largest drift of the kept reduced benefits %.3g",
-                 ns, nt, n_piv, n_degenerate, drift)
+                 "largest drift of the kept reduced benefits %.3g (per "
+                 "pivot: mean stem %.1f nodes, mean cut-off subtree %.1f "
+                 "nodes)",
+                 ns, nt, n_piv, n_degenerate, drift,
+                 tree.stem_nodes / per_pivot, tree.cut_nodes / per_pivot)
     rows = np.array([i for i, _ in tree.arcs], dtype=np.int64)
     cols = np.array([j for _, j in tree.arcs], dtype=np.int64)
     values = np.array([max(g, 0.0) for g in gamma], dtype=float)

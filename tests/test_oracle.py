@@ -358,13 +358,13 @@ def test_debug_records(par2, caplog):
     assert 0 <= int(found[2]) <= plan.n_pivots
     # the end-of-solve refresh measures a roundoff drift, well below tol
     assert 0 < float(found[3]) <= 1e-11 * np.max(np.abs(inst.surplus_matrix))
+    # the stem lies inside the cut-off subtree
+    moved = re.search(r"mean stem (\S+) nodes, mean cut-off subtree (\S+) "
+                      r"nodes", caplog.text)
+    assert moved and 1 <= float(moved[1]) <= float(moved[2])
     caplog.clear()
-    # equal weights and two surplus levels: runs of degenerate pivots
-    rng = np.random.default_rng(1)
-    s_mat = rng.integers(0, 2, (400, 100)).astype(float)
     with caplog.at_level(logging.DEBUG, logger="nestor.oracle"):
-        _assert_optimal(_instance(np.full(400, 1 / 400), np.full(100, 1 / 100),
-                                  s_mat))
+        _assert_optimal(_two_level_instance(400, 100, seed=1))
     assert "Bland's rule after 40 degenerate pivots in a row" in caplog.text
     assert all(r.levelno == logging.DEBUG and r.name == "nestor.oracle"
                for r in caplog.records)
@@ -391,3 +391,234 @@ def test_align_shift_is_the_exact_minimizer():
                                    bounds=(-lim, lim), method="bounded",
                                    options={"xatol": 1e-12})
         assert best <= gap(du, dv, searched.x)
+
+
+# ---------------------------------------------------------------------------
+# the basis tree: a re-hanging reference and the preorder invariants
+# ---------------------------------------------------------------------------
+
+class _RehangTree:
+    """Reference basis tree: parent and depth per node, and a breadth-first
+    re-hang of the whole cut-off subtree at each pivot."""
+
+    def __init__(self, ns, nt, rows, cols):
+        self.ns = ns
+        self.arcs = list(zip(rows.tolist(), cols.tolist()))
+        self.adj = [{} for _ in range(ns + nt)]
+        for p, (i, j) in enumerate(self.arcs):
+            self.adj[i][ns + j] = p
+            self.adj[ns + j][i] = p
+        self.parent = [-1] * (ns + nt)
+        self.depth = [0] * (ns + nt)
+        self.parent_arc = [-1] * (ns + nt)
+        self._hang(0)
+
+    def _hang(self, top):
+        parent, depth, parent_arc = self.parent, self.depth, self.parent_arc
+        order = [top]
+        for node in order:
+            up = parent[node]
+            below = depth[node] + 1
+            for other, p in self.adj[node].items():
+                if other != up:
+                    parent[other] = node
+                    depth[other] = below
+                    parent_arc[other] = p
+                    order.append(other)
+        return order
+
+    def cycle(self, i_in, j_in):
+        ns, parent, depth = self.ns, self.parent, self.depth
+        x, y = i_in, ns + j_in
+        up_x, up_y = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up_x.append(x)
+                x = parent[x]
+            else:
+                up_y.append(y)
+                y = parent[y]
+        parent_arc = self.parent_arc
+        return ([(parent_arc[node], node < ns, True) for node in up_x]
+                + [(parent_arc[node], node >= ns, False)
+                   for node in reversed(up_y)])
+
+    def replace(self, p, i_in, j_in, entering_below):
+        ns = self.ns
+        i, j = self.arcs[p]
+        child, up = (i, ns + j) if self.parent[i] == ns + j else (ns + j, i)
+        del self.adj[child][up]
+        del self.adj[up][child]
+        t_in = ns + j_in
+        self.adj[i_in][t_in] = p
+        self.adj[t_in][i_in] = p
+        self.arcs[p] = (i_in, j_in)
+        other = t_in if entering_below == i_in else i_in
+        self.parent[entering_below] = other
+        self.depth[entering_below] = self.depth[other] + 1
+        self.parent_arc[entering_below] = p
+        return self._hang(entering_below)
+
+    def duals(self, s_matrix):
+        pot = [0.0] * len(self.parent)
+        for node in sorted(range(1, len(pot)), key=self.depth.__getitem__):
+            i, j = self.arcs[self.parent_arc[node]]
+            pot[node] = s_matrix[i, j] - pot[self.parent[node]]
+        return np.array(pot[:self.ns]), np.array(pot[self.ns:])
+
+
+def _rehang_solve(inst):
+    """The pivot loop of solve_transport on the re-hanging tree, with the
+    subtree's rows and columns shifted through Python lists."""
+    from nestor.oracle import _BLAND_AFTER, DiscretePlan
+    s_mat = np.asarray(inst.surplus_matrix, dtype=float)
+    ns, nt = s_mat.shape
+    tol = 1e-11 * max(1.0, float(np.max(np.abs(s_mat))))
+    rows, cols, vals = _northwest_corner(inst.source_weights,
+                                         inst.target_weights)
+    tree = _RehangTree(ns, nt, rows, cols)
+    gamma = vals.tolist()
+    u, v = tree.duals(s_mat)
+    reduced = s_mat - u[:, None] - v[None, :]
+    exact = True
+    stall = n_piv = 0
+    while True:
+        if stall < _BLAND_AFTER:
+            flat = int(np.argmax(reduced))
+        else:
+            flat = int(np.argmax(reduced > tol))
+        i_in, j_in = divmod(flat, nt)
+        r = float(reduced[i_in, j_in])
+        if not r > tol:
+            if exact:
+                break
+            u, v = tree.duals(s_mat)
+            reduced, exact = s_mat - u[:, None] - v[None, :], True
+            continue
+        cycle = tree.cycle(i_in, j_in)
+        theta = np.inf
+        p_out = None
+        for p, loses, source_side in cycle:
+            if loses:
+                val = gamma[p]
+                if val < theta - 1e-15 or (p_out is not None
+                                           and abs(val - theta) <= 1e-15
+                                           and tree.arcs[p] < tree.arcs[p_out]):
+                    theta, p_out, i_in_cut_off = val, p, source_side
+        theta = max(theta, 0.0)
+        for p, loses, _ in cycle:
+            gamma[p] = max(gamma[p] - theta if loses else gamma[p] + theta, 0.0)
+        gamma[p_out] = theta
+        subtree = tree.replace(p_out, i_in, j_in,
+                               i_in if i_in_cut_off else ns + j_in)
+        shift = r if i_in_cut_off else -r
+        sub_rows = [node for node in subtree if node < ns]
+        sub_cols = [node - ns for node in subtree if node >= ns]
+        if sub_rows:
+            reduced[sub_rows] -= shift
+        if sub_cols:
+            reduced[:, sub_cols] += shift
+        exact = False
+        n_piv += 1
+        stall = stall + 1 if theta <= 1e-15 else 0
+    rows = np.array([i for i, _ in tree.arcs], dtype=np.int64)
+    cols = np.array([j for _, j in tree.arcs], dtype=np.int64)
+    values = np.array([max(g, 0.0) for g in gamma], dtype=float)
+    objective = float(np.sum(values * s_mat[rows, cols]))
+    return DiscretePlan(rows=rows, cols=cols, values=values, u=u, v=v,
+                        objective=objective, n_pivots=n_piv)
+
+
+def _assert_same_as_rehang(inst):
+    plan = solve_transport(inst)
+    assert plan.to_dict() == _rehang_solve(inst).to_dict()
+    return plan
+
+
+def _random_instance(ns, nt, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.random(ns) + 0.01, rng.random(nt) + 0.01
+    return _instance(a / a.sum(), b / b.sum(), rng.standard_normal((ns, nt)))
+
+
+def _two_level_instance(ns, nt, seed):
+    # equal weights and two surplus levels: runs of degenerate pivots
+    rng = np.random.default_rng(seed)
+    return _instance(np.full(ns, 1 / ns), np.full(nt, 1 / nt),
+                     rng.integers(0, 2, (ns, nt)).astype(float))
+
+
+def test_preorder_tree_matches_rehang_reference(par2, caplog):
+    atoms = sample_instance(par2.model, 500, 50, seed=7)
+    for seed in (1, 2):
+        assert _assert_same_as_rehang(_shuffled(atoms, seed)).n_pivots > 1000
+    with caplog.at_level(logging.DEBUG, logger="nestor.oracle"):
+        plan = _assert_same_as_rehang(_two_level_instance(400, 100, seed=1))
+    assert plan.n_pivots > 0
+    assert "Bland's rule after" in caplog.text
+    for ns, nt in ((1, 1), (1, 7), (9, 1)):  # single source, single target
+        _assert_same_as_rehang(_random_instance(ns, nt, seed=ns + nt))
+    _assert_same_as_rehang(_shuffled(sample_instance(par2.model, 50, 1,
+                                                     seed=1), seed=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ns=st.integers(2, 60), nt=st.integers(1, 20),
+       seed=st.integers(0, 2**16))
+def test_preorder_tree_matches_rehang_reference_on_random_instances(ns, nt,
+                                                                    seed):
+    _assert_same_as_rehang(_random_instance(ns, nt, seed))
+
+
+def test_basis_tree_invariants_after_every_pivot(par2, monkeypatch):
+    from nestor import oracle
+    replace = oracle._RootedTree.replace
+    n_checked = []
+
+    def checked_replace(tree, *args):
+        block = replace(tree, *args)
+        n = len(tree.parent)
+        order, pos = tree.order, tree.pos
+        assert sorted(order.tolist()) == list(range(n))
+        assert np.array_equal(pos[order], np.arange(n))
+        # breadth first from source 0 over the basis arcs
+        adj = [[] for _ in range(n)]
+        for p, (i, j) in enumerate(tree.arcs):
+            adj[i].append((tree.ns + j, p))
+            adj[tree.ns + j].append((i, p))
+        parent, parent_arc = [-1] * n, [-1] * n
+        queue, seen = deque([0]), {0}
+        while queue:
+            node = queue.popleft()
+            for other, p in adj[node]:
+                if other not in seen:
+                    seen.add(other)
+                    parent[other], parent_arc[other] = node, p
+                    queue.append(other)
+        assert len(seen) == n
+        assert tree.parent == parent and tree.parent_arc == parent_arc
+        below = [{node} for node in range(n)]
+        for node in range(n):
+            up = parent[node]
+            while up != -1:
+                below[up].add(node)
+                up = parent[up]
+        for node in range(n):
+            start = int(pos[node])
+            piece = order[start:start + tree.size[node]].tolist()
+            assert piece[0] == node and set(piece) == below[node]
+            assert tree.size[node] == len(below[node])
+        assert sorted(block.tolist()) == sorted(below[args[3]])
+        n_checked.append(1)
+        return block
+
+    monkeypatch.setattr(oracle._RootedTree, "replace", checked_replace)
+    cases = [_shuffled(sample_instance(par2.model, 60, 12, seed=7), seed=1),
+             _random_instance(40, 15, seed=4),
+             _two_level_instance(80, 20, seed=2),
+             _random_instance(12, 1, seed=5), _random_instance(1, 9, seed=6)]
+    for k, inst in enumerate(cases):
+        plan = solve_transport(inst)
+        assert sum(n_checked) == plan.n_pivots
+        assert plan.n_pivots > 0 or k >= 3
+        n_checked.clear()
