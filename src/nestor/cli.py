@@ -12,10 +12,8 @@ Subcommands map one-to-one onto the library pipelines:
 
 Runs are configured either by flags or a JSON document validated against
 the schema shipped as ``nestor/config_schema.json``.  Its ``tolerances``
-object sets ``tol_mass``, ``splitting_deadband``,
-``nondegeneracy_rel_threshold``, ``zero_speed_threshold``,
-``nestedness_probes`` and ``scan_nodes``, and all six are echoed into
-summary.json; every other tolerance is fixed by the library.  Artifacts
+object sets ``nestedness_probes`` and ``scan_nodes``, and both are echoed
+into summary.json; every other tolerance is fixed by the library.  Artifacts
 (curve.csv, map.csv, nestedness.json, summary.json) are deterministic
 for a fixed configuration: CSV floats carry 17 significant digits and
 timings are recorded only when requested.
@@ -49,14 +47,7 @@ from .oracle import (compare_with_map, cyclical_monotonicity_audit,
                      sample_instance, solve_transport)
 from .surplus import arc_surplus, bilinear_surplus, polynomial_surplus
 
-DEFAULT_TOLERANCES = {
-    "tol_mass": 1e-6,
-    "splitting_deadband": 1e-3,
-    "nondegeneracy_rel_threshold": 1e-8,
-    "zero_speed_threshold": 1e-8,
-    "nestedness_probes": 100,
-    "scan_nodes": 201,
-}
+DEFAULT_TOLERANCES = {"nestedness_probes": 100, "scan_nodes": 201}
 
 
 def load_schema() -> dict:
@@ -152,8 +143,6 @@ def build_model_from_config(config: dict):
     fields from ``default_quadrature(dim)``, and its ``mode`` applies to
     inline models only; ``params`` applies to scenarios only.  A ValueError
     while the scenario or the inline model is built is a ConfigError."""
-    model_kw = {"nondegeneracy_rel_threshold":
-                config["tolerances"]["nondegeneracy_rel_threshold"]}
     quad_spec = config.get("quadrature", {})
     if "scenario" in config and "mode" in quad_spec:
         raise ConfigError("quadrature.mode applies to inline models only; "
@@ -163,8 +152,7 @@ def build_model_from_config(config: dict):
     try:
         if "scenario" in config:
             params = dict(config.get("params", {}))
-            scenario = sc.build(config["scenario"], **params, **quad_spec,
-                                **model_kw)
+            scenario = sc.build(config["scenario"], **params, **quad_spec)
             if quad_spec:
                 quad = scenario.model.quadrature
                 params.update(resolution=quad.resolution, seed=quad.seed)
@@ -175,7 +163,7 @@ def build_model_from_config(config: dict):
         surplus = _surplus_from_spec(spec["surplus"], dom.dim)
         dens = _densities_from_spec(spec, dom.dim)
         quad = replace(default_quadrature(dom.dim), **quad_spec)
-        model = Model(dom, target, surplus, dens, quadrature=quad, **model_kw)
+        model = Model(dom, target, surplus, dens, quadrature=quad)
         return model, {}
     except ValueError as exc:
         raise ConfigError(f"cannot build the model: {exc}") from None
@@ -287,8 +275,7 @@ def run(config: dict, out_dir: str = None) -> int:
                                 "passed": cert.passed}
 
     t0 = time.perf_counter()
-    curve = sv.solve_split_curve(model, tol_mass=tol["tol_mass"],
-                                 n_nodes=config["y_nodes"])
+    curve = sv.solve_split_curve(model, n_nodes=config["y_nodes"])
     timings["solve_split_curve_s"] = time.perf_counter() - t0
     v_vals = curve.v_values
     summary["k_nondecreasing"] = curve.k_nondecreasing
@@ -315,8 +302,7 @@ def run(config: dict, out_dir: str = None) -> int:
         u_vals, _ = sv.source_payoff(model, curve, pts)
         grad_norm = np.full(pts.shape[0], np.nan)
         try:
-            grads = sv.map_gradient(model, curve, pts,
-                                    speed_threshold=tol["zero_speed_threshold"])
+            grads = sv.map_gradient(model, curve, pts)
             grad_norm = np.linalg.norm(np.atleast_2d(grads), axis=1)
         except NestorError as exc:
             summary["map_gradient_error"] = f"{type(exc).__name__}: {exc}"
@@ -335,8 +321,7 @@ def run(config: dict, out_dir: str = None) -> int:
         t0 = time.perf_counter()
         report = nd.nestedness_report(model, curve, seed=config["seed"],
                                       n_probes=tol["nestedness_probes"],
-                                      scan_nodes=tol["scan_nodes"],
-                                      deadband=tol["splitting_deadband"])
+                                      scan_nodes=tol["scan_nodes"])
         timings["nestedness_s"] = time.perf_counter() - t0
         summary["nestedness_verdict"] = report.verdict
         summary["speed_limit"] = report.speed_limit
@@ -422,7 +407,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="quadrature points per axis")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--y-nodes", type=int, default=None)
-    p.add_argument("--tol-mass", type=float, default=None)
     p.add_argument("--require-nested", action="store_true")
     p.add_argument("--dump-level", type=float, action="append",
                    dest="dump_levels", metavar="Y",
@@ -467,8 +451,6 @@ def _config_from_args(args) -> dict:
         config.setdefault("quadrature", {}).setdefault("seed", args.seed)
     if args.y_nodes is not None:
         config["y_nodes"] = args.y_nodes
-    if args.tol_mass is not None:
-        config.setdefault("tolerances", {})["tol_mass"] = args.tol_mass
     if args.require_nested:
         config["require_nested"] = True
     if args.dump_levels:

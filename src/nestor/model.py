@@ -74,8 +74,7 @@ class Model:
     def __init__(self, domain: Domain, target: TargetInterval,
                  surplus: SurplusBundle, densities: Optional[DensityPair] = None,
                  quadrature: Optional[Quadrature] = None, *,
-                 validate: bool = True,
-                 nondegeneracy_rel_threshold: float = 1e-8):
+                 validate: bool = True):
         self.domain = domain
         self.target = target
         self.surplus = surplus
@@ -88,7 +87,6 @@ class Model:
         self.grid: QuadratureGrid = quadrature.materialize(domain)
         if self.grid.volume <= 0:
             raise EmptyDomain("estimated domain volume is not positive")
-        self.nondegeneracy_threshold = nondegeneracy_rel_threshold * domain.scale
 
         # -- normalize f against this very quadrature
         f_raw = np.asarray(densities.f(self.grid.points), dtype=float)
@@ -215,11 +213,11 @@ def default_quadrature(dim: int) -> Quadrature:
 def certify_nondegeneracy(model: Model) -> NondegeneracyCertificate:
     """Minimum of |grad_x s_y| over quadrature points and a clustered
     17-node y sample, polished by a local search so interior zeros hiding
-    between grid points are found; passes iff the minimum clears
-    ``model.nondegeneracy_threshold``."""
+    between grid points are found; passes iff the minimum clears 1e-8 of
+    the domain's scale."""
     if model.grid.n_points == 0:
         raise EmptyDomain("no interior quadrature points")
-    thr = model.nondegeneracy_threshold
+    thr = 1e-8 * model.domain.scale
     best = np.inf
     witness = None
     for y in model.target.interior_grid(17):

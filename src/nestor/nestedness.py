@@ -201,8 +201,7 @@ def dynamic_criterion(model: Model, curve: SplitCurve) -> CriterionResult:
 def unique_splitting_check(model: Model, curve: SplitCurve,
                            x_probes: Optional[np.ndarray] = None,
                            n_probes: int = 100, seed: int = 0,
-                           scan_nodes: int = 201,
-                           deadband: float = 1e-3) -> CriterionResult:
+                           scan_nodes: int = 201) -> CriterionResult:
     """Count the roots of psi_x(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y)
     per probe; the first 20 probes with several roots witness
     non-nestedness.
@@ -226,7 +225,7 @@ def unique_splitting_check(model: Model, curve: SplitCurve,
     for j, yj in enumerate(y_scan):
         sy = np.asarray(model.surplus.s_y(x_probes, float(yj)), dtype=float)
         psi[:, j] = h_k[j] * (sy - k[j])
-    band = effective_deadband(model, deadband)
+    band = effective_deadband(model)
     witnesses = []
     n_single = 0
     n_flat = 0
@@ -326,16 +325,15 @@ def kprime_bound_gap(model: Model, curve: SplitCurve,
 # ---------------------------------------------------------------------------
 
 def nestedness_report(model: Model, curve: SplitCurve, seed: int = 0,
-                      n_probes: int = 100, scan_nodes: int = 201,
-                      deadband: float = 1e-3) -> NestednessReport:
+                      n_probes: int = 100,
+                      scan_nodes: int = 201) -> NestednessReport:
     """Run all three criteria plus the transversality and speed-limit
     diagnostics; nested requires all three to pass, non-nested at least one
     definite failure witness, anything else is inconclusive."""
     mono = check_sublevel_monotonicity(model, curve)
     dyn = dynamic_criterion(model, curve)
     uniq = unique_splitting_check(model, curve, seed=seed,
-                                  n_probes=n_probes, scan_nodes=scan_nodes,
-                                  deadband=deadband)
+                                  n_probes=n_probes, scan_nodes=scan_nodes)
     trans = None if model.domain.boundary_normal is None \
         else transversality_diagnostic(model, curve)
     ell = speed_limit(model, curve)

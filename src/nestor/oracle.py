@@ -50,6 +50,12 @@ class DiscreteInstance:
             raise ValueError("atom weights must be strictly positive")
         if abs(a.sum() - 1.0) > 1e-12 or abs(b.sum() - 1.0) > 1e-12:
             raise ValueError("atom weights must sum to one (1e-12)")
+        ns, nt = a.size, b.size
+        if (np.shape(self.surplus_matrix) != (ns, nt)
+                or len(self.source_points) != ns
+                or len(self.target_points) != nt):
+            raise ValueError(f"{ns} source and {nt} target weights need a "
+                             f"({ns}, {nt}) surplus matrix and as many points")
 
     @property
     def shape(self):

@@ -52,7 +52,7 @@ def _quad_for(dim: int, resolution: Optional[int], seed: int) -> Quadrature:
                    if resolution is None else resolution)
 
 
-def _build_uniform_1d(resolution=None, seed=0, target="uniform", **model_kw):
+def _build_uniform_1d(resolution=None, seed=0, target="uniform"):
     dom = interval_domain(0.0, 1.0)
     tgt = TargetInterval(0.0, 1.0)
     if target == "uniform":
@@ -72,19 +72,19 @@ def _build_uniform_1d(resolution=None, seed=0, target="uniform", **model_kw):
     else:
         raise UnknownScenario(f"uniform-1d target {target!r}")
     model = Model(dom, tgt, bilinear_surplus([1.0]), dens,
-                  quadrature=_quad_for(1, resolution, seed), **model_kw)
+                  quadrature=_quad_for(1, resolution, seed))
     return Scenario(name="uniform-1d", model=model,
                     params={"target": target}, expected_verdict="nested",
                     **analytic)
 
 
-def _build_paraboloid(m=2, resolution=None, seed=0, **model_kw):
+def _build_paraboloid(m=2, resolution=None, seed=0):
     m = int(m)
     dom = paraboloid_domain(m)
     tgt = TargetInterval(0.0, 1.0)
     e1 = [1.0] + [0.0] * (m - 1)
     model = Model(dom, tgt, bilinear_surplus(e1),
-                  quadrature=_quad_for(m, resolution, seed), **model_kw)
+                  quadrature=_quad_for(m, resolution, seed))
     p_map = (m + 1) / 2.0
     p_u = (m + 3) / 2.0
     c_u = 2.0 / (m + 3)
@@ -99,15 +99,14 @@ def _build_paraboloid(m=2, resolution=None, seed=0, **model_kw):
         analytic_k=lambda y: np.asarray(y, dtype=float) ** (2.0 / (m + 1)))
 
 
-def _build_flat_paraboloid(m=2, flatness=2.0, resolution=None, seed=0,
-                           **model_kw):
+def _build_flat_paraboloid(m=2, flatness=2.0, resolution=None, seed=0):
     if int(m) != 2:
         raise UnknownScenario("flat-paraboloid is a planar fixture (m = 2)")
     kappa = float(flatness)
     dom = paraboloid_domain(2, flatness=kappa)
     tgt = TargetInterval(0.0, 1.0)
     model = Model(dom, tgt, bilinear_surplus([1.0, 0.0]),
-                  quadrature=_quad_for(2, resolution, seed), **model_kw)
+                  quadrature=_quad_for(2, resolution, seed))
     p_map = 1.0 + 1.0 / (2.0 * kappa)          # F = x_1^p
     p_k = (2.0 * kappa) / (2.0 * kappa + 1.0)  # k = y^(1/p)
     c_v = (2.0 * kappa + 1.0) / (4.0 * kappa + 1.0)
@@ -123,12 +122,12 @@ def _build_flat_paraboloid(m=2, flatness=2.0, resolution=None, seed=0,
         analytic_k=lambda y: np.asarray(y, dtype=float) ** p_k)
 
 
-def _build_ball_circle(r=0.05, resolution=None, seed=0, **model_kw):
+def _build_ball_circle(r=0.05, resolution=None, seed=0):
     r = float(r)
     dom = annulus_domain(r, 1.0)
     tgt = TargetInterval(-np.pi, np.pi)
     model = Model(dom, tgt, arc_surplus(),
-                  quadrature=_quad_for(2, resolution, seed), **model_kw)
+                  quadrature=_quad_for(2, resolution, seed))
     return Scenario(
         name="ball-circle", model=model, params={"r": r},
         expected_verdict="non-nested",
@@ -139,12 +138,12 @@ def _build_ball_circle(r=0.05, resolution=None, seed=0, **model_kw):
         analytic_k=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
 
 
-def _build_pie_slice(theta0=np.pi / 4, resolution=None, seed=0, **model_kw):
+def _build_pie_slice(theta0=np.pi / 4, resolution=None, seed=0):
     theta0 = float(theta0)
     dom = pie_slice_domain(theta0, 1.0)
     tgt = TargetInterval(-theta0, theta0)
     model = Model(dom, tgt, arc_surplus(),
-                  quadrature=_quad_for(2, resolution, seed), **model_kw)
+                  quadrature=_quad_for(2, resolution, seed))
     verdict = "nested" if theta0 <= np.pi / 2 else "non-nested"
     return Scenario(
         name="pie-slice", model=model, params={"theta0": theta0},
@@ -171,17 +170,14 @@ def list_scenarios() -> list:
 
 def build(name: str, **params) -> Scenario:
     """Construct a named scenario; unknown names raise UnknownScenario and
-    parameters the scenario does not take raise ValueError.
-    ``nondegeneracy_rel_threshold``, which is not a scenario parameter,
-    goes to the Model."""
+    parameters the scenario does not take raise ValueError.  The model's
+    tolerances are library constants, not scenario parameters."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownScenario(
             f"{name!r}; known: {', '.join(list_scenarios())}") from None
-    takes = {p.name for p in inspect.signature(builder).parameters.values()
-             if p.kind is p.POSITIONAL_OR_KEYWORD}
-    stray = sorted(set(params) - takes - {"nondegeneracy_rel_threshold"})
+    stray = sorted(set(params) - set(inspect.signature(builder).parameters))
     if stray:
         raise ValueError(f"{name!r} takes no parameter {', '.join(stray)}")
     return builder(**params)

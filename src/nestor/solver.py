@@ -160,18 +160,18 @@ def interpolation_error(curve: SplitCurve) -> float:
 # ---------------------------------------------------------------------------
 
 def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
-                      tol_mass: float = 1e-6, n_nodes: int = 65) -> SplitCurve:
+                      n_nodes: int = 65) -> SplitCurve:
     """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
-    k_minus and k_plus are the edges of {k : |h(y, k)| <= tol_mass},
+    k_minus and k_plus are the edges of the mass band {k : |h(y, k)| <= 1e-6},
     clamped to the padded range of s_y.  X(y, k_plus) is sampled once per
     node (twice on planar tensor grids, where the tangential flag and the
     boundary transversality need band samples besides the contour).  Nodes
     flagged tangential (more than ``default_tangential_threshold(model)`` of
     the band area in boundary-adjacent cells, or an empty level set) get
     difference-quotient derivatives instead of -h_y/h_k, whose hypotheses
-    fail there.  The
-    plateau, tangential and empty-level-set nodes are logged at DEBUG.
+    fail there.  The plateau, tangential and empty-level-set nodes are
+    logged at DEBUG.
     """
     model.require_nondegenerate()
     if y_grid is None:
@@ -196,7 +196,7 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
             else 1e-2 * k_range
         g_target = target_cdf(model, y)
         k_minus[i], k_plus[i] = np.clip(
-            sublevel_levels(model, y, g_target - tol_mass, g_target + tol_mass),
+            sublevel_levels(model, y, g_target - 1e-6, g_target + 1e-6),
             np.min(sl.sy) - pad, np.max(sl.sy) + pad)
         plateau[i] = k_plus[i] - k_minus[i] > 1e-4 * k_range
 
@@ -390,17 +390,18 @@ def count_sign_changes(values: np.ndarray, deadband: float) -> tuple:
     return int(len(brackets)), brackets
 
 
-def effective_deadband(model: Model, mass_deadband: float) -> float:
-    """Sign deadband for sampled splitting profiles: at least the binary
-    mass quantization of the grid (one point's worth of mass)."""
-    return max(mass_deadband, float(np.max(model.point_mass)))
+def effective_deadband(model: Model) -> float:
+    """Sign deadband for sampled splitting profiles: 1e-3 of the mass, or
+    the binary mass quantization of the grid (one point's worth of mass)
+    when that is larger."""
+    return max(1e-3, float(np.max(model.point_mass)))
 
 
 def _map_by_splitting(model: Model, curve: SplitCurve, x: np.ndarray,
                       y_tol: float) -> np.ndarray:
     y_scan = model.target.interior_grid(65, clustered=False)
     psi = splitting_profile(model, x, y_scan)
-    mass_noise = effective_deadband(model, 1e-3)
+    mass_noise = effective_deadband(model)
     out = np.empty(x.shape[0])
     witnesses = []
     for i in range(x.shape[0]):
@@ -506,13 +507,12 @@ def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray,
-                 speed_threshold: float = 1e-8):
+def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray):
     """DF(x) = grad_x s_y(x, F(x)) / (k'(F(x)) - s_yy(x, F(x))).
 
     The derivative of the interpolated curve is used for k' so the identity
     is consistent with finite differences of the by-level map.  Raises
-    ZeroSpeed when the denominator drops to the threshold.
+    ZeroSpeed when the denominator drops to 1e-8 or below.
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -521,7 +521,7 @@ def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray,
     kp = np.atleast_1d(curve.kprime_at(f_val))
     syy = np.asarray(model.surplus.s_yy(x, f_val), dtype=float)
     denom = kp - syy
-    if np.any(denom <= speed_threshold):
+    if np.any(denom <= 1e-8):
         raise ZeroSpeed("level-set speed k' - s_yy at or below threshold")
     grad = np.asarray(model.surplus.grad_x_s_y(x, f_val), dtype=float)
     out = grad / denom[:, None]

@@ -49,7 +49,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["nestedness_verdict"] == "nested"
     assert summary["nondegeneracy"]["passed"] is True
-    assert "tol_mass" in summary["tolerances"]
+    assert set(summary["tolerances"]) == {"nestedness_probes", "scan_nodes"}
     assert "timings_seconds" not in summary
     assert "map_gradient_error" not in summary
 
@@ -182,14 +182,13 @@ def test_every_tolerance_settable_and_echoed(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "scenario": "uniform-1d", "y_nodes": 33,
-        "tolerances": {"splitting_deadband": 2e-3, "scan_nodes": 101},
+        "tolerances": {"nestedness_probes": 50, "scan_nodes": 101},
     }))
     assert run_main(["check-nested", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert set(DEFAULT_TOLERANCES) <= set(summary["tolerances"])
-    assert summary["tolerances"]["splitting_deadband"] == 2e-3
-    assert summary["tolerances"]["scan_nodes"] == 101
+    assert set(DEFAULT_TOLERANCES) == set(summary["tolerances"])
+    assert summary["tolerances"] == {"nestedness_probes": 50, "scan_nodes": 101}
 
 
 def test_dump_level_2d_writes_contour_segments(tmp_path):
@@ -232,14 +231,17 @@ def test_empty_level_sets_are_counted_per_column(tmp_path):
     assert isinstance(summary["balance_residual_max"], float)
 
 
-def test_map_gradient_failure_is_recorded(tmp_path):
-    # every speed k' - s_yy = 1 is below this threshold, so map_gradient
-    # raises ZeroSpeed; the run goes on and says why grad_norm is empty
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "scenario": "uniform-1d", "y_nodes": 33,
-        "tolerances": {"zero_speed_threshold": 1e6}}))
-    assert run_main(["solve", "--config", str(config),
+def test_map_gradient_failure_is_recorded(tmp_path, monkeypatch):
+    # when map_gradient raises ZeroSpeed, the run goes on and says why
+    # grad_norm is empty
+    from nestor import solver
+    from nestor.errors import ZeroSpeed
+
+    def zero_speed(*args, **kwargs):
+        raise ZeroSpeed("level-set speed k' - s_yy at or below threshold")
+
+    monkeypatch.setattr(solver, "map_gradient", zero_speed)
+    assert run_main(["solve", "uniform-1d", "--y-nodes", "33",
                      "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["map_gradient_error"].startswith("ZeroSpeed: ")
@@ -348,6 +350,11 @@ def _inline(**model):
                  id="dump-level-outside-target"),
     pytest.param(None, ["uniform-1d", "--dump-level", "nan"],
                  id="dump-level-nan"),
+    *(pytest.param({"scenario": "uniform-1d", "tolerances": {key: value}},
+                   [], id=f"removed-{key}")
+      for key, value in (("tol_mass", 1e-6), ("splitting_deadband", 1e-3),
+                         ("nondegeneracy_rel_threshold", 1e-8),
+                         ("zero_speed_threshold", 1e-8))),
 ])
 def test_input_errors_are_config_errors(tmp_path, capsys, config, args):
     path = tmp_path / "config.json"
@@ -361,23 +368,28 @@ def test_input_errors_are_config_errors(tmp_path, capsys, config, args):
     assert err.startswith("config error:") and "Traceback" not in err, err
 
 
-def test_scenario_config_applies_model_tolerances(tmp_path, capsys):
-    # a non-degeneracy threshold above every |grad_x s_y| fails the
-    # certificate, for a built-in scenario exactly as for an inline model
-    inline = {"model": {"domain": {"type": "paraboloid", "m": 2},
-                        "target": [0.0, 1.0],
-                        "surplus": {"builtin": "bilinear"}},
-              "quadrature": {"resolution": 32}}
-    scenario = {"scenario": "paraboloid-segment",
-                "quadrature": {"resolution": 32}}
-    for name, base in (("inline", inline), ("scenario", scenario)):
-        config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps(
-            {**base, "y_nodes": 17,
-             "tolerances": {"nondegeneracy_rel_threshold": 1e6}}))
-        assert run_main(["check-nested", "--config", str(config),
-                         "--out", str(tmp_path / name)]) == 1, name
-        assert "error: Degenerate: " in capsys.readouterr().err, name
+def test_removed_tol_mass_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main(["solve", "uniform-1d", "--tol-mass", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tol-mass" in capsys.readouterr().err
+
+
+def test_degenerate_inline_model_is_an_error(tmp_path, capsys):
+    # s = y x1^2 + x2 has grad_x s_y = (2 x1, 0), which vanishes on x1 = 0
+    # inside the box, so the non-degeneracy certificate fails
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"domain": {"type": "box", "lo": [-1.0, -1.0],
+                             "hi": [1.0, 1.0]},
+                  "target": [0.0, 1.0],
+                  "surplus": {"polynomial": [
+                      {"coeff": 1.0, "x_powers": [2, 0], "y_power": 1},
+                      {"coeff": 1.0, "x_powers": [0, 1], "y_power": 0}]}},
+        "quadrature": {"resolution": 32}, "y_nodes": 17}))
+    assert run_main(["check-nested", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "error: Degenerate: " in capsys.readouterr().err
 
 
 def test_pivot_budget_goes_through_the_error_path(tmp_path, monkeypatch,

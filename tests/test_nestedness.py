@@ -122,12 +122,12 @@ def test_unique_splitting(par2, ball, pie_wide):
     assert corner.status == "fail"
 
 
-def _mass_scan_reference(model, x_probes, scan_nodes=201, deadband=1e-3):
+def _mass_scan_reference(model, x_probes, scan_nodes=201):
     """(n_single, n_flat, n_multi), the roots of the first 20 multi-root
     probes and the scan step, from binary sublevel masses on the grid."""
     y_scan = model.target.interior_grid(scan_nodes, clustered=False)
     psi = splitting_profile(model, x_probes, y_scan)
-    band = effective_deadband(model, deadband)
+    band = effective_deadband(model)
     counts = [0, 0, 0]
     roots = []
     for row in psi:

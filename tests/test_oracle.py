@@ -52,6 +52,16 @@ def test_instance_validation():
         _instance([0.6, 0.6], [0.5, 0.5], [[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         _instance([1.0, 0.0], [0.5, 0.5], [[0, 0], [0, 0]])
+    # a 4x3 surplus matrix with 5 or 3 source weights, or with 3 source
+    # points beside 4 weights: 5 weights used to hang the simplex
+    s43 = np.zeros((4, 3))
+    b = np.full(3, 1 / 3)
+    for a in (np.full(5, 0.2), np.full(3, 1 / 3)):
+        with pytest.raises(ValueError, match="surplus matrix"):
+            _instance(a, b, s43)
+    with pytest.raises(ValueError, match="surplus matrix"):
+        DiscreteInstance(np.zeros((3, 1)), np.full(4, 0.25), np.zeros(3), b,
+                         s43)
 
 
 def test_identity_2x2():

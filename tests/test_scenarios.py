@@ -13,6 +13,10 @@ def test_registry():
                      "pie-slice", "uniform-1d"]
     with pytest.raises(UnknownScenario):
         build("moebius-strip")
+    # a model tolerance is a library constant, not a scenario parameter
+    with pytest.raises(ValueError, match="takes no parameter "
+                       "nondegeneracy_rel_threshold"):
+        build("paraboloid-segment", nondegeneracy_rel_threshold=1.0)
 
 
 def test_scenario_quadrature_table():
