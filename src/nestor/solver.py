@@ -22,8 +22,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import EmptyBand, NonNested, ZeroSpeed
-from .levelsets import (cumulative_mass, default_tangential_threshold,
-                        level_set, sublevel_levels, sublevel_mass)
+from .levelsets import (_invert_sublevel, cumulative_mass,
+                        default_tangential_threshold, level_set, sublevel_mass)
 from .model import Model, target_cdf
 
 logger = logging.getLogger(__name__)
@@ -171,7 +171,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     the band area in boundary-adjacent cells, or an empty level set) get
     difference-quotient derivatives instead of -h_y/h_k, whose hypotheses
     fail there.  The plateau, tangential and empty-level-set nodes are
-    logged at DEBUG.
+    logged at DEBUG, and so are the counts of nodes inverted on a k window
+    and on the full knots (see ``sublevel_levels``).
     """
     model.require_nondegenerate()
     if y_grid is None:
@@ -184,6 +185,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     kprime = np.full(n, np.nan)
     tangential = np.zeros(n, dtype=bool)
     plateau = np.zeros(n, dtype=bool)
+    windowed = np.zeros(n, dtype=bool)
+    sorted_share = np.empty(n)
     h_k, h_y, syy_min, syy_max, area, transversality = np.full((6, n), np.nan)
     normal = model.domain.boundary_normal
     x_syy_max = np.full((n, model.domain.dim), np.nan)
@@ -195,9 +198,12 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
         pad = 1e-3 * k_range + 10 * float(np.max(sl.span)) if sl.span is not None \
             else 1e-2 * k_range
         g_target = target_cdf(model, y)
-        k_minus[i], k_plus[i] = np.clip(
-            sublevel_levels(model, y, g_target - 1e-6, g_target + 1e-6),
-            np.min(sl.sy) - pad, np.max(sl.sy) + pad)
+        levels, window, share = _invert_sublevel(
+            model, y, g_target - 1e-6, g_target + 1e-6)
+        k_minus[i], k_plus[i] = np.clip(levels, np.min(sl.sy) - pad,
+                                        np.max(sl.sy) + pad)
+        windowed[i] = window != (-np.inf, np.inf)
+        sorted_share[i] = share
         plateau[i] = k_plus[i] - k_minus[i] > 1e-4 * k_range
 
         try:
@@ -230,6 +236,10 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
                        ("with an empty level set", empty)):
         logger.debug("split curve: %d of %d nodes %s at y = %s", np.sum(mask),
                      n, what, np.round(y_grid[mask], 6).tolist())
+    logger.debug("split curve: %d nodes inverted on a k window (median %.3g "
+                 "of the ramps sorted), %d on the full knots", np.sum(windowed),
+                 np.median(sorted_share[windowed]) if windowed.any() else np.nan,
+                 n - np.sum(windowed))
 
     # difference quotients at tangential nodes (one-sided at the ends)
     fd = np.gradient(k_plus, y_grid)

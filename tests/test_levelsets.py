@@ -135,21 +135,89 @@ def _invert_running_max(knots, mass, target, side):
 @pytest.mark.parametrize("name", ["seg1d", "bowl", "cube", "disk", "square_mc"])
 def test_sublevel_levels_match_running_max_reference(request, name):
     # tensor grids in 1, 2 and 3 dimensions, and a Monte Carlo grid, whose
-    # binary sublevel mass makes every knot a jump
+    # binary sublevel mass makes every knot a jump; the reference inverts
+    # the knots of the k window the levels came from
     model = request.getfixturevalue(name)
     total = float(np.sum(model.point_mass))
     rng = np.random.default_rng(5)
     lo_t, hi_t = model.target.y_lo, model.target.y_hi
+    n_windowed = 0
     for y in lo_t + (hi_t - lo_t) * np.array([0.0, 0.13, 0.5, 0.91, 1.0]):
-        knots, mass = levelsets._mass_knots(model, model.slice_at(float(y)))
+        sl = model.slice_at(float(y))
+        # knot masses of a window around half the mass, which the windows
+        # of nearby targets often share
+        _, window, _ = levelsets._invert_sublevel(model, y, total / 2,
+                                                  total / 2)
+        mass = levelsets._mass_knots(model, sl, *window)[1]
         targets = np.concatenate([[0.0, total, np.nextafter(total, 0.0)],
                                   mass[rng.integers(0, mass.size, 8)],
                                   total * rng.random(8)])
         for lo in targets:
             for hi in targets[targets >= lo][:4]:
-                assert sublevel_levels(model, float(y), lo, hi) == (
+                levels, window, _ = levelsets._invert_sublevel(model, y,
+                                                               lo, hi)
+                knots, mass = levelsets._mass_knots(model, sl, *window)
+                assert sublevel_levels(model, float(y), lo, hi) == levels == (
                     _invert_running_max(knots, mass, lo, "left"),
                     _invert_running_max(knots, mass, hi, "right"))
+                n_windowed += window != (-np.inf, np.inf)
+    assert n_windowed > 0
+
+
+@pytest.fixture(scope="module")
+def tilted():
+    # level sets cross the x1-major lattice at a slant, so the ramp knots
+    # come in no presorted runs
+    return Model(box_domain([0, 0], [1, 1]), TargetInterval(0, 1),
+                 bilinear_surplus([1, 0.5]), quadrature=Quadrature("tensor", 128))
+
+
+def _full_levels(model, y, lo, hi):
+    knots, mass = levelsets._mass_knots(model, model.slice_at(y))
+    return (levelsets._invert_knots(knots, mass, lo, "left"),
+            levelsets._invert_knots(knots, mass, hi, "right"))
+
+
+@pytest.mark.parametrize("name", ["seg1d", "bowl", "cube", "disk",
+                                  "square_mc", "tilted"])
+def test_windowed_levels_agree_with_the_full_knots(request, monkeypatch, name):
+    model = request.getfixturevalue(name)
+    total = float(np.sum(model.point_mass))
+    rng = np.random.default_rng(11)
+    n_windowed = 0
+    for y in model.target.interior_grid(65):
+        y = float(y)
+        g = target_cdf(model, y)
+        for lo, hi in [(g - 1e-6, g + 1e-6), (0.0, total),
+                       tuple(np.sort(total * rng.random(2)))]:
+            levels, window, _ = levelsets._invert_sublevel(model, y, lo, hi)
+            n_windowed += window != (-np.inf, np.inf)
+            for k, k_full in zip(levels, _full_levels(model, y, lo, hi)):
+                if np.isinf(k) or np.isinf(k_full):
+                    assert k == k_full
+                else:
+                    assert abs(sublevel_mass(model, y, k)
+                               - sublevel_mass(model, y, k_full)) <= 1e-12 * total
+    assert n_windowed > 0
+
+    # windows that miss a level: wholly below or above both, cutting off
+    # the lower one, ending short of the upper one by a quarter span, or
+    # holding no point at all
+    y = float(model.target.interior_grid(65)[40])
+    g = target_cdf(model, y)
+    lo, hi = g - 1e-6, g + 1e-6
+    lower, upper = _full_levels(model, y, lo, hi)
+    sl = model.slice_at(y)
+    step = 0.25 * float(np.max(sl.span)) if sl.span is not None \
+        else 1e-3 * float(np.ptp(sl.sy))
+    for window in [(upper + step, np.inf), (-np.inf, lower - step),
+                   (lower + step, upper + 1.0), (lower - 1.0, upper - step),
+                   (np.max(sl.sy) + 1.0, np.max(sl.sy) + 2.0)]:
+        monkeypatch.setattr(levelsets, "_sublevel_window",
+                            lambda *args, w=window: w)
+        assert sublevel_levels(model, y, lo, hi) == (lower, upper)
+        assert levelsets._invert_sublevel(model, y, lo, hi)[1] == (
+            -np.inf, np.inf)
 
 
 def test_invert_knots_reads_through_a_rounding_dip():

@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 from dataclasses import dataclass, replace
 
@@ -415,6 +416,13 @@ def test_map_and_payoff_memory_is_bounded(par2):
 
 def test_debug_records(par2, monkeypatch, caplog):
     model, c = par2.model, par2.curve
+    # the default solve inverts every node's sublevel mass on its k window
+    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
+        solve_split_curve(model)
+    assert re.search(r"split curve: 65 nodes inverted on a k window \(median "
+                     r"0\.0\d+ of the ramps sorted\), 0 on the full knots",
+                     caplog.text)
+    caplog.clear()
     pts = model.domain.sample_interior(40, seed=5, margin=0.02)
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
         optimal_map(model, c, pts)
@@ -459,7 +467,7 @@ def test_split_curve_debug_records(caplog):
     assert f"{n_tan} of 65 nodes tangential at y = [-1.19965, " in caplog.text
     assert ("2 of 65 nodes with an empty level set at y = [-1.19965, 1.19965]"
             in caplog.text)
-    assert len(caplog.records) == 3
+    assert len(caplog.records) == 4
     assert all(r.levelno == logging.DEBUG and r.name == "nestor.solver"
                for r in caplog.records)
 
