@@ -3,7 +3,11 @@
 Domains are implicit: a bounding box plus an inside-indicator (and an
 optional boundary-normal oracle).  Nothing is ever meshed; every volume
 and surface quantity downstream is computed from quadrature points that
-carry cell geometry with them.
+carry cell geometry with them.  Tensor grids are cut-cell rules (the
+volume fractions of Johansen & Colella, J. Comput. Phys. 147, 1998): a
+cell at the boundary weighs its inside share and sits at its inside
+centroid, both read from 4^m sub-samples, so a curved boundary costs a
+second-order error rather than a first-order staircase.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ NormalOracle = Callable[[np.ndarray], np.ndarray]
 class Domain:
     """Implicit source region X in R^m.
 
-    ``inside`` maps an (N, m) array of points to an (N,) boolean mask and
-    must return False everywhere outside ``bbox``.  ``boundary_normal``,
+    ``inside`` maps an (N, m) array of points (C- or column-major) to an
+    (N,) boolean mask and must return False everywhere outside ``bbox``.  ``boundary_normal``,
     when supplied, maps boundary-adjacent points to outward unit vectors.
     """
 
@@ -120,10 +124,12 @@ class TargetInterval:
 class QuadratureGrid:
     """Materialized quadrature: interior points with weights.
 
-    For tensor grids ``spacing`` holds the cell side per axis and
-    ``boundary_adjacent`` flags interior points whose cell touches an
-    indicator sign change (or a bbox face).  Monte Carlo grids carry
-    equal weights box_volume / n_samples and no spacing.
+    For tensor grids ``spacing`` holds the cell side per axis, each weight
+    is the inside share of its cell times the cell volume, and
+    ``boundary_adjacent`` flags the cut cells: those within one axis step
+    of an indicator change (or on a bbox face), including every kept cell
+    whose midpoint is outside.  Monte Carlo grids carry equal weights
+    box_volume / n_samples and no spacing.
     """
 
     points: np.ndarray          # (N, m)
@@ -141,11 +147,22 @@ class QuadratureGrid:
         return float(np.sum(self.weights))
 
 
+# Sub-samples per block of cut cells: a block's coordinates and the
+# indicator's temporaries stay in cache (16,384 points, 384 KB in 3-d).
+_SUBSAMPLE_BLOCK = 16384
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """Quadrature configuration: deterministic given (mode, resolution, seed).
 
-    mode 'tensor'      - midpoint rule, ``resolution`` points per axis
+    mode 'tensor'      - cut-cell rule on ``resolution`` cells per axis:
+                         cells away from the boundary keep their midpoint
+                         and full weight; a cut cell (within one axis step
+                         of an indicator change) weighs its inside share
+                         of 4^m sub-samples and sits at their inside
+                         centroid, and is dropped when none is inside.
+                         Points come in x1-major cell order.
     mode 'monte-carlo' - ``resolution`` seeded uniform samples in the bbox
     """
 
@@ -170,32 +187,63 @@ class Quadrature:
         n = self.resolution
         spacing = (hi - lo) / n
         axes = [lo[j] + (np.arange(n) + 0.5) * spacing[j] for j in range(m)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        mask_flat = dom.contains(pts)
-        if not np.any(mask_flat):
-            raise EmptyDomain("no interior quadrature points")
-        mask = mask_flat.reshape([n] * m)
+        # Midpoints and sub-samples lie strictly inside the bbox, so the
+        # indicator is called directly, without Domain.contains's box test.
+        # They are held column-major: the built-in indicators work on whole
+        # coordinate columns, several times faster than on strided ones.
+        pts = np.empty((n ** m, m), order="F")
+        for j, g in enumerate(np.meshgrid(*axes, indexing="ij")):
+            pts[:, j] = g.ravel()
+        mask = np.asarray(dom.inside(pts), dtype=bool).reshape([n] * m)
 
-        # A cell is boundary-adjacent if any axis neighbour is outside the
-        # domain; the False padding makes cells on the grid edge adjacent
-        # (the domain can only reach the bbox face there, part of its boundary).
+        # The cut cells are those within one axis step of an indicator
+        # change; the False padding makes inside cells on the grid edge cut
+        # cells too (the domain can only reach the bbox face there, part of
+        # its boundary).
         padded = np.pad(mask, 1)
-        adjacent = np.zeros_like(mask)
+        cut = np.zeros_like(mask)
         for j in range(m):
             for start in (0, 2):  # the neighbour below, then above, on axis j
                 window = [slice(1, n + 1)] * m
                 window[j] = slice(start, start + n)
-                adjacent |= ~padded[tuple(window)]
-        adjacent &= mask
+                cut |= padded[tuple(window)] != mask
+        mask, cut = mask.ravel(), cut.ravel()
+
+        # Each cut cell is sub-sampled at the midpoints of its 4^m
+        # sub-cells, at offsets of (-3, -1, 1, 3) eighths of the cell per
+        # axis.  Its weight is the inside share of the cell and its point
+        # the centroid of the inside sub-samples.  The offset sums are
+        # small integers, so they are exact in any summation order, and a
+        # cell wholly inside keeps its midpoint bit for bit.  The cells go
+        # in blocks whose sub-samples fit in cache.
+        eighths = np.stack(np.meshgrid(*[[-3.0, -1.0, 1.0, 3.0]] * m,
+                                       indexing="ij"), axis=-1).reshape(-1, m)
+        idx = np.flatnonzero(cut)
+        count = np.empty(idx.size)
+        offset = np.empty((idx.size, m))
+        step = max(1, _SUBSAMPLE_BLOCK // eighths.shape[0])
+        for start in range(0, idx.size, step):
+            cells = idx[start:start + step]
+            sub = np.empty((cells.size * eighths.shape[0], m), order="F")
+            for j in range(m):
+                sub[:, j] = (pts[cells, j, None]
+                             + eighths[:, j] * (spacing[j] / 8.0)).ravel()
+            hit = np.asarray(dom.inside(sub), dtype=float).reshape(cells.size, -1)
+            count[start:start + step] = np.sum(hit, axis=1)
+            offset[start:start + step] = hit @ eighths
+        pts[idx] += offset / (8.0 * np.maximum(count, 1.0))[:, None] * spacing
 
         cell = float(np.prod(spacing))
-        pts_in = pts[mask_flat]
+        weights = np.where(mask, cell, 0.0)
+        weights[idx] = cell * (count / eighths.shape[0])
+        keep = weights > 0
+        if not np.any(keep):
+            raise EmptyDomain("no interior quadrature points")
         return QuadratureGrid(
-            points=pts_in,
-            weights=np.full(pts_in.shape[0], cell),
+            points=np.ascontiguousarray(pts[keep]),
+            weights=weights[keep],
             spacing=spacing,
-            boundary_adjacent=adjacent.ravel()[mask_flat],
+            boundary_adjacent=cut[keep],
             mode="tensor",
         )
 

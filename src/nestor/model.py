@@ -199,10 +199,10 @@ class Model:
 
 
 def default_quadrature(dim: int) -> Quadrature:
-    """Tensor midpoint grids at desk scale for m <= 3, seeded Monte Carlo
+    """Cut-cell tensor grids at desk scale for m <= 3, seeded Monte Carlo
     beyond."""
     if dim <= 3:
-        return Quadrature(mode="tensor", resolution={1: 2048, 2: 256, 3: 64}[dim])
+        return Quadrature(mode="tensor", resolution={1: 2048, 2: 128, 3: 56}[dim])
     return Quadrature(mode="monte-carlo", resolution=200_000, seed=0)
 
 

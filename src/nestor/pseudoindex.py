@@ -24,6 +24,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import InsufficientPairs, NonMonotoneSign
+from .levelsets import sublevel_mass
 from .model import Model, target_quantile
 
 
@@ -174,22 +175,18 @@ def _check_orientation(model: Model) -> None:
 
 def reduce_and_solve_1d(model: Model) -> Rearrangement1D:
     """Push mu through the canonical index, build its CDF on a 257-point
-    grid, and compose with the target quantile function.  The result
-    matches the full nested solve whenever the surplus really is of index
-    form."""
+    grid, and compose with the target quantile function.  Since
+    I = s_y(., y_mid), the CDF at t is the split solve's own sublevel mass
+    at (y_mid, t) over the total, ramps included.  The result matches the
+    full nested solve whenever the surplus really is of index form."""
     _check_orientation(model)
     index = canonical_index(model)
     i_vals = np.asarray(index(model.grid.points), dtype=float)
     lo, hi = float(np.min(i_vals)), float(np.max(i_vals))
     pad = 1e-9 * max(hi - lo, 1.0)
     grid = np.linspace(lo - pad, hi + pad, 257)
-    order = np.argsort(i_vals, kind="stable")
-    sorted_vals = i_vals[order]
-    cum = np.cumsum(model.point_mass[order])
-    total = cum[-1]
-    idx = np.searchsorted(sorted_vals, grid, side="right")
-    cdf_vals = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
-    cdf_vals = np.maximum.accumulate(cdf_vals)
+    cdf_vals = (sublevel_mass(model, model.target.mid, grid)
+                / float(np.sum(model.point_mass)))
     # strictly increasing knots for the monotone interpolant
     keep = np.concatenate([[True], np.diff(cdf_vals) > 1e-15])
     keep[0] = keep[-1] = True

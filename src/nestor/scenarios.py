@@ -183,18 +183,43 @@ def build(name: str, **params) -> Scenario:
     return builder(**params)
 
 
+def _cell_images(model: Model, fn: Callable):
+    """fn at the quadrature points, and the radius 1/2 sum_j |d_j fn| h_j
+    of each tensor cell's image (0 on Monte Carlo grids).  d_j fn is the
+    difference over x -/+ h_j / 2 along axis j, with a stencil point that
+    leaves X replaced by x itself, so fn is evaluated inside X only."""
+    x = model.grid.points
+    f_vals = np.asarray(fn(x), dtype=float)
+    radius = np.zeros(f_vals.size)
+    if model.grid.spacing is None:
+        return f_vals, radius
+    for j, h in enumerate(model.grid.spacing):
+        ends = []
+        for sign in (1.0, -1.0):
+            shifted = x.copy()
+            shifted[:, j] += sign * 0.5 * h
+            inside = model.domain.contains(shifted)
+            at = f_vals.copy()
+            at[inside] = np.asarray(fn(shifted[inside]), dtype=float)
+            ends.append((at, inside))
+        (f_up, in_up), (f_down, in_down) = ends
+        run = 0.5 * h * (in_up.astype(float) + in_down)
+        radius += 0.5 * h * np.abs(f_up - f_down) / np.where(run > 0, run, 1.0)
+    return f_vals, radius
+
+
 def validate_analytic(scenario: Scenario) -> dict:
     """Self-check of the registered closed forms against the model: the
-    analytic map must push the f-weighted quadrature points to g (KS
-    distance), and (u, v) must be stable with equality on the graph at
-    400 random probes (seed 0)."""
+    analytic map must push the f-weighted quadrature cells to g (KS
+    distance, each cell spread over its image), and (u, v) must be stable
+    with equality on the graph at 400 random probes (seed 0)."""
     from .solver import weighted_ks_distance
     model = scenario.model
     out = {}
     if scenario.analytic_map is not None:
-        f_vals = np.asarray(scenario.analytic_map(model.grid.points), dtype=float)
-        out["map_pushforward_ks"] = weighted_ks_distance(model, f_vals,
-                                                         model.point_mass)
+        f_vals, radius = _cell_images(model, scenario.analytic_map)
+        out["map_pushforward_ks"] = weighted_ks_distance(
+            model, f_vals, model.point_mass, radius)
     if scenario.analytic_u is not None and scenario.analytic_v is not None:
         rng = np.random.default_rng(0)
         xs = model.domain.sample_interior(400, seed=0)
@@ -228,7 +253,7 @@ def holder_probe(model: Model, *, curve) -> float:
         raise InsufficientRange(
             f"only {int(np.sum(mask))} nodes in the fit window")
     sl = model.slice_at(y0 + 1e-12 * length)
-    # tensor midpoint samples sit half a cell above the true infimum
+    # a tensor sample's ramp reaches half a cell span below it
     k_floor = float(np.min(sl.sy if sl.span is None else sl.sy - 0.5 * sl.span))
     dk = curve.k_plus[mask] - k_floor
     dy = curve.y_grid[mask] - y0

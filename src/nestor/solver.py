@@ -517,6 +517,20 @@ def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
 # derived quantities
 # ---------------------------------------------------------------------------
 
+# The level-set speed k' - s_yy at or below which DF has no finite value.
+_ZERO_SPEED = 1e-8
+
+
+def _map_derivative_parts(model: Model, curve: SplitCurve, x: np.ndarray,
+                          f_val: np.ndarray):
+    """grad_x s_y(x, F) and the level-set speed k'(F) - s_yy(x, F) at the
+    map values F of the rows of x, with k' the interpolant's slope."""
+    kp = np.atleast_1d(curve.kprime_at(f_val))
+    syy = np.asarray(model.surplus.s_yy(x, f_val), dtype=float)
+    grad = np.asarray(model.surplus.grad_x_s_y(x, f_val), dtype=float)
+    return grad, kp - syy
+
+
 def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray):
     """DF(x) = grad_x s_y(x, F(x)) / (k'(F(x)) - s_yy(x, F(x))).
 
@@ -526,14 +540,10 @@ def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray):
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    f_val = optimal_map(model, curve, x)
-    f_val = np.atleast_1d(f_val)
-    kp = np.atleast_1d(curve.kprime_at(f_val))
-    syy = np.asarray(model.surplus.s_yy(x, f_val), dtype=float)
-    denom = kp - syy
-    if np.any(denom <= 1e-8):
+    f_val = np.atleast_1d(optimal_map(model, curve, x))
+    grad, denom = _map_derivative_parts(model, curve, x, f_val)
+    if np.any(denom <= _ZERO_SPEED):
         raise ZeroSpeed("level-set speed k' - s_yy at or below threshold")
-    grad = np.asarray(model.surplus.grad_x_s_y(x, f_val), dtype=float)
     out = grad / denom[:, None]
     return out[0] if single else out
 
@@ -556,35 +566,48 @@ def balance_residual(model: Model, curve: SplitCurve, y):
 
 
 def weighted_ks_distance(model: Model, f_vals: np.ndarray,
-                         weights: np.ndarray) -> float:
+                         weights: np.ndarray, radius: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between a weighted sample law and the
     target distribution G.
 
-    The samples stand in for a continuous density on midpoint cells, so
-    ties (whole lattice slabs mapping to one value, up to root-finder
-    jitter) are merged and each merged atom is charged half its weight at
-    its location; otherwise the statistic reports the quadrature
-    atomization itself rather than transport error.  Sorted values at
-    most 1e-7 of the target length apart are ties.
+    Sample i stands for its quadrature cell, so its weight is spread evenly
+    over [f_i - r_i, f_i + r_i], the image of the cell; r_i = 0 (every
+    Monte Carlo point) leaves an atom at f_i.  Without the spread the
+    statistic would report the atomization of the quadrature rather than
+    transport error.  The law's CDF is piecewise linear between the knots
+    f_i -/+ r_i and jumps at the atoms; the distance is its largest gap to
+    G at the knots, read on both sides of each jump.
     """
-    order = np.argsort(f_vals, kind="stable")
-    f = f_vals[order]
-    w = weights[order]
-    tie = 1e-7 * model.target.length
-    new_group = np.concatenate([[True], np.diff(f) > tie])
-    gid = np.cumsum(new_group) - 1
-    gw = np.bincount(gid, weights=w)
-    gf = np.bincount(gid, weights=w * f) / gw
-    cum = np.cumsum(gw)
-    mid = (cum - 0.5 * gw) / cum[-1]
-    g_here = target_cdf(model, np.clip(gf, model.target.y_lo,
+    w = np.asarray(weights, dtype=float) / np.sum(weights)
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), w.shape)
+    ramp = radius > 0
+    slope = np.where(ramp, w / np.where(ramp, 2.0 * radius, 1.0), 0.0)
+    knots = np.concatenate([f_vals - radius, f_vals + radius])
+    order = np.argsort(knots, kind="stable")
+    knots = knots[order]
+    jump = np.concatenate([np.where(ramp, 0.0, w), np.zeros(w.size)])[order]
+    rate = np.cumsum(np.concatenate([slope, -slope])[order])
+    after = np.cumsum(jump + np.concatenate([[0.0],
+                                             rate[:-1] * np.diff(knots)]))
+    g_here = target_cdf(model, np.clip(knots, model.target.y_lo,
                                        model.target.y_hi))
-    return float(np.max(np.abs(mid - g_here)))
+    return float(max(np.max(np.abs(after - jump - g_here)),
+                     np.max(np.abs(after - g_here))))
 
 
 def pushforward_distance(model: Model, curve: SplitCurve) -> float:
     """Kolmogorov-Smirnov distance between the f-weighted law of the
-    by-level F over the quadrature points and the target distribution G."""
-    f_vals = optimal_map(model, curve, model.grid.points)
-    return weighted_ks_distance(model, f_vals, model.point_mass)
-
+    by-level F over the quadrature cells and the target distribution G.
+    A tensor cell's image has the radius 1/2 sum_j |d_j F| h_j, with DF
+    from the ``map_gradient`` formula; a cell whose level-set speed is at
+    or below the ZeroSpeed threshold, and a Monte Carlo point, spreads over
+    nothing."""
+    x = model.grid.points
+    f_vals = optimal_map(model, curve, x)
+    radius = np.zeros(f_vals.size)
+    if model.grid.spacing is not None:
+        grad, speed = _map_derivative_parts(model, curve, x, f_vals)
+        fast = speed > _ZERO_SPEED
+        radius[fast] = (0.5 * (np.abs(grad[fast]) @ model.grid.spacing)
+                        / speed[fast])
+    return weighted_ks_distance(model, f_vals, model.point_mass, radius)

@@ -35,13 +35,13 @@ def _solve(name, n_nodes=257, **params):
 
 @pytest.fixture(scope="session")
 def par2():
-    """Paraboloid to segment, m = 2, default 256^2 grid."""
+    """Paraboloid to segment, m = 2, default 128^2 grid."""
     return _solve("paraboloid-segment", m=2)
 
 
 @pytest.fixture(scope="session")
 def par3():
-    """Paraboloid to segment, m = 3, default 64^3 grid."""
+    """Paraboloid to segment, m = 3, default 56^3 grid."""
     return _solve("paraboloid-segment", m=3)
 
 

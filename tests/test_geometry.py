@@ -39,6 +39,66 @@ def test_tensor_quadrature_volume_and_determinism():
     assert abs(g1.volume - exact) < 3e-3 * exact
 
 
+def _midpoint_rule(dom, n):
+    """The plain midpoint rule: every cell whose midpoint is inside, with
+    the full cell weight, in x1-major cell order."""
+    lo, hi = dom.bbox
+    h = (hi - lo) / n
+    axes = [lo[j] + (np.arange(n) + 0.5) * h[j] for j in range(dom.dim)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                   axis=1)
+    pts = pts[dom.contains(pts)]
+    return pts, np.full(pts.shape[0], float(np.prod(h)))
+
+
+@pytest.mark.parametrize("m, exact", [(2, 4 * np.sqrt(2) / 3), (3, np.pi)],
+                         ids=["par2", "par3"])
+def test_cut_cells_converge_faster_than_midpoints(m, exact):
+    dom = paraboloid_domain(m)
+    errors = []
+    for n in (32, 64, 128):
+        cut = abs(Quadrature("tensor", n).materialize(dom).volume - exact)
+        midpoint = abs(np.sum(_midpoint_rule(dom, n)[1]) - exact)
+        assert cut < midpoint, n
+        errors.append(cut)
+    assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.parametrize("dom", [paraboloid_domain(2), paraboloid_domain(3),
+                                 pie_slice_domain(1.2), annulus_domain(0.3)],
+                         ids=["par2", "par3", "pie", "annulus"])
+def test_cut_cell_weights_and_flags(dom):
+    n = 24
+    grid = Quadrature("tensor", n).materialize(dom)
+    lo = dom.bbox[0]
+    cell = float(np.prod(grid.spacing))
+    assert np.all(grid.weights > 0) and np.all(grid.weights <= cell)
+    assert np.any(grid.weights < cell)
+    # each point lies in its own cell, within 3/8 of a side of the midpoint
+    index = np.floor((grid.points - lo) / grid.spacing)
+    midpoints = lo + (index + 0.5) * grid.spacing
+    assert np.all(np.abs(grid.points - midpoints)
+                  <= 0.375 * grid.spacing * (1 + 1e-9))
+    outside = ~dom.contains(midpoints)
+    assert np.any(outside)
+    assert np.all(grid.boundary_adjacent[outside])
+    # a cell wholly inside keeps its midpoint and its full weight
+    full = grid.weights == cell
+    assert np.array_equal(grid.points[full], midpoints[full])
+
+
+def test_face_aligned_box_is_the_midpoint_rule():
+    inner = box_domain([0.25, 0.5, 0.0], [0.75, 1.0, 0.5])
+    dom = Domain(dim=3, bbox=np.array([[0.0] * 3, [1.0] * 3]),
+                 inside=inner.inside)
+    for domain, n in ((box_domain([0, 0], [1, 2]), 16),
+                      (box_domain([-1, 0, 0], [1, 1, 3]), 12), (dom, 8)):
+        grid = Quadrature("tensor", n).materialize(domain)
+        points, weights = _midpoint_rule(domain, n)
+        assert np.array_equal(grid.points, points)
+        assert np.array_equal(grid.weights, weights)
+
+
 def test_monte_carlo_quadrature_seeded():
     dom = annulus_domain(0.2)
     q = Quadrature("monte-carlo", 20_000, seed=5)

@@ -314,10 +314,16 @@ def test_objective_does_not_depend_on_atom_order(par2_atoms, r, c):
 
 
 def test_unpivoted_plan_is_the_northwest_corner(par2):
-    # the sorted par2 atoms make the northwest corner optimal: the plan is
-    # that basis in its order with the duals propagated from u_0 = 0 along
-    # its arcs, which pins the CLI's oracle_plan.json
-    inst = sample_instance(par2.model, 400, 40, seed=7)
+    # s = x1 y is supermodular, so on the atoms stably sorted by x1 the
+    # northwest corner is the optimal monotone coupling: the simplex runs
+    # no pivot, and its plan is that basis in its order with the duals
+    # propagated from u_0 = 0 along its arcs.  The atoms as sampled (cut
+    # cell centroids leave them out of x1 order) pivot to the same
+    # objective, with u_i + v_j = S_ij on their basis.
+    sampled = sample_instance(par2.model, 400, 40, seed=7)
+    inst = _permuted(sampled,
+                     np.argsort(sampled.source_points[:, 0], kind="stable"),
+                     np.arange(40))
     plan = solve_transport(inst)
     assert plan.n_pivots == 0
     s_mat = inst.surplus_matrix
@@ -344,6 +350,13 @@ def test_unpivoted_plan_is_the_northwest_corner(par2):
                 "objective": float(np.sum(values * s_mat[rows, cols])),
                 "n_pivots": 0}
     assert plan.to_dict() == expected
+
+    pivoted = solve_transport(sampled)
+    assert pivoted.n_pivots > 0
+    assert abs(pivoted.objective - expected["objective"]) <= 1e-9
+    basis = sampled.surplus_matrix[pivoted.rows, pivoted.cols]
+    assert np.max(np.abs(pivoted.u[pivoted.rows] + pivoted.v[pivoted.cols]
+                         - basis)) <= 1e-9
 
 
 def test_pivot_budget(par2):

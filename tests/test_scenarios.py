@@ -22,14 +22,14 @@ def test_registry():
 def test_scenario_quadrature_table():
     from nestor.geometry import Quadrature
     from nestor.scenarios import _quad_for
-    table = {1: ("tensor", 2048), 2: ("tensor", 256), 3: ("tensor", 64),
+    table = {1: ("tensor", 2048), 2: ("tensor", 128), 3: ("tensor", 56),
              4: ("monte-carlo", 200_000), 6: ("monte-carlo", 200_000)}
     for dim, (mode, res) in table.items():
         assert _quad_for(dim, None, 5) == Quadrature(mode, res, 5)
         assert _quad_for(dim, 48, 0) == Quadrature(mode, 48, 0)
     assert build("uniform-1d").model.quadrature == Quadrature("tensor", 2048)
     assert build("pie-slice", theta0=1.2, seed=3).model.quadrature \
-        == Quadrature("tensor", 256, 3)
+        == Quadrature("tensor", 128, 3)
 
 
 def test_expected_verdicts_recorded():

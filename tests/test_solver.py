@@ -420,7 +420,7 @@ def test_debug_records(par2, monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
         solve_split_curve(model)
     assert re.search(r"split curve: 65 nodes inverted on a k window \(median "
-                     r"0\.0\d+ of the ramps sorted\), 0 on the full knots",
+                     r"0\.1\d+ of the ramps sorted\), 0 on the full knots",
                      caplog.text)
     caplog.clear()
     pts = model.domain.sample_interior(40, seed=5, margin=0.02)
@@ -435,7 +435,7 @@ def test_debug_records(par2, monkeypatch, caplog):
     caplog.clear()
     # two probes whose 65-node scan brackets lose their sign change under
     # the smooth sublevel masses
-    probes = model.domain.sample_interior(100, seed=0, margin=0.02)[[15, 91]]
+    probes = model.domain.sample_interior(100, seed=0, margin=0.02)[[3, 17]]
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
         optimal_map(model, c, probes, method="by-splitting")
     assert "widened to" in caplog.text
@@ -527,20 +527,47 @@ def test_interpolation_error(par2):
     assert np.isfinite(err) and err <= 5e-3  # the err_k tolerance
 
 
-@pytest.mark.parametrize("f_vals, expected", [
-    # within 1e-7 of the target length: one atom at the mean, 0.75 + 5e-10
-    pytest.param([0.25, 0.25, 0.75, 0.75 + 1e-9], 5e-10, id="merged"),
-    # farther apart: the atom at 0.75 has mass midpoint 0.625, so 0.125
-    pytest.param([0.25, 0.25, 0.75, 0.75 + 1e-6], 0.125, id="apart"),
-    # each atom at the midpoint of its quarter of the mass
-    pytest.param([0.125, 0.375, 0.625, 0.875], 0.0, id="midpoints"),
+@pytest.mark.parametrize("f_vals, radius, expected", [
+    # atoms: the CDF jumps 0.75 at 0.25, read after the jump (0.75 - 0.25)
+    pytest.param([0.25, 0.25, 0.25, 0.75], 0.0, 0.5, id="atoms"),
+    # each quarter of the mass spread over its quarter of (0, 1): uniform
+    pytest.param([0.125, 0.375, 0.625, 0.875], 0.125, 0.0, id="cells"),
+    # spread over half its quarter: 1/16 short at the first knot
+    pytest.param([0.125, 0.375, 0.625, 0.875], 0.0625, 0.0625, id="narrow"),
+    # ramps over (0, 0.5), then an atom of 0.5 at 0.875, read before the
+    # jump (0.875 - 0.5)
+    pytest.param([0.125, 0.375, 0.875, 0.875], [0.125, 0.125, 0.0, 0.0],
+                 0.375, id="mixed"),
 ])
-def test_weighted_ks_distance_merges_ties(f_vals, expected):
+def test_weighted_ks_distance_spreads_cells(f_vals, radius, expected):
     from nestor.scenarios import build
     model = build("uniform-1d", resolution=64).model
     got = solver.weighted_ks_distance(model, np.array(f_vals),
-                                      np.array([0.25] * 4))
+                                      np.array([0.25] * 4), radius)
     assert got == pytest.approx(expected, rel=1e-6, abs=1e-15)
+
+
+def test_weighted_ks_distance_matches_direct_sum():
+    # the sorted sweep against the law's CDF summed point by point at
+    # every knot, on both sides, with a third of the points atoms
+    from nestor.model import target_cdf
+    from nestor.scenarios import build
+    model = build("uniform-1d", target="linear", resolution=64).model
+    rng = np.random.default_rng(3)
+    f_vals = rng.random(60)
+    weights = rng.random(60) + 0.1
+    radius = np.where(np.arange(60) % 3 == 0, 0.0, 0.2 * rng.random(60))
+    w = weights / np.sum(weights)
+    atom = radius == 0
+    gaps = []
+    for t in np.concatenate([f_vals - radius, f_vals + radius]):
+        ramps = np.clip((t - f_vals[~atom] + radius[~atom])
+                        / (2 * radius[~atom]), 0.0, 1.0) @ w[~atom]
+        g = target_cdf(model, np.clip(t, 0.0, 1.0))
+        for side in (f_vals[atom] < t, f_vals[atom] <= t):
+            gaps.append(abs(ramps + w[atom] @ side - g))
+    got = solver.weighted_ks_distance(model, f_vals, weights, radius)
+    assert got == pytest.approx(max(gaps), rel=1e-12, abs=1e-12)
 
 
 def test_pushforward_examples(uni1d, par2, ball):
