@@ -440,7 +440,6 @@ def compare_with_map(model: Model, curve, inst: DiscreteInstance,
     """
     from .solver import optimal_map, source_payoff
     f_vals = optimal_map(model, curve, inst.source_points)
-    f_vals = np.atleast_1d(f_vals)
     s_graph = np.asarray(model.surplus.s(inst.source_points, f_vals), dtype=float)
     graph_value = float(np.sum(inst.source_weights * s_graph))
     surplus_gap = (plan.objective - graph_value) / max(abs(plan.objective), 1e-300)

@@ -6,10 +6,10 @@ so its exact inverse gives the maximal root interval [k^-, k^+].  The
 target-side payoff is v(y) = integral of k, the source-side payoff is its
 generalized conjugate u(x) = sup_y s(x, y) - v(y), and the map F sends x
 to the y whose indifference set passes through x, by rooting
-phi(y) = s_y(x, y) - k(y) ("by-level"; as v' = k, where s(x, .) - v peaks,
-so u shares this safeguarded Newton solve) or by re-solving the
-proportional-splitting equation at x ("by-splitting"); the two agree
-exactly when the model is nested.
+phi(y) = s_y(x, y) - k(y) ("by-level"; as v' = k, phi is the y-slope of
+s(x, .) - v, so u reads its sup off this node walk and root) or by
+re-solving the proportional-splitting equation at x ("by-splitting");
+the two agree exactly when the model is nested.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
     if method == "by-level":
-        out = _map_by_level(model, curve, x, y_tol)
+        out, _ = _map_by_level(model, curve, x, y_tol)
     elif method == "by-splitting":
         out = _map_by_splitting(model, curve, x, y_tol)
     else:
@@ -320,22 +320,25 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
 
 
 def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
-                  y_tol: float) -> np.ndarray:
+                  y_tol: float):
     """Bracket phi = s_y - k on the curve grid and root it per row.
 
     The nodes are walked from last to first, keeping per row the bracket
     [y_j, y_j+1] of the first downcrossing of phi (+ to -), else of its
-    first sign change, with phi at both ends: the correct matching root
-    always crosses downward, and the smallest j is written last.  Rows with
-    no sign change clamp to y_hi when phi > 0 at every node, else y_lo."""
+    first sign change, with phi at both ends, and whether phi ever crosses
+    upward: the correct matching root always crosses downward, and the
+    smallest j is written last.  Rows with no sign change clamp to y_hi
+    when phi > 0 at every node, else y_lo.  Returns F and the settled rows,
+    which cross down but never up: as v' = k, s - v peaks at F there."""
     out = np.empty(x.shape[0])
+    settled = np.empty(x.shape[0], dtype=bool)
     ys, k = curve.y_grid, curve.k_plus
     for start in range(0, x.shape[0], _CHUNK):
         xb = x[start:start + _CHUNK]
         n = xb.shape[0]
         idx = np.zeros(n, dtype=np.intp)
         fa, fb = np.empty(n), np.empty(n)
-        has_down, has_any = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        has_down, has_up = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         right = model.surplus.s_y(xb, float(ys[-1])) - k[-1]
         pos_right = right > 0
         all_pos = pos_right.copy()
@@ -349,15 +352,16 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
             np.copyto(fa, left, where=take)
             np.copyto(fb, right, where=take)
             has_down |= down
-            has_any |= cross
+            has_up |= cross ^ down
             all_pos &= pos_left
             right, pos_right = left, pos_left
         out[start:start + _CHUNK] = np.where(all_pos, curve.y_hi, curve.y_lo)
-        rows = np.nonzero(has_any)[0]
+        settled[start:start + _CHUNK] = has_down & ~has_up
+        rows = np.nonzero(has_down | has_up)[0]
         j = idx[rows]
         out[start + rows] = _level_root(model, curve, xb[rows], ys[j], ys[j + 1],
                                         fa[rows], fb[rows], y_tol)
-    return out
+    return out, settled
 
 
 def splitting_profile(model: Model, x: np.ndarray,
@@ -472,19 +476,24 @@ def _map_by_splitting(model: Model, curve: SplitCurve, x: np.ndarray,
 def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
     """u(x) = sup_y s(x, y) - v(y); returns (u, argmax_y) arrays.
 
-    The curve-grid node maximizing s - v (the first on ties), found by one
-    streamed pass over the nodes per block of points, guards the sup.
-    Where s_y - k changes sign between its neighbours (interval ends past
-    the end nodes) the map's Newton solve roots it; u is the best of that
-    root, the node and the two neighbours."""
+    As v' = k, s - v peaks at F on the rows the map's node walk settles
+    (phi = s_y - k changes sign once, downward): there u = s(x, F) - v(F)
+    and y* = F.  On the rest the curve-grid node maximizing s - v (the
+    first on ties), found by one streamed pass over the nodes per block of
+    points, guards the sup; where phi changes sign between its neighbours
+    (interval ends past the end nodes) the map's Newton solve roots it,
+    and u is the best of that root, the node and the two neighbours."""
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
     ends = np.concatenate([[curve.y_lo], curve.y_grid, [curve.y_hi]])
     y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
-    u_val, y_star = np.empty(x.shape[0]), np.empty(x.shape[0])
+    y_star, settled = _map_by_level(model, curve, x, y_tol)
+    u_val = model.surplus.s(x, y_star) - curve.v_at(y_star)
+    rest = np.nonzero(~settled)[0]
     ys, v = curve.y_grid, curve.v_values
-    for start in range(0, x.shape[0], _CHUNK):
-        xb = x[start:start + _CHUNK]
+    for start in range(0, rest.size, _CHUNK):
+        block = rest[start:start + _CHUNK]
+        xb = x[block]
         cols = np.arange(xb.shape[0])
         # running best s - v over the nodes; the strict > keeps the first
         # (selects and arithmetic, not masked copies, whose random masks
@@ -508,8 +517,8 @@ def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
                   - curve.v_at(cand_y.ravel())).reshape(4, -1)
         cand_u[1] = best_val
         pick = np.argmax(cand_u, axis=0)
-        u_val[start:start + _CHUNK] = cand_u[pick, cols]
-        y_star[start:start + _CHUNK] = cand_y[pick, cols]
+        u_val[block] = cand_u[pick, cols]
+        y_star[block] = cand_y[pick, cols]
     return (float(u_val[0]), float(y_star[0])) if single else (u_val, y_star)
 
 

@@ -280,15 +280,18 @@ def test_default_area_column_reads_the_curve(tmp_path):
     ("tangential_threshold", 0.05), ("mono_margin_tol", 1e-3),
     ("dynamic_tol", 1e-3), ("y_tol_rel", 1e-8), ("cdf_nodes", 2049),
     pytest.param("holder_window", [0.005, 0.08],
-                 id="holder_window-0.005-0.08")])
+                 id="holder_window-0.005-0.08"),
+    # a key outside the tolerances object is named with its section
+    pytest.param("oracle/seed", 7, id="oracle-seed-7")])
 def test_removed_tolerances_are_rejected(tmp_path, capsys, key, value):
+    section, key = key.split("/") if "/" in key else ("tolerances", key)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"scenario": "uniform-1d",
-                                  "tolerances": {key: value}}))
+                                  section: {key: value}}))
     assert run_main(["solve", "--config", str(config),
                      "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "config invalid at '/tolerances'" in err and repr(key) in err
+    assert f"config invalid at '/{section}'" in err and repr(key) in err
 
 
 def test_seed_flag_keeps_the_default_resolution(tmp_path):

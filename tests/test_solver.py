@@ -268,7 +268,8 @@ def _dense_scans(model, curve, x):
     matrices the streamed scans replace: the first downcrossing bracket
     (else the first sign change) of the sampled phi = s_y - k, and
     np.argmax of the sampled s - v, in the same row blocks and with the
-    same root and candidate arithmetic."""
+    same root and candidate arithmetic, on every row; also the rows whose
+    sampled phi changes sign exactly once, downward."""
     def matrix(evaluate, xb, shift):
         out = np.empty((xb.shape[0], curve.y_grid.size))
         for j, yj in enumerate(curve.y_grid):
@@ -279,12 +280,15 @@ def _dense_scans(model, curve, x):
     y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
     ends = np.concatenate([[curve.y_lo], ys, [curve.y_hi]])
     f_val, u_val, y_star = (np.empty(x.shape[0]) for _ in range(3))
+    settled = np.empty(x.shape[0], dtype=bool)
     for start in range(0, x.shape[0], chunk):
         xb = x[start:start + chunk]
         phi = matrix(model.surplus.s_y, xb, curve.k_plus)
         pos = phi > 0
         down = pos[:, :-1] & ~pos[:, 1:]
         anyc = pos[:, :-1] != pos[:, 1:]
+        settled[start:start + chunk] = (np.sum(anyc, axis=1) == 1) \
+            & down.any(axis=1)
         idx = np.where(down.any(axis=1), np.argmax(down, axis=1),
                        np.argmax(anyc, axis=1))
         f_val[start:start + chunk] = np.where(pos.all(axis=1), curve.y_hi,
@@ -310,7 +314,7 @@ def _dense_scans(model, curve, x):
         pick = np.argmax(cand_u, axis=0)
         u_val[start:start + chunk] = cand_u[pick, cols]
         y_star[start:start + chunk] = cand_y[pick, cols]
-    return f_val, u_val, y_star
+    return f_val, u_val, y_star, settled
 
 
 def _row_kinds(model, curve, x):
@@ -326,7 +330,8 @@ def _row_kinds(model, curve, x):
             "several": np.any(flips > 1)}
 
 
-@pytest.mark.parametrize("name", ["par2", "par3", "pie_nested", "pie_wide"])
+@pytest.mark.parametrize("name", ["par2", "par3", "pie_nested", "pie_wide",
+                                  "ball"])
 def test_streamed_scans_match_dense_reference(request, name):
     solved = request.getfixturevalue(name)
     model, c = solved.model, solved.curve
@@ -353,17 +358,53 @@ def test_streamed_scans_match_dense_reference(request, name):
             model.target, c.y_grid, lambda y: c.k_at(y) - amp),
     }
     seen = dict.fromkeys(["down", "up only", "all positive", "all negative",
-                          "several"], False)
+                          "several", "settled", "scanned"], False)
     for curve in curves.values():
         f_val = optimal_map(model, curve, x)
         u_val, y_star = source_payoff(model, curve, x)
-        f_ref, u_ref, y_ref = _dense_scans(model, curve, x)
+        f_ref, u_ref, y_ref, settled = _dense_scans(model, curve, x)
+        y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
+        # the walk settles exactly the rows with a single downward sign
+        # change; the payoff reads those off F and scans s - v on the rest
+        assert np.array_equal(
+            solver._map_by_level(model, curve, x, y_tol)[1], settled)
         assert np.array_equal(f_val, f_ref)
-        assert np.array_equal(u_val, u_ref)
-        assert np.array_equal(y_star, y_ref)
+        assert np.array_equal(u_val[~settled], u_ref[~settled])
+        assert np.array_equal(y_star[~settled], y_ref[~settled])
+        # settled rows agree to rounding wherever the reference lands on a
+        # root of phi; past the last node phi is flat but k' is not, so its
+        # Newton solve can stop short of the root (one par3 row of the
+        # lowered curve), and there its sup is the lower one
+        tol = 1e-15 * np.maximum(1.0, np.abs(u_ref))
+        assert np.all((u_val >= u_ref - tol)[settled])
+        on_root = settled & (np.abs(model.surplus.s_y(x, y_ref)
+                                    - curve.k_at(y_ref)) <= 1e-9)
+        assert np.all((np.abs(u_val - u_ref) <= tol)[on_root])
+        assert np.max(np.abs(y_star - y_ref)[on_root], initial=0.0) <= 1e-12
         for kind, present in _row_kinds(model, curve, x).items():
             seen[kind] |= bool(present)
+        seen["settled"] |= bool(settled.any())
+        seen["scanned"] |= bool((~settled).any())
     assert all(seen.values()), seen
+
+
+def test_payoff_evaluates_s_once_at_the_map(par2, monkeypatch):
+    # every interior row of par2 is settled by the map's node walk, so the
+    # payoff evaluates s once, on all rows at F, and scans no s - v
+    model, c = par2.model, par2.curve
+    x = model.domain.sample_interior(2000, seed=5, margin=0.01)
+    calls, s = [], model.surplus.s
+
+    def counting(xs, y):
+        calls.append((xs.copy(), np.array(y, dtype=float)))
+        return s(xs, y)
+
+    monkeypatch.setattr(model, "surplus", replace(model.surplus, s=counting))
+    _, y_star = source_payoff(model, c, x)
+    f_val = optimal_map(model, c, x)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], x) and np.array_equal(calls[0][1], f_val)
+    assert np.array_equal(y_star, f_val)
 
 
 def test_payoff_tie_keeps_the_first_node():
@@ -382,7 +423,7 @@ def test_payoff_tie_keeps_the_first_node():
     assert np.array_equal(vals[:, 2], vals[:, 6])
     assert np.all(np.argmax(vals, axis=1) == 2)
     u_val, y_star = source_payoff(model, curve, x)
-    _, u_ref, y_ref = _dense_scans(model, curve, x)
+    _, u_ref, y_ref, _ = _dense_scans(model, curve, x)
     assert np.array_equal(u_val, u_ref) and np.array_equal(y_star, y_ref)
     # the Newton root next to the node ties with it and is preferred
     assert np.max(np.abs(y_star + 0.5)) <= 1e-8
