@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
+from ._pchip import Pchip
 from .errors import Degenerate, EmptyDomain, OutOfRange
 from .geometry import Domain, Quadrature, QuadratureGrid, TargetInterval
 from .surplus import SurplusBundle
@@ -112,8 +112,8 @@ class Model:
         self.g_scale = 1.0 / z_g
         cdf = np.concatenate([[0.0], np.cumsum(panel)]) * self.g_scale
         cdf[-1] = 1.0
-        self._cdf = PchipInterpolator(nodes, cdf, extrapolate=False)
-        self._quantile = PchipInterpolator(cdf, nodes, extrapolate=False)
+        self._cdf = Pchip(nodes, cdf)
+        self._quantile = Pchip(cdf, nodes)
 
         if validate:
             surplus.check_consistency(domain, target)
@@ -212,7 +212,7 @@ def default_quadrature(dim: int) -> Quadrature:
 
 def certify_nondegeneracy(model: Model) -> NondegeneracyCertificate:
     """Minimum of |grad_x s_y| over quadrature points and a clustered
-    17-node y sample, polished by a local search so interior zeros hiding
+    17-node y sample, polished by a compass search so interior zeros hiding
     between grid points are found; passes iff the minimum clears 1e-8 of
     the domain's scale."""
     if model.grid.n_points == 0:
@@ -227,25 +227,27 @@ def certify_nondegeneracy(model: Model) -> NondegeneracyCertificate:
             best = float(sl.gnorm[i])
             witness = (model.grid.points[i].copy(), float(y))
 
-    # local polish around the sampled minimizer (x only; the y scan is dense
-    # enough for the smooth bundles we accept)
-    x0, y0 = witness
+    # compass search (Kolda, Lewis & Torczon, SIAM Review 45, 2003) in x only
+    # (the y scan is dense enough for the smooth bundles we accept): poll
+    # +-step on each axis, move to the best poll lowering |grad_x s_y|, else halve
+    y0 = witness[1]
     penalty = best * 10 + 1.0
-
-    def objective(x):
-        x = np.asarray(x)[None, :]
-        if not model.domain.contains(x)[0]:
-            return penalty
-        g = np.asarray(model.surplus.grad_x_s_y(x, y0), dtype=float)
-        return float(np.linalg.norm(g[0]))
-
-    from scipy.optimize import minimize
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-12 * model.domain.scale,
-                            "fatol": 1e-14, "maxiter": 400})
-    if res.fun < best:
-        best = float(res.fun)
-        witness = (np.asarray(res.x), y0)
+    polls = np.concatenate([np.eye(model.domain.dim), -np.eye(model.domain.dim)])
+    step = 0.05 * model.domain.scale
+    for _ in range(400):
+        if step <= 1e-12 * model.domain.scale:
+            break
+        trial = witness[0] + step * polls
+        inside = model.domain.contains(trial)
+        vals = np.full(trial.shape[0], penalty)
+        if inside.any():
+            g = model.surplus.grad_x_s_y(trial[inside], y0)
+            vals[inside] = np.linalg.norm(np.asarray(g, dtype=float), axis=1)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, witness = float(vals[j]), (trial[j], y0)
+        else:
+            step *= 0.5
 
     passed = best > thr
     return NondegeneracyCertificate(min_grad_norm=best, threshold=thr,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
+from ._pchip import Pchip
 from .errors import InsufficientPairs, NonMonotoneSign
 from .levelsets import sublevel_mass
 from .model import Model, target_quantile
@@ -34,7 +34,7 @@ class Rearrangement1D:
     and the quantile map F1 between them."""
 
     index_grid: np.ndarray
-    index_cdf: PchipInterpolator
+    index_cdf: Pchip
     model: Model
     index: Callable
 
@@ -44,7 +44,7 @@ class Rearrangement1D:
 
     def density(self, t):
         t = np.clip(t, self.index_grid[0], self.index_grid[-1])
-        return np.maximum(self.index_cdf.derivative()(t), 0.0)
+        return np.maximum(self.index_cdf.slope(t), 0.0)
 
     def map_1d(self, t):
         """F1 = G^{-1} o CDF."""
@@ -190,7 +190,7 @@ def reduce_and_solve_1d(model: Model) -> Rearrangement1D:
     # strictly increasing knots for the monotone interpolant
     keep = np.concatenate([[True], np.diff(cdf_vals) > 1e-15])
     keep[0] = keep[-1] = True
-    interp = PchipInterpolator(grid[keep], cdf_vals[keep])
+    interp = Pchip(grid[keep], cdf_vals[keep])
     return Rearrangement1D(index_grid=grid, index_cdf=interp, model=model,
                            index=index)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
+from ._pchip import Pchip
 from .errors import EmptyBand, NonNested, ZeroSpeed
 from .levelsets import (_invert_sublevel, cumulative_mass,
                         default_tangential_threshold, level_set, sublevel_mass)
@@ -67,7 +67,7 @@ class SplitCurve:
     x_syy_max: np.ndarray
     area: np.ndarray
     transversality: np.ndarray
-    interpolation: PchipInterpolator = field(init=False, repr=False)
+    interpolation: Pchip = field(init=False, repr=False)
 
     def __post_init__(self):
         self.y_grid = np.asarray(self.y_grid, dtype=float)
@@ -75,9 +75,7 @@ class SplitCurve:
         self.k_minus = np.asarray(self.k_minus, dtype=float)
         self.y_lo = float(self.y_lo)
         self.y_hi = float(self.y_hi)
-        self.interpolation = PchipInterpolator(self.y_grid, self.k_plus)
-        self._k_deriv = self.interpolation.derivative()
-        self._v_anti = self.interpolation.antiderivative()
+        self.interpolation = Pchip(self.y_grid, self.k_plus)
 
     @classmethod
     def from_function(cls, target, y_grid: np.ndarray, k_fn: Callable,
@@ -107,26 +105,18 @@ class SplitCurve:
         finite differences of the by-level map (unlike the node values
         ``kprime``, which are -h_y/h_k at clean nodes)."""
         yc = np.clip(y, self.y_grid[0], self.y_grid[-1])
-        out = self._k_deriv(yc)
+        out = self.interpolation.slope(yc)
         return out if np.ndim(y) else float(out)
 
     def v_at(self, y):
         """Target payoff v(y) = integral_{y_lo}^{y} k, with k extended as a
         constant beyond the end nodes; v(y_lo) = 0."""
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+        y_arr = np.asarray(y, dtype=float)
         y0, yn = self.y_grid[0], self.y_grid[-1]
-        k0 = float(self.k_plus[0])
-        kn = float(self.k_plus[-1])
-        base = k0 * (y0 - self.y_lo)
-        a0 = float(self._v_anti(y0))
-        out = np.empty_like(y_arr)
-        low = y_arr <= y0
-        high = y_arr >= yn
-        mid = ~(low | high)
-        out[low] = k0 * (y_arr[low] - self.y_lo)
-        out[mid] = base + self._v_anti(y_arr[mid]) - a0
-        out[high] = base + (float(self._v_anti(yn)) - a0) + kn * (y_arr[high] - yn)
-        return out if np.ndim(y) else float(out[0])
+        out = (float(self.k_plus[0]) * (np.minimum(y_arr, y0) - self.y_lo)
+               + self.interpolation.integral(np.clip(y_arr, y0, yn))
+               + float(self.k_plus[-1]) * np.maximum(y_arr - yn, 0.0))
+        return out if np.ndim(y) else float(out)
 
     def nearest_nodes(self, y):
         """Index of the node nearest each y (the first one on ties)."""
@@ -150,8 +140,7 @@ def interpolation_error(curve: SplitCurve) -> float:
     PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) through the
     other nodes: how far the interpolant strays between nodes."""
     y, k = curve.y_grid, curve.k_plus
-    return max(abs(float(k[i] - PchipInterpolator(np.delete(y, i),
-                                                  np.delete(k, i))(y[i])))
+    return max(abs(float(k[i] - Pchip(np.delete(y, i), np.delete(k, i))(y[i])))
                for i in range(1, y.size - 1))
 
 
@@ -288,9 +277,10 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
     """Root of phi(y) = s_y(x, y) - k(y) per row of x in [a, b], where
     phi(a) = fa and phi(b) = fb differ in sign: safeguarded Newton (rtsafe;
     Press et al., Numerical Recipes, 3rd ed., sec. 9.4) from the secant
-    point, with phi' = s_yy - k' (k' of the interpolant), bisecting where
-    the Newton point would leave the bracket.  A row stops, and is not
-    evaluated again, once its step or its bracket is within y_tol."""
+    point, with phi' = s_yy - k' (k' of the interpolant, and 0 past the
+    end nodes, where k_at holds k constant), bisecting where the Newton
+    point would leave the bracket.  A row stops, and is not evaluated
+    again, once its step or its bracket is within y_tol."""
     a, b, pos_a = a.copy(), b.copy(), fa > 0
     y = a - fa * (b - a) / (fb - fa)
     rows = np.arange(y.size)
@@ -298,8 +288,10 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
         if not rows.size:
             break
         xr, yr = x[rows], y[rows]
-        f = model.surplus.s_y(xr, yr) - curve.k_at(yr)
-        df = model.surplus.s_yy(xr, yr) - curve.kprime_at(yr)
+        yc = np.clip(yr, curve.y_grid[0], curve.y_grid[-1])
+        k, kp = curve.interpolation.value_and_slope(yc)
+        f = model.surplus.s_y(xr, yr) - k
+        df = model.surplus.s_yy(xr, yr) - np.where(yc == yr, kp, 0.0)
         keep_a = (f > 0) != pos_a[rows]
         a[rows] = ar = np.where(keep_a, a[rows], yr)
         b[rows] = br = np.where(keep_a, yr, b[rows])

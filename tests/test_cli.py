@@ -177,6 +177,55 @@ def test_console_script_entry(tmp_path):
     assert "uniform-1d" in proc.stdout
 
 
+# Installed as sitecustomize.py on the child's PYTHONPATH (as the CI step
+# that runs the shipped default solve does): any import of scipy fails.
+BLOCK_SCIPY = '''import sys
+
+
+class _BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked: scipy is a test dependency")
+        return None
+
+
+sys.meta_path.insert(0, _BlockScipy())
+'''
+
+PIPELINE_WITHOUT_SCIPY = '''import sys
+from nestor import cli, nestedness, pseudoindex, scenarios, solver
+
+model = scenarios.build("paraboloid-segment", resolution=32).model
+assert model.certificate.passed
+curve = solver.solve_split_curve(model, n_nodes=17)
+nestedness.nestedness_report(model, curve, n_probes=20, scan_nodes=33)
+x = model.domain.sample_interior(50, seed=0, margin=0.02)
+solver.optimal_map(model, curve, x)
+solver.source_payoff(model, curve, x)
+solver.map_gradient(model, curve, x)
+pseudoindex.reduce_and_solve_1d(model).map_full(x)
+assert cli.main(["solve", "paraboloid-segment", "--resolution", "32",
+                 "--y-nodes", "17", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+'''
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(BLOCK_SCIPY)
+    env = os.environ.copy()
+    pkg_root = str(Path(nestor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tmp_path), pkg_root, env.get("PYTHONPATH")) if p)
+    blocked = subprocess.run([sys.executable, "-c", "import scipy"],
+                             capture_output=True, text=True, env=env)
+    assert "scipy is blocked" in blocked.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPELINE_WITHOUT_SCIPY, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_every_tolerance_settable_and_echoed(tmp_path):
     from nestor.cli import DEFAULT_TOLERANCES
     cfg = tmp_path / "cfg.json"

@@ -66,6 +66,20 @@ def test_certify_nondegeneracy_examples(square, bowl):
     assert np.linalg.norm(x_w) < 1e-3
 
 
+def test_certificate_polish_finds_an_off_grid_zero():
+    # s_y = y |x - c|^2 on a coarse 16^2 box: grad_x s_y vanishes only at c,
+    # which lies between the quadrature points
+    c = np.array([0.0037, -0.0051])
+    shifted = polynomial_surplus([(1.0, (2, 0), 1), (-2 * c[0], (1, 0), 1),
+                                  (1.0, (0, 2), 1), (-2 * c[1], (0, 1), 1)], 2)
+    model = Model(box_domain([-1, -1], [1, 1]), TargetInterval(0, 1), shifted,
+                  quadrature=Quadrature("tensor", 16))
+    assert np.min(np.linalg.norm(model.grid.points - c, axis=1)) > 0.05
+    cert = model.certificate
+    assert not cert.passed
+    assert np.linalg.norm(cert.witness[0] - c) < 1e-6
+
+
 def test_target_cdf_examples(square):
     assert abs(target_cdf(square, 0.25) - 0.25) < 1e-10
     lin = Model(interval_domain(), TargetInterval(0, 1), bilinear_surplus([1.0]),

@@ -372,9 +372,7 @@ def test_streamed_scans_match_dense_reference(request, name):
         assert np.array_equal(u_val[~settled], u_ref[~settled])
         assert np.array_equal(y_star[~settled], y_ref[~settled])
         # settled rows agree to rounding wherever the reference lands on a
-        # root of phi; past the last node phi is flat but k' is not, so its
-        # Newton solve can stop short of the root (one par3 row of the
-        # lowered curve), and there its sup is the lower one
+        # root of phi; elsewhere its sup is the lower one
         tol = 1e-15 * np.maximum(1.0, np.abs(u_ref))
         assert np.all((u_val >= u_ref - tol)[settled])
         on_root = settled & (np.abs(model.surplus.s_y(x, y_ref)
@@ -386,6 +384,25 @@ def test_streamed_scans_match_dense_reference(request, name):
         seen["settled"] |= bool(settled.any())
         seen["scanned"] |= bool((~settled).any())
     assert all(seen.values()), seen
+
+
+def test_scan_root_past_the_last_node(par3, caplog):
+    # row 764 of the dense-reference sample under its lowered curve: the
+    # payoff's scan brackets its root on [y_n-2, y_hi], across the last
+    # node, beyond which k is held constant; with the end node's slope in
+    # phi' there the Newton steps crept and hit the step cap, and u fell
+    # 1.9e-14 short of s(x, F) - v(F)
+    model, c = par3.model, par3.curve
+    k_lo, k_hi = float(np.min(c.k_plus)), float(np.max(c.k_plus))
+    lowered = SplitCurve.from_function(
+        model.target, c.y_grid, lambda y: c.k_at(y) - 0.5 * (k_hi - k_lo))
+    x = model.domain.sample_interior(solver._CHUNK + 17, seed=3)[764:765]
+    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
+        f_val = optimal_map(model, lowered, x)
+        _, u_scan, _, _ = _dense_scans(model, lowered, x)
+    assert "step cap" not in caplog.text
+    on_graph = model.surplus.s(x, f_val) - lowered.v_at(f_val)
+    assert np.max(np.abs(u_scan - on_graph)) <= 1e-15
 
 
 def test_payoff_evaluates_s_once_at_the_map(par2, monkeypatch):
