@@ -290,12 +290,11 @@ def run(config: dict, out_dir: str = None) -> int:
     if config["outputs"]["map_csv"]:
         pts = model.domain.sample_interior(config["map_samples"],
                                            seed=config["seed"], margin=0.01)
-        f_vals = sv.optimal_map(model, curve, pts)
-        u_vals, _ = sv.source_payoff(model, curve, pts)
+        f_vals, u_vals, _ = sv._map_and_payoff(model, curve, pts)
         grad_norm = np.full(pts.shape[0], np.nan)
         try:
-            grads = sv.map_gradient(model, curve, pts)
-            grad_norm = np.linalg.norm(np.atleast_2d(grads), axis=1)
+            grad_norm = np.linalg.norm(
+                sv._map_gradient_at(model, curve, pts, f_vals), axis=1)
         except NestorError as exc:
             summary["map_gradient_error"] = f"{type(exc).__name__}: {exc}"
         cols = [pts[:, j] for j in range(model.domain.dim)]
@@ -423,6 +422,8 @@ def _config_from_args(args) -> dict:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read {args.config!r}: {exc}") from None
+        if not isinstance(config, dict):
+            raise ConfigError(f"{args.config!r} does not hold a JSON object")
     else:
         if not args.scenario:
             raise ConfigError("need a scenario name or --config FILE")
@@ -482,15 +483,13 @@ def main(argv=None) -> int:
 
     try:
         config = _config_from_args(args)
-        outputs = {"curve_csv": True, "map_csv": True,
-                   "nestedness_json": args.command == "solve", "oracle": False,
-                   "reduce_1d": False, "holder_probe": False}
-        if args.command == "check-nested":
-            outputs.update(curve_csv=False, map_csv=False, nestedness_json=True)
-        elif args.command in ("reduce-1d", "holder-probe"):
+        # what each subcommand changes in validate_config's output defaults
+        outputs = {"solve": {},
+                   "check-nested": {"curve_csv": False, "map_csv": False},
+                   }.get(args.command, {"nestedness_json": False})
+        if args.command in ("oracle", "reduce-1d", "holder-probe"):
             outputs[args.command.replace("-", "_")] = True
-        elif args.command == "oracle":
-            outputs["oracle"] = True
+        if args.command == "oracle":
             try:
                 n_src, n_tgt = (int(v) for v in args.atoms.split("x"))
             except ValueError:
@@ -498,8 +497,7 @@ def main(argv=None) -> int:
             config.setdefault("oracle", {})
             config["oracle"]["n_source"] = n_src
             config["oracle"]["n_target"] = n_tgt
-        user_outputs = config.get("outputs", {})
-        outputs.update(user_outputs)
+        outputs.update(config.get("outputs", {}))
         config["outputs"] = outputs
         return run(config, out_dir=args.out)
     except ConfigError as exc:

@@ -87,28 +87,24 @@ def _jsonable(obj):
 # criterion 1: direct sublevel-set monotonicity
 # ---------------------------------------------------------------------------
 
-def check_sublevel_monotonicity(
-        model: Model, curve: SplitCurve,
-        y_pairs: Optional[list] = None) -> CriterionResult:
-    """For sampled y < y' (by default all pairs of 13 nodes spread evenly
-    over the grid), every quadrature point of X_<=(y, k(y)) must lie
-    strictly inside X_<(y', k(y')).  A point violates when
-    s_y(x, y') - k(y') exceeds the margin tolerance, 1e-3 of the spread of
-    s_y(., y') (it absorbs one cell of discretization jitter); the 20
-    worst violations are kept.  s_y is evaluated once per distinct level."""
-    if y_pairs is None:
-        n = curve.y_grid.size
-        levels = curve.y_grid[np.unique(np.linspace(0, n - 1, 13).astype(int))]
-        y_pairs = [(float(a), float(b))
-                   for i, a in enumerate(levels) for b in levels[i + 1:]]
+def check_sublevel_monotonicity(model: Model,
+                                curve: SplitCurve) -> CriterionResult:
+    """For every pair y < y' of 13 nodes spread evenly over the grid, every
+    quadrature point of X_<=(y, k(y)) must lie strictly inside
+    X_<(y', k(y')).  A point violates when s_y(x, y') - k(y') exceeds the
+    margin tolerance, 1e-3 of the spread of s_y(., y') (it absorbs one
+    cell of discretization jitter); the 20 worst violations are kept.
+    s_y is evaluated once per level."""
+    n = curve.y_grid.size
+    levels = [float(y) for y in
+              curve.y_grid[np.unique(np.linspace(0, n - 1, 13).astype(int))]]
+    y_pairs = [(a, b) for i, a in enumerate(levels) for b in levels[i + 1:]]
     sy = {y: np.asarray(model.surplus.s_y(model.grid.points, y), dtype=float)
-          for y in sorted({float(y) for pair in y_pairs for y in pair})}
+          for y in levels}
     witnesses = []
     worst = -np.inf
     for y0, y1 in y_pairs:
-        if not y0 < y1:
-            continue
-        sy0, sy1 = sy[float(y0)], sy[float(y1)]
+        sy0, sy1 = sy[y0], sy[y1]
         tol = 1e-3 * max(float(np.max(sy1) - np.min(sy1)), 1e-12)
         inside0 = sy0 <= curve.k_at(y0)
         margin = sy1 - curve.k_at(y1)
@@ -263,50 +259,36 @@ def unique_splitting_check(model: Model, curve: SplitCurve,
 # boundary transversality and speed limit
 # ---------------------------------------------------------------------------
 
-def _node_indices(curve: SplitCurve, y_nodes, candidates: np.ndarray):
-    """Every candidate node, or the nodes nearest y_nodes."""
-    return candidates if y_nodes is None else curve.nearest_nodes(y_nodes)
-
-
-def transversality_diagnostic(model: Model, curve: SplitCurve,
-                              y_nodes: Optional[np.ndarray] = None) -> float:
+def transversality_diagnostic(model: Model, curve: SplitCurve) -> float:
     """Least stored transversality 1 - (n_X . n_levelset)^2 over all
-    nodes (explicit y_nodes snap to the nearest node), 1.0 when none has a
-    boundary-adjacent sample; values near 0 flag tangential intersections
-    with the domain boundary."""
+    nodes, 1.0 when none has a boundary-adjacent sample; values near 0
+    flag tangential intersections with the domain boundary."""
     if model.domain.boundary_normal is None:
         raise NoBoundaryOracle("domain carries no boundary-normal oracle")
-    vals = curve.transversality[_node_indices(
-        curve, y_nodes, np.arange(curve.y_grid.size))]
-    vals = vals[np.isfinite(vals)]
+    vals = curve.transversality[np.isfinite(curve.transversality)]
     return float(np.min(vals)) if vals.size else 1.0
 
 
-def speed_limit(model: Model, curve: SplitCurve,
-                region_y: Optional[tuple] = None) -> float:
-    """ell = min over the nodes (within region_y) and level-set samples
-    of k' - s_yy, i.e. of kprime - syy_max over the non-tangential nodes
-    whose level set is not empty (+inf when none is); ell > 0 bounds the
-    Lipschitz constant of the map by sup|grad_x s_y| / ell.  Tangential
-    nodes are skipped, as by ``dynamic_criterion``: their kprime is a
-    difference quotient, not -h_y/h_k."""
+def speed_limit(model: Model, curve: SplitCurve) -> float:
+    """ell = min over the nodes and level-set samples of k' - s_yy, i.e.
+    of kprime - syy_max over the non-tangential nodes whose level set is
+    not empty (+inf when none is); ell > 0 bounds the Lipschitz constant
+    of the map by sup|grad_x s_y| / ell.  Tangential nodes are skipped, as
+    by ``dynamic_criterion``: their kprime is a difference quotient, not
+    -h_y/h_k."""
     keep = ~curve.tangential_flags
-    if region_y is not None:
-        lo, hi = region_y
-        keep &= (curve.y_grid >= lo) & (curve.y_grid <= hi)
     speeds = curve.kprime[keep] - curve.syy_max[keep]
     speeds = speeds[~np.isnan(speeds)]
     return float(np.min(speeds)) if speeds.size else float(np.inf)
 
 
-def kprime_bound_gap(model: Model, curve: SplitCurve,
-                     y_nodes: Optional[np.ndarray] = None):
+def kprime_bound_gap(model: Model, curve: SplitCurve):
     """Evaluate the a.e. bound
         |k'(y)| <= sup|s_yy| + g(y) sup|grad_x s_y / f| / A(y)
-    at the non-tangential nodes (explicit y_nodes snap to the nearest
-    node), with A the curve's own band area; returns (|k'| values, bound
-    values), the bound NaN where that band sample is empty."""
-    idx = _node_indices(curve, y_nodes, np.flatnonzero(~curve.tangential_flags))
+    at the non-tangential nodes, with A the curve's own band area; returns
+    (|k'| values, bound values), the bound NaN where that band sample is
+    empty."""
+    idx = np.flatnonzero(~curve.tangential_flags)
     lhs = []
     rhs = []
     for i in idx:

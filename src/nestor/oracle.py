@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import PivotBudgetExceeded
 from .model import Model, target_quantile
+from .solver import _map_and_payoff
 
 logger = logging.getLogger(__name__)
 _BLAND_AFTER = 40  # degenerate pivots in a row before Bland's rule
@@ -438,13 +439,11 @@ def compare_with_map(model: Model, curve, inst: DiscreteInstance,
     dual_gap: max deviation between oracle duals and (u, v) on the atoms
     after the optimal additive shift.
     """
-    from .solver import optimal_map, source_payoff
-    f_vals = optimal_map(model, curve, inst.source_points)
+    f_vals, u_num, _ = _map_and_payoff(model, curve, inst.source_points)
     s_graph = np.asarray(model.surplus.s(inst.source_points, f_vals), dtype=float)
     graph_value = float(np.sum(inst.source_weights * s_graph))
     surplus_gap = (plan.objective - graph_value) / max(abs(plan.objective), 1e-300)
 
-    u_num, _ = source_payoff(model, curve, inst.source_points)
     v_num = curve.v_at(inst.target_points)
     du = plan.u - u_num
     dv = plan.v - v_num

@@ -476,10 +476,18 @@ def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
     (interval ends past the end nodes) the map's Newton solve roots it,
     and u is the best of that root, the node and the two neighbours."""
     single = np.asarray(x).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    _, u_val, y_star = _map_and_payoff(
+        model, curve, np.atleast_2d(np.asarray(x, dtype=float)))
+    return (float(u_val[0]), float(y_star[0])) if single else (u_val, y_star)
+
+
+def _map_and_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
+    """(F, u, y*) for the rows of a 2-d x from one by-level node walk: F
+    as ``optimal_map`` gives it, (u, y*) as ``source_payoff`` does."""
     ends = np.concatenate([[curve.y_lo], curve.y_grid, [curve.y_hi]])
     y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
-    y_star, settled = _map_by_level(model, curve, x, y_tol)
+    f_val, settled = _map_by_level(model, curve, x, y_tol)
+    y_star = f_val.copy()  # the scan below overwrites y* on unsettled rows
     u_val = model.surplus.s(x, y_star) - curve.v_at(y_star)
     rest = np.nonzero(~settled)[0]
     ys, v = curve.y_grid, curve.v_values
@@ -511,7 +519,7 @@ def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
         pick = np.argmax(cand_u, axis=0)
         u_val[block] = cand_u[pick, cols]
         y_star[block] = cand_y[pick, cols]
-    return (float(u_val[0]), float(y_star[0])) if single else (u_val, y_star)
+    return f_val, u_val, y_star
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +549,17 @@ def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray):
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    f_val = np.atleast_1d(optimal_map(model, curve, x))
+    out = _map_gradient_at(model, curve, x, optimal_map(model, curve, x))
+    return out[0] if single else out
+
+
+def _map_gradient_at(model: Model, curve: SplitCurve, x: np.ndarray,
+                     f_val: np.ndarray) -> np.ndarray:
+    """DF at the rows of a 2-d x, given their map values F."""
     grad, denom = _map_derivative_parts(model, curve, x, f_val)
     if np.any(denom <= _ZERO_SPEED):
         raise ZeroSpeed("level-set speed k' - s_yy at or below threshold")
-    out = grad / denom[:, None]
-    return out[0] if single else out
+    return grad / denom[:, None]
 
 
 def balance_residual(model: Model, curve: SplitCurve, y):

@@ -281,7 +281,7 @@ def test_empty_level_sets_are_counted_per_column(tmp_path):
 
 
 def test_map_gradient_failure_is_recorded(tmp_path, monkeypatch):
-    # when map_gradient raises ZeroSpeed, the run goes on and says why
+    # when the map gradient raises ZeroSpeed, the run goes on and says why
     # grad_norm is empty
     from nestor import solver
     from nestor.errors import ZeroSpeed
@@ -289,13 +289,33 @@ def test_map_gradient_failure_is_recorded(tmp_path, monkeypatch):
     def zero_speed(*args, **kwargs):
         raise ZeroSpeed("level-set speed k' - s_yy at or below threshold")
 
-    monkeypatch.setattr(solver, "map_gradient", zero_speed)
+    monkeypatch.setattr(solver, "_map_gradient_at", zero_speed)
     assert run_main(["solve", "uniform-1d", "--y-nodes", "33",
                      "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["map_gradient_error"].startswith("ZeroSpeed: ")
     rows = np.genfromtxt(tmp_path / "map.csv", delimiter=",", names=True)
     assert np.all(np.isnan(rows["grad_norm"]))
+
+
+@pytest.mark.parametrize("command, extra, walks", [
+    ("solve", [], 2), ("oracle", ["--atoms", "40x10"], 3)])
+def test_one_node_walk_per_point_set(tmp_path, monkeypatch, command, extra,
+                                     walks):
+    # map.csv, the pushforward distance and the oracle's atoms each take
+    # F (and u, DF) from one by-level node walk
+    from nestor import solver
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    walk = solver._map_by_level
+    monkeypatch.setattr(solver, "_map_by_level", counted)
+    assert run_main([command, "paraboloid-segment", "--resolution", "32",
+                     "--y-nodes", "17", *extra, "--out", str(tmp_path)]) == 0
+    assert len(calls) == walks
 
 
 def test_curve_csv_residual_matches_library(tmp_path):
@@ -385,6 +405,8 @@ def _inline(**model):
 @pytest.mark.parametrize("config, args", [
     pytest.param(None, [], id="missing-file"),
     pytest.param("{not json", [], id="not-json"),
+    pytest.param([1, 2], [], id="top-level-list"),
+    pytest.param('"x"', [], id="top-level-string"),
     pytest.param(_inline(target=[1.0, 0.0]), [], id="reversed-target"),
     pytest.param(_inline(surplus={"polynomial": [
         {"coeff": 1.0, "x_powers": [1], "y_power": 1}]}), [],

@@ -24,12 +24,6 @@ def test_monotonicity_criterion(par2, ball):
     assert y0 < y1 and margin > 0.01
 
 
-def test_monotonicity_vacuous_for_equal_levels(par2):
-    res = check_sublevel_monotonicity(par2.model, par2.curve,
-                                      y_pairs=[(0.5, 0.5)])
-    assert res.status == "pass" and res.details["n_pairs"] == 1
-
-
 def test_dynamic_criterion(par2, ball, pie_wide, uni1d):
     good = dynamic_criterion(par2.model, par2.curve)
     assert good.status == "pass"
@@ -93,12 +87,9 @@ def test_speed_criteria_match_resampled_reference(par2, pie_wide, ball, uni1d):
             assert got[:2] == ref[:2] and np.array_equal(got[2], ref[2])
 
         # the speed limit, like the dynamic criterion, skips tangential nodes
-        for region in (None, (0.1, 1.0)):
-            lo_y, hi_y = region or (-np.inf, np.inf)
-            best = min((lo for i, (lo, _, _) in stats.items()
-                        if lo_y <= c.y_grid[i] <= hi_y
-                        and not c.tangential_flags[i]), default=np.inf)
-            assert speed_limit(model, c, region_y=region) == best
+        best = min((lo for i, (lo, _, _) in stats.items()
+                    if not c.tangential_flags[i]), default=np.inf)
+        assert speed_limit(model, c) == best
 
 
 def _corner_probes(pie):
@@ -202,19 +193,18 @@ def test_probe_on_level_set_roots_there(par2):
 
 
 def test_transversality(par2):
-    val = transversality_diagnostic(par2.model, par2.curve,
-                                    y_nodes=[0.5 ** 1.5])
+    c = par2.curve
+    val = c.transversality[c.nearest_nodes(0.5 ** 1.5)]
     assert abs(val - 0.5) < 0.02  # parabola normal vs level normal at k=0.5
     square = Model(box_domain([0, 0], [1, 1]), TargetInterval(0, 1),
                    bilinear_surplus([1, 0]),
                    quadrature=Quadrature("tensor", 128))
     sq_curve = solve_split_curve(square, n_nodes=33)
-    assert transversality_diagnostic(square, sq_curve,
-                                     y_nodes=[0.5]) > 1.0 - 1e-9
+    assert sq_curve.transversality[sq_curve.nearest_nodes(0.5)] > 1.0 - 1e-9
     # near the face x1 = 0 the level set runs parallel to the boundary
-    lo = transversality_diagnostic(square, sq_curve,
-                                   y_nodes=[float(sq_curve.y_grid[0])])
+    lo = sq_curve.transversality[0]
     assert lo < 0.05
+    assert transversality_diagnostic(square, sq_curve) == lo
 
 
 def test_transversality_needs_oracle(par2):
@@ -284,7 +274,7 @@ def test_report_reads_the_solved_curve(name, request, monkeypatch):
 
 
 def test_speed_limit(par2, uni1d, pie_wide):
-    ell = speed_limit(par2.model, par2.curve, region_y=(0.1, 1.0))
+    ell = speed_limit(par2.model, par2.curve)
     assert abs(ell - 2.0 / 3.0) <= 2e-2
     assert abs(speed_limit(uni1d.model, uni1d.curve) - 1.0) < 1e-3
     assert speed_limit(pie_wide.model, pie_wide.curve) < 0.0
@@ -344,8 +334,7 @@ def _kprime_bound_resampled(model, curve, y_nodes):
 @pytest.mark.parametrize("name", ["par2", "par3"])
 def test_kprime_bound_reads_the_curve_area(name, request, monkeypatch):
     # the bound reads every non-tangential node, takes no level-set sample
-    # and matches a per-node resample bit for bit (checked on every 10th);
-    # explicit nodes snap to the nearest grid node
+    # and matches a per-node resample bit for bit (checked on every 10th)
     solved = request.getfixturevalue(name)
     model, curve = solved.model, solved.curve
     nodes = curve.y_grid[~curve.tangential_flags][:: 10]
@@ -357,12 +346,7 @@ def test_kprime_bound_reads_the_curve_area(name, request, monkeypatch):
     monkeypatch.setattr(levelsets, "level_set", no_sample)
     lhs, rhs = kprime_bound_gap(model, curve)
     assert lhs.size == rhs.size == int(np.sum(~curve.tangential_flags))
-    exact = kprime_bound_gap(model, curve, y_nodes=nodes)
-    assert all(np.array_equal(a, b) for a, b in zip(exact, ref))
     assert np.array_equal(lhs[:: 10], ref[0]) and np.array_equal(rhs[:: 10], ref[1])
-    snapped = kprime_bound_gap(model, curve, y_nodes=nodes + 1e-9)
-    assert all(np.array_equal(a, b) for a, b in zip(snapped, exact))
-    assert snapped[0].size == nodes.size
 
 
 def test_verdicts(par2, ball, pie_nested, pie_wide, uni1d):

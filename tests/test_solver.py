@@ -424,6 +424,18 @@ def test_payoff_evaluates_s_once_at_the_map(par2, monkeypatch):
     assert np.array_equal(y_star, f_val)
 
 
+def test_one_walk_gives_the_map_and_the_payoff(ball):
+    # on the non-nested ball the payoff's scan moves y* off F on some rows;
+    # F must still be the map's value there, bit for bit
+    model, c = ball.model, ball.curve
+    x = model.domain.sample_interior(2000, seed=5, margin=0.01)
+    f_val, u_val, y_star = solver._map_and_payoff(model, c, x)
+    u_ref, y_ref = source_payoff(model, c, x)
+    assert np.array_equal(f_val, optimal_map(model, c, x))
+    assert np.array_equal(u_val, u_ref) and np.array_equal(y_star, y_ref)
+    assert np.any(y_star != f_val)
+
+
 def test_payoff_tie_keeps_the_first_node():
     # s = x1 (y^2/2 - y^4) - v with v = 0 peaks at y = -1/2 and y = 1/2,
     # nodes 2 and 6, with bit-equal values: the first node wins, as with
