@@ -17,12 +17,16 @@ estimators are provided:
   estimator smooth in (y, k); a flat window would jitter by a whole grid
   column.  Boundary-adjacent samples are flagged.
 
-* contour2d (m = 2 only): marching-squares extraction of the polyline
-  {s_y = k} on the node grid, clipped to the domain; the samples are the
-  segment midpoints and dA is the segment length.  One array pass cuts
-  every sign-changing edge of the corner walk A->B->C->D->A of each mixed
-  cell, joins a two-crossing cell's cuts, and splits a saddle by the sign
-  of its cell-centre average.
+* contour2d (m = 2 only): marching-squares extraction (Lorensen & Cline,
+  SIGGRAPH 1987) of the polyline {s_y = k} on the node grid, clipped to
+  the domain; the samples are the segment midpoints and dA is the segment
+  length.  Each node's lattice values locate its mixed cells; one array
+  pass over the mixed cells of every requested node then cuts each
+  sign-changing edge of the corner walk A->B->C->D->A, joins a
+  two-crossing cell's cuts, splits a saddle by the sign of its
+  cell-centre average and clips the segments that leave the domain.  The
+  split-curve solve makes one such pass for all its nodes, ``level_set``
+  one for its single node.
 
 ``estimator="auto"`` picks contour2d on planar tensor grids and band
 otherwise.  An empty level set raises EmptyBand.
@@ -293,21 +297,10 @@ def level_set(model: Model, y: float, k: float,
     y = float(y)
     k = float(k)
     if estimator == "auto":
-        estimator = "contour2d" if (model.domain.dim == 2
-                                    and model.grid.spacing is not None) else "band"
+        estimator = "contour2d" if _planar_tensor(model) else "band"
     if estimator == "contour2d":
-        segments = _contour_segments(model, y, k)
-        if segments.shape[0] == 0:
-            raise EmptyBand(f"level {k:g} has no contour inside the domain",
-                            estimator=estimator)
-        points = segments.mean(axis=1)
-        grad = np.asarray(model.surplus.grad_x_s_y(points, y), dtype=float)
-        return LevelSet(
-            estimator=estimator, epsilon=0.0, points=points,
-            measure=np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1),
-            f=model.f_at(points), grad=grad, gnorm=np.linalg.norm(grad, axis=1),
-            syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
-            boundary=None, segments=segments)
+        return _contour_level_set(model, y, k,
+                                  _contour_segments(model, [y], [k])[0][0])
     if estimator != "band":
         raise ValueError(f"unknown estimator {estimator!r}")
     sl = model.slice_at(y)
@@ -324,6 +317,24 @@ def level_set(model: Model, y: float, k: float,
         measure=model.grid.weights[idx] * gnorm * kernel,
         f=model.f_vals[idx], grad=sl.grad[idx], gnorm=gnorm, syy=sl.syy[idx],
         boundary=model.grid.boundary_adjacent[idx], segments=None)
+
+
+def _contour_level_set(model: Model, y: float, k: float,
+                       segments: np.ndarray) -> LevelSet:
+    """The contour2d sample of {s_y(., y) = k} made of its clipped
+    segments: their midpoints, each carrying its length.  Raises EmptyBand
+    when there is no segment."""
+    if segments.shape[0] == 0:
+        raise EmptyBand(f"level {k:g} has no contour inside the domain",
+                        estimator="contour2d")
+    points = segments.mean(axis=1)
+    grad = np.asarray(model.surplus.grad_x_s_y(points, y), dtype=float)
+    return LevelSet(
+        estimator="contour2d", epsilon=0.0, points=points,
+        measure=np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1),
+        f=model.f_at(points), grad=grad, gnorm=np.linalg.norm(grad, axis=1),
+        syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
+        boundary=None, segments=segments)
 
 
 # ---------------------------------------------------------------------------
@@ -381,46 +392,57 @@ def is_tangential(model: Model, y: float, k: float) -> bool:
 # marching squares (m = 2)
 # ---------------------------------------------------------------------------
 
-def _node_values(model: Model, y: float):
+def _planar_tensor(model: Model) -> bool:
+    """Whether the contour2d estimator applies: a 2-d tensor grid."""
+    return model.domain.dim == 2 and model.grid.spacing is not None
+
+
+def _contour_segments(model: Model, ys, ks):
+    """Clipped polylines of {s_y(., y_i) = k_i}, one (S_i, 2, 2) array of
+    endpoint pairs per node, and the number of clipped segments of each
+    (the last ones of its array).
+
+    Each node evaluates s_y on the node lattice, nudges its exact zeros
+    to its own tiny level, finds its mixed cells and gathers their corner
+    values; every later step runs once over all nodes' cells.  Cell (i, j)
+    has corners A=(i,j), B=(i+1,j), C=(i+1,j+1), D=(i,j+1).  Each edge of
+    the walk A->B->C->D->A whose end values differ in sign is crossed at
+    the linear interpolate taken from its first corner (so CD from C and
+    DA from D).  A cell crossed twice joins its two crossings in walk
+    order; a saddle (crossed four times) joins AB-BC and CD-DA when the
+    cell-centre average has A's sign, AB-DA and BC-CD otherwise.  A
+    segment with one endpoint inside the implicit domain is clipped by
+    one vectorized bisection over every node's such segments.  A node's
+    array holds its unclipped segments in row-major cell order (a
+    saddle's two in that order), then its clipped ones.
+    """
+    if not _planar_tensor(model):
+        raise ValueError("contour2d estimator needs a 2-d tensor grid")
     lo, hi = model.domain.bbox
     dx = model.grid.spacing
     n = np.round((hi - lo) / dx).astype(int)
-    xs = lo[0] + np.arange(n[0] + 1) * dx[0]
-    ys = lo[1] + np.arange(n[1] + 1) * dx[1]
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    vals = np.asarray(model.surplus.s_y(pts, float(y)), dtype=float)
-    return xs, ys, vals.reshape(n[0] + 1, n[1] + 1)
+    x1 = lo[0] + np.arange(n[0] + 1) * dx[0]
+    x2 = lo[1] + np.arange(n[1] + 1) * dx[1]
+    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
+    lattice = np.stack([g1.ravel(), g2.ravel()], axis=1)
 
-
-def _contour_segments(model: Model, y: float, k: float):
-    """Clipped polyline of {s_y(., y) = k} as an (S, 2, 2) array of
-    endpoint pairs, from one marching-squares pass over the mixed cells.
-
-    Cell (i, j) has corners A=(i,j), B=(i+1,j), C=(i+1,j+1), D=(i,j+1).
-    Each edge of the walk A->B->C->D->A whose end values differ in sign is
-    crossed at the linear interpolate taken from its first corner (so CD
-    from C and DA from D).  A cell crossed twice joins its two crossings in
-    walk order; a saddle (crossed four times) joins AB-BC and CD-DA when
-    the cell-centre average has A's sign, AB-DA and BC-CD otherwise.
-    Segments come in row-major cell order, a saddle's two in that order.
-    Clipping against the implicit domain runs as one vectorized bisection
-    over all segments with a single inside endpoint.
-    """
-    if model.domain.dim != 2 or model.grid.spacing is None:
-        raise ValueError("contour2d estimator needs a 2-d tensor grid")
-    xs, ys, vals = _node_values(model, y)
-    T = vals - float(k)
-    tiny = 1e-14 * max(1.0, float(np.max(np.abs(vals))))
-    T[T == 0.0] = tiny
-
-    sign = T > 0
-    corner = sign[:-1, :-1]
-    i, j = np.nonzero((corner != sign[1:, :-1]) | (corner != sign[1:, 1:])
-                      | (corner != sign[:-1, 1:]))
-    ci, cj = i[:, None] + [0, 1, 1, 0], j[:, None] + [0, 0, 1, 1]  # A B C D
-    v = T[ci, cj]                                            # (N, 4)
-    p = np.stack([xs[ci], ys[cj]], axis=-1)                  # (N, 4, 2)
+    values, ci, cj, counts = [], [], [], []
+    for y, k in zip(ys, ks):
+        vals = np.asarray(model.surplus.s_y(lattice, float(y)), dtype=float)
+        T = vals.reshape(n[0] + 1, n[1] + 1) - float(k)
+        T[T == 0.0] = 1e-14 * max(1.0, float(np.max(np.abs(vals))))
+        sign = T > 0
+        corner = sign[:-1, :-1]
+        i, j = np.nonzero((corner != sign[1:, :-1]) | (corner != sign[1:, 1:])
+                          | (corner != sign[:-1, 1:]))
+        ci.append(i[:, None] + [0, 1, 1, 0])                 # A B C D
+        cj.append(j[:, None] + [0, 0, 1, 1])
+        values.append(T[ci[-1], cj[-1]])
+        counts.append(i.size)
+    n_nodes = len(counts)
+    ci, cj = np.concatenate(ci), np.concatenate(cj)
+    v = np.concatenate(values)                               # (N, 4)
+    p = np.stack([x1[ci], x2[cj]], axis=-1)                  # (N, 4, 2)
     walk = [1, 2, 3, 0]
     crossed = v * v[:, walk] < 0                 # edges AB, BC, CD, DA
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -434,29 +456,30 @@ def _contour_segments(model: Model, y: float, k: float):
     pairs = np.where(a_side[:, None, None], [[0, 1], [2, 3]], [[0, 3], [1, 2]])
     pairs[two, 0] = np.nonzero(crossed[two])[1].reshape(-1, 2)
     cell, slot = np.nonzero(np.stack([two | saddle, saddle], axis=1))
-    if cell.size == 0:
-        return np.empty((0, 2, 2))
     raw = edge_pts[cell[:, None], pairs[cell, slot]]         # (S, 2, 2)
+    owner = np.repeat(np.arange(n_nodes), counts)[cell]
 
     in_p = model.domain.contains(raw[:, 0, :])
     in_q = model.domain.contains(raw[:, 1, :])
-    full = raw[in_p & in_q]
-    mixed_mask = in_p ^ in_q
-    clipped = np.empty((0, 2, 2))
-    if np.any(mixed_mask):
-        seg = raw[mixed_mask]
-        inside_pt = np.where(in_p[mixed_mask][:, None], seg[:, 0, :], seg[:, 1, :])
-        outside_pt = np.where(in_p[mixed_mask][:, None], seg[:, 1, :], seg[:, 0, :])
-        a = np.zeros(seg.shape[0])
-        b = np.ones(seg.shape[0])
-        # a segment spans at most a cell diagonal, so 24 halvings put the
-        # cut within 2^-24 (6e-8) of a cell diagonal of the boundary
-        for _ in range(24):
-            mid = 0.5 * (a + b)
-            x = inside_pt + mid[:, None] * (outside_pt - inside_pt)
-            ok = model.domain.contains(x)
-            a = np.where(ok, mid, a)
-            b = np.where(ok, b, mid)
-        cut = inside_pt + a[:, None] * (outside_pt - inside_pt)
-        clipped = np.stack([inside_pt, cut], axis=1)
-    return np.concatenate([full, clipped], axis=0)
+    full = in_p & in_q
+    mixed = in_p ^ in_q
+    seg = raw[mixed]
+    inside_pt = np.where(in_p[mixed][:, None], seg[:, 0, :], seg[:, 1, :])
+    outside_pt = np.where(in_p[mixed][:, None], seg[:, 1, :], seg[:, 0, :])
+    a = np.zeros(seg.shape[0])
+    b = np.ones(seg.shape[0])
+    # a segment spans at most a cell diagonal, so 24 halvings put the
+    # cut within 2^-24 (6e-8) of a cell diagonal of the boundary
+    for _ in range(24 if seg.size else 0):
+        mid = 0.5 * (a + b)
+        x = inside_pt + mid[:, None] * (outside_pt - inside_pt)
+        ok = model.domain.contains(x)
+        a = np.where(ok, mid, a)
+        b = np.where(ok, b, mid)
+    cut = inside_pt + a[:, None] * (outside_pt - inside_pt)
+    kept = np.concatenate([raw[full], np.stack([inside_pt, cut], axis=1)])
+    kept_owner = np.concatenate([owner[full], owner[mixed]])
+    order = np.argsort(kept_owner, kind="stable")
+    split = np.searchsorted(kept_owner[order], np.arange(1, n_nodes))
+    return (np.split(kept[order], split),
+            np.bincount(owner[mixed], minlength=n_nodes))

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._pchip import Pchip
 from .errors import EmptyBand, NonNested, ZeroSpeed
-from .levelsets import (_invert_sublevel, cumulative_mass,
+from .levelsets import (_contour_level_set, _contour_segments,
+                        _invert_sublevel, _planar_tensor, cumulative_mass,
                         default_tangential_threshold, level_set, sublevel_mass)
 from .model import Model, target_cdf
 
@@ -153,20 +154,26 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
     k_minus and k_plus are the edges of the mass band {k : |h(y, k)| <= 1e-6},
-    clamped to the padded range of s_y.  X(y, k_plus) is sampled once per
-    node (twice on planar tensor grids, where the tangential flag and the
-    boundary transversality need band samples besides the contour).  Nodes
-    flagged tangential (more than ``default_tangential_threshold(model)`` of
-    the band area in boundary-adjacent cells, or an empty level set) get
+    clamped to the padded range of s_y.  The solve makes two passes.  The
+    first builds each node's slice once, inverts its mass and reduces the
+    band sample of X(y, k_plus) at once to the area, the tangential flag
+    and the boundary transversality (and, off planar tensor grids, to h_k,
+    h_y and the s_yy figures), so no sample outlives its node.  On planar
+    tensor grids one contour pass over all nodes then gives the contour
+    samples that h_k, h_y and the s_yy figures reduce.  Nodes flagged
+    tangential (more than ``default_tangential_threshold(model)`` of the
+    band area in boundary-adjacent cells, or an empty level set) get
     difference-quotient derivatives instead of -h_y/h_k, whose hypotheses
     fail there.  The plateau, tangential and empty-level-set nodes are
     logged at DEBUG, and so are the counts of nodes inverted on a k window
-    and on the full knots (see ``sublevel_levels``).
+    and on the full knots (see ``sublevel_levels``) and the contour pass's
+    segment, clipped-segment and empty-contour counts.
     """
     model.require_nondegenerate()
     if y_grid is None:
         y_grid = model.target.interior_grid(n_nodes)
     tangential_threshold = default_tangential_threshold(model)
+    planar = _planar_tensor(model)
     y_grid = np.asarray(y_grid, dtype=float)
     n = y_grid.size
     k_minus = np.empty(n)
@@ -179,6 +186,13 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     h_k, h_y, syy_min, syy_max, area, transversality = np.full((6, n), np.nan)
     normal = model.domain.boundary_normal
     x_syy_max = np.full((n, model.domain.dim), np.nan)
+
+    def keep_sample(i, ls):
+        h_k[i] = ls.h_k
+        h_y[i] = -float(model.g_at(float(y_grid[i]))[0]) - ls.flux
+        j = int(np.argmax(ls.syy))
+        syy_min[i], syy_max[i] = np.min(ls.syy), ls.syy[j]
+        x_syy_max[i] = ls.points[j]
 
     for i, y in enumerate(y_grid):
         y = float(y)
@@ -196,29 +210,34 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
         plateau[i] = k_plus[i] - k_minus[i] > 1e-4 * k_range
 
         try:
-            ls = level_set(model, y, k_plus[i])
-            h_k[i], h_y[i] = ls.h_k, -float(model.g_at(y)[0]) - ls.flux
-            j = int(np.argmax(ls.syy))
-            syy_min[i], syy_max[i] = np.min(ls.syy), ls.syy[j]
-            x_syy_max[i] = ls.points[j]
-        except EmptyBand:
-            ls = None
-        try:
-            band = ls if ls is not None and ls.estimator == "band" \
-                else level_set(model, y, k_plus[i], "band")
-            area[i] = band.area
-            tangential[i] = band.boundary_fraction > tangential_threshold
-            b = band.boundary
-            if normal is not None and np.any(b):
-                n_level = band.grad[b] / band.gnorm[b][:, None]
-                dots = np.sum(np.atleast_2d(normal(band.points[b])) * n_level, axis=1)
-                transversality[i] = np.min(1.0 - dots ** 2)
+            band = level_set(model, y, k_plus[i], "band")
         except EmptyBand:
             tangential[i] = True
-        # not h_k > 0 also catches an empty auto set (NaN)
-        tangential[i] |= not h_k[i] > 0
-        if not tangential[i]:
-            kprime[i] = -h_y[i] / h_k[i]
+            continue
+        area[i] = band.area
+        tangential[i] = band.boundary_fraction > tangential_threshold
+        b = band.boundary
+        if normal is not None and np.any(b):
+            n_level = band.grad[b] / band.gnorm[b][:, None]
+            dots = np.sum(np.atleast_2d(normal(band.points[b])) * n_level, axis=1)
+            transversality[i] = np.min(1.0 - dots ** 2)
+        if not planar:
+            keep_sample(i, band)
+
+    if planar:
+        segments, clipped = _contour_segments(model, y_grid, k_plus)
+        for i, seg in enumerate(segments):
+            if seg.shape[0]:
+                keep_sample(i, _contour_level_set(model, float(y_grid[i]),
+                                                  k_plus[i], seg))
+        sizes = np.array([seg.shape[0] for seg in segments])
+        logger.debug("split curve: %d contour segments over %d nodes, %d of "
+                     "them clipped; %d nodes with an empty contour at y = %s",
+                     np.sum(sizes), n, np.sum(clipped), np.sum(sizes == 0),
+                     np.round(y_grid[sizes == 0], 6).tolist())
+    # not h_k > 0 also catches an empty auto set (NaN)
+    tangential |= ~(h_k > 0)
+    kprime[~tangential] = -h_y[~tangential] / h_k[~tangential]
 
     empty = np.isnan(h_k) | np.isnan(area)
     for what, mask in (("plateau", plateau), ("tangential", tangential),

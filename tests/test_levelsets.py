@@ -355,6 +355,32 @@ def test_saddle_cell_keeps_quadrants_apart(k):
     assert np.all(np.sign(seg[:, 0, :]) == np.sign(seg[:, 1, :]))
 
 
+@pytest.fixture(scope="module")
+def pie12():
+    from nestor import scenarios as sc
+    return sc.build("pie-slice", theta0=1.2)
+
+
+@pytest.mark.parametrize("name", ["par2", "pie12", "ball"])
+def test_batched_contours_equal_single_node_calls(name, request):
+    # one contour pass over the 65 solved nodes gives each node the very
+    # segments, in the same order, of a one-node call; a level beyond the
+    # range of s_y gets an empty slot and leaves its neighbours in place
+    from nestor.solver import solve_split_curve
+    model = request.getfixturevalue(name).model
+    curve = solve_split_curve(model)
+    ys = np.insert(curve.y_grid, 32, curve.y_grid[32])
+    ks = np.insert(curve.k_plus, 32, np.max(curve.k_plus) + 1e3)
+    batched, clipped = levelsets._contour_segments(model, ys, ks)
+    assert len(batched) == clipped.size == 66
+    assert batched[32].shape == (0, 2, 2) and clipped[32] == 0
+    for i, (y, k) in enumerate(zip(ys, ks)):
+        (seg,), (n_clipped,) = levelsets._contour_segments(model, [y], [k])
+        assert np.array_equal(batched[i], seg)
+        assert clipped[i] == n_clipped
+    assert np.sum(clipped) > 0
+
+
 def test_tangential_detection(square, bowl):
     assert is_tangential(square, 0.5, 0.002)       # level hugging a face
     assert not is_tangential(square, 0.5, 0.5)

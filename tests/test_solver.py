@@ -537,9 +537,36 @@ def test_split_curve_debug_records(caplog):
     assert f"{n_tan} of 65 nodes tangential at y = [-1.19965, " in caplog.text
     assert ("2 of 65 nodes with an empty level set at y = [-1.19965, 1.19965]"
             in caplog.text)
-    assert len(caplog.records) == 4
+    # the planar solve's one contour pass reports its segments
+    assert re.search(r"split curve: \d+ contour segments over 65 nodes, "
+                     r"[1-9]\d* of them clipped; 2 nodes with an empty contour "
+                     r"at y = \[-1\.19965, 1\.19965\]", caplog.text)
+    assert len(caplog.records) == 5
     assert all(r.levelno == logging.DEBUG and r.name == "nestor.solver"
                for r in caplog.records)
+
+
+def test_contour_clip_does_not_scale_with_nodes(par2, monkeypatch):
+    # the clip bisects every node's boundary segments in one pass, so a
+    # planar solve makes as many Domain.contains calls at 129 nodes as at 65
+    from nestor.geometry import Domain
+
+    model = par2.model
+    model.certificate  # its compass search calls contains too
+    calls = [0]
+    contains = Domain.contains
+
+    def counting(self, x):
+        calls[0] += 1
+        return contains(self, x)
+
+    monkeypatch.setattr(Domain, "contains", counting)
+    counts = []
+    for n in (65, 129):
+        calls[0] = 0
+        solve_split_curve(model, n_nodes=n)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
 
 
 def test_map_gradient_examples(uni1d, par2):
