@@ -50,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BracketFailure, EmptyBand
-from .model import Model, SurplusSlice
+from .model import Model, SurplusSlice, grad_norm
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _mass_knots(model: Model, sl: SurplusSlice, k_lo: float = -np.inf,
     rest are sorted; the default window keeps every ramp, so M runs from 0
     to the total.  M_j is the raw running sum, which rounding can dip below
     an earlier value; ``_invert_knots`` reads it as its running maximum."""
-    h = 0.0 if sl.span is None else 0.5 * float(np.max(sl.span))
+    h = 0.5 * sl.max_span
     below = sl.sy <= k_lo - h
     keep = np.flatnonzero(~below & (sl.sy < k_hi + h))
     base = float(np.sum(model.point_mass[below]))
@@ -178,9 +178,8 @@ def _sublevel_window(model: Model, sl: SurplusSlice, lo_mass: float,
     lo_t, hi_t = lo_mass - slack[0], hi_mass + slack[1]
     j = np.searchsorted(cum, np.array([lo_t, hi_t]) * (cum[-1] / total))
     k_sub = sub[order[np.minimum(j, sub.size - 1)]]
-    pad = 0.0 if sl.span is None else float(np.max(sl.span))
-    return (float(k_sub[0]) - pad if lo_t > 0 else -np.inf,
-            float(k_sub[1]) + pad if hi_t < total else np.inf)
+    return (float(k_sub[0]) - sl.max_span if lo_t > 0 else -np.inf,
+            float(k_sub[1]) + sl.max_span if hi_t < total else np.inf)
 
 
 def _invert_sublevel(model: Model, y: float, lo_mass: float,
@@ -190,7 +189,7 @@ def _invert_sublevel(model: Model, y: float, lo_mass: float,
     there.  The levels are kept only when both lie strictly inside the
     window, where its knot masses are exact; otherwise (an infinite level
     included) the full knots are inverted."""
-    total = float(np.sum(model.point_mass))
+    total = model.total_mass
     if hi_mass < 0 or lo_mass > total:
         raise BracketFailure(f"sublevel mass never enters [{lo_mass:.6g}, "
                              f"{hi_mass:.6g}] (total mass {total:.6g})")
@@ -235,10 +234,10 @@ def sublevel_mass(model: Model, y: float, k):
 def band_epsilon(model: Model, sl: SurplusSlice) -> float:
     """Band half-width: two cells thick in s_y units."""
     if sl.span is not None:
-        return 2.0 * float(np.max(sl.span))
+        return 2.0 * sl.max_span
     # Monte Carlo: typical inter-sample distance times the gradient scale
     h = (model.grid.volume / model.grid.n_points) ** (1.0 / model.domain.dim)
-    return 2.0 * h * float(np.max(sl.gnorm))
+    return 2.0 * h * float(np.max(grad_norm(sl.grad)))
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,9 @@ class LevelSet:
 
     Sample j sits at ``points[j]`` and carries surface measure
     ``measure[j]``; ``f``, ``grad``, ``gnorm`` and ``syy`` are the source
-    density, grad_x s_y, its norm and s_yy there.  ``boundary`` flags band
+    density, grad_x s_y, its norm and s_yy there, taken at the samples
+    only: the band reads f and grad_x s_y at its rows of the grid and the
+    slice, and evaluates the norm and s_yy there.  ``boundary`` flags band
     samples in boundary-adjacent cells and ``segments`` holds the contour
     polyline; each is None for the other estimator.  The properties are
     the sums surface integrals reduce to: area, h_k (of f / |grad_x s_y|),
@@ -310,12 +311,14 @@ def level_set(model: Model, y: float, k: float,
     if idx.size == 0:
         raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}",
                         estimator=estimator)
-    gnorm = sl.gnorm[idx]
+    points, grad = model.grid.points[idx], sl.grad[idx]
+    gnorm = grad_norm(grad)
     kernel = (1.0 - t[idx] / eps) / eps
     return LevelSet(
-        estimator=estimator, epsilon=eps, points=model.grid.points[idx],
+        estimator=estimator, epsilon=eps, points=points,
         measure=model.grid.weights[idx] * gnorm * kernel,
-        f=model.f_vals[idx], grad=sl.grad[idx], gnorm=gnorm, syy=sl.syy[idx],
+        f=model.f_vals[idx], grad=grad, gnorm=gnorm,
+        syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
         boundary=model.grid.boundary_adjacent[idx], segments=None)
 
 
@@ -332,7 +335,7 @@ def _contour_level_set(model: Model, y: float, k: float,
     return LevelSet(
         estimator="contour2d", epsilon=0.0, points=points,
         measure=np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1),
-        f=model.f_at(points), grad=grad, gnorm=np.linalg.norm(grad, axis=1),
+        f=model.f_at(points), grad=grad, gnorm=grad_norm(grad),
         syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
         boundary=None, segments=segments)
 

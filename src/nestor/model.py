@@ -55,21 +55,34 @@ class NondegeneracyCertificate:
 
 @dataclass(frozen=True)
 class SurplusSlice:
-    """All surplus data at one target coordinate, on the quadrature points."""
+    """The surplus data every consumer reads at one target coordinate, on
+    every quadrature point: s_y, grad_x s_y (whose row norms ``grad_norm``
+    takes where a sample needs them), the cell spans and their maximum.
+    s_yy is not kept: the level-set sampler evaluates it on its samples."""
 
     y: float
     sy: np.ndarray      # s_y(x_i, y)
     grad: np.ndarray    # grad_x s_y(x_i, y), shape (N, m)
-    gnorm: np.ndarray   # |grad_x s_y|
-    syy: np.ndarray     # s_yy(x_i, y)
     span: Optional[np.ndarray]  # s_y variation across one cell, or None (MC)
+    max_span: float     # max of span; 0.0 on Monte Carlo grids
+
+
+def grad_norm(grad: np.ndarray) -> np.ndarray:
+    """Row norms of an (N, m) gradient array, as np.linalg.norm(grad,
+    axis=1) gives them (its row sums run in axis order for m < 8), without
+    its strided short-row reduction."""
+    sq = grad[:, 0] * grad[:, 0]
+    for c in range(1, grad.shape[1]):
+        sq += grad[:, c] * grad[:, c]
+    return np.sqrt(sq)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class Model:
-    """Bundled problem data; caches quadrature, target CDF and last slice."""
+    """Bundled problem data; caches quadrature, total mass, target CDF and
+    last slice."""
 
     def __init__(self, domain: Domain, target: TargetInterval,
                  surplus: SurplusBundle, densities: Optional[DensityPair] = None,
@@ -97,6 +110,7 @@ class Model:
         self.f_scale = 1.0 / z_f
         self.f_vals = f_raw * self.f_scale
         self.point_mass = self.grid.weights * self.f_vals  # w_i f(x_i)
+        self.total_mass = float(np.sum(self.point_mass))
 
         # -- normalize g by Gauss-Legendre panels and cache the CDF
         nodes = np.linspace(target.y_lo, target.y_hi, 2049)
@@ -146,17 +160,11 @@ class Model:
         pts = self.grid.points
         sy = np.asarray(self.surplus.s_y(pts, key), dtype=float)
         grad = np.asarray(self.surplus.grad_x_s_y(pts, key), dtype=float)
-        # |grad| as np.linalg.norm(grad, axis=1) gives it (its row sums run
-        # in axis order for m < 8), without its strided short-row reduction
-        sq = grad[:, 0] * grad[:, 0]
-        for c in range(1, grad.shape[1]):
-            sq += grad[:, c] * grad[:, c]
-        gnorm = np.sqrt(sq)
-        syy = np.asarray(self.surplus.s_yy(pts, key), dtype=float)
         span = None if self.grid.spacing is None \
             else np.maximum(np.abs(grad) @ self.grid.spacing, 1e-30)
-        self._slice = SurplusSlice(y=key, sy=sy, grad=grad, gnorm=gnorm,
-                                   syy=syy, span=span)
+        self._slice = SurplusSlice(
+            y=key, sy=sy, grad=grad, span=span,
+            max_span=0.0 if span is None else float(np.max(span)))
         return self._slice
 
     @property
@@ -221,10 +229,11 @@ def certify_nondegeneracy(model: Model) -> NondegeneracyCertificate:
     best = np.inf
     witness = None
     for y in model.target.interior_grid(17):
-        sl = model.slice_at(float(y))
-        i = int(np.argmin(sl.gnorm))
-        if sl.gnorm[i] < best:
-            best = float(sl.gnorm[i])
+        gnorm = grad_norm(np.asarray(
+            model.surplus.grad_x_s_y(model.grid.points, float(y)), dtype=float))
+        i = int(np.argmin(gnorm))
+        if gnorm[i] < best:
+            best = float(gnorm[i])
             witness = (model.grid.points[i].copy(), float(y))
 
     # compass search (Kolda, Lewis & Torczon, SIAM Review 45, 2003) in x only

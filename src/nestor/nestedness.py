@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoBoundaryOracle
-from .model import Model
+from .model import Model, grad_norm
 from .solver import SplitCurve, count_sign_changes, effective_deadband
 
 logger = logging.getLogger(__name__)
@@ -287,15 +287,18 @@ def kprime_bound_gap(model: Model, curve: SplitCurve):
         |k'(y)| <= sup|s_yy| + g(y) sup|grad_x s_y / f| / A(y)
     at the non-tangential nodes, with A the curve's own band area; returns
     (|k'| values, bound values), the bound NaN where that band sample is
-    empty."""
+    empty.  Both sups are taken over the quadrature points, from the
+    bundle's s_yy and grad_x s_y there (no surplus slice is built)."""
     idx = np.flatnonzero(~curve.tangential_flags)
+    pts = model.grid.points
     lhs = []
     rhs = []
     for i in idx:
         y = float(curve.y_grid[i])
-        sl = model.slice_at(y)
-        sup_syy = float(np.max(np.abs(sl.syy)))
-        sup_ratio = float(np.max(sl.gnorm / model.f_vals))
+        syy = np.asarray(model.surplus.s_yy(pts, y), dtype=float)
+        gnorm = grad_norm(np.asarray(model.surplus.grad_x_s_y(pts, y), dtype=float))
+        sup_syy = float(np.max(np.abs(syy)))
+        sup_ratio = float(np.max(gnorm / model.f_vals))
         g_y = float(model.g_at(y)[0])
         lhs.append(abs(float(curve.kprime[i])))
         rhs.append(sup_syy + g_y * sup_ratio / curve.area[i])

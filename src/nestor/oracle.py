@@ -115,7 +115,7 @@ def sample_instance(model: Model, n_source: int, n_target: int,
     f-weighted quadrature points) and g-quantile-midpoint target atoms;
     deterministic per seed."""
     rng = np.random.default_rng(seed)
-    w = model.point_mass / np.sum(model.point_mass)
+    w = model.point_mass / model.total_mass
     cum = np.cumsum(w)
     cum[-1] = 1.0
     u = (np.arange(n_source) + rng.random(n_source)) / n_source

@@ -186,7 +186,7 @@ def reduce_and_solve_1d(model: Model) -> Rearrangement1D:
     pad = 1e-9 * max(hi - lo, 1.0)
     grid = np.linspace(lo - pad, hi + pad, 257)
     cdf_vals = (sublevel_mass(model, model.target.mid, grid)
-                / float(np.sum(model.point_mass)))
+                / model.total_mass)
     # strictly increasing knots for the monotone interpolant
     keep = np.concatenate([[True], np.diff(cdf_vals) > 1e-15])
     keep[0] = keep[-1] = True

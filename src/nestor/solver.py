@@ -155,10 +155,12 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
 
     k_minus and k_plus are the edges of the mass band {k : |h(y, k)| <= 1e-6},
     clamped to the padded range of s_y.  The solve makes two passes.  The
-    first builds each node's slice once, inverts its mass and reduces the
-    band sample of X(y, k_plus) at once to the area, the tangential flag
-    and the boundary transversality (and, off planar tensor grids, to h_k,
-    h_y and the s_yy figures), so no sample outlives its node.  On planar
+    first builds each node's slice once (s_y, grad_x s_y and the cell spans
+    on every quadrature point; |grad_x s_y| and s_yy are taken on the band
+    samples only), inverts its mass and reduces the band sample of
+    X(y, k_plus) at once to the area, the tangential flag and the boundary
+    transversality (and, off planar tensor grids, to h_k, h_y and the s_yy
+    figures), so no sample outlives its node.  On planar
     tensor grids one contour pass over all nodes then gives the contour
     samples that h_k, h_y and the s_yy figures reduce.  Nodes flagged
     tangential (more than ``default_tangential_threshold(model)`` of the
@@ -194,17 +196,18 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
         syy_min[i], syy_max[i] = np.min(ls.syy), ls.syy[j]
         x_syy_max[i] = ls.points[j]
 
+    g_targets = target_cdf(model, y_grid)
     for i, y in enumerate(y_grid):
         y = float(y)
         sl = model.slice_at(y)
-        k_range = max(float(np.ptp(sl.sy)), 1e-12)
-        pad = 1e-3 * k_range + 10 * float(np.max(sl.span)) if sl.span is not None \
+        sy_lo, sy_hi = np.min(sl.sy), np.max(sl.sy)
+        k_range = max(float(sy_hi - sy_lo), 1e-12)
+        pad = 1e-3 * k_range + 10 * sl.max_span if sl.span is not None \
             else 1e-2 * k_range
-        g_target = target_cdf(model, y)
+        g_target = float(g_targets[i])
         levels, window, share = _invert_sublevel(
             model, y, g_target - 1e-6, g_target + 1e-6)
-        k_minus[i], k_plus[i] = np.clip(levels, np.min(sl.sy) - pad,
-                                        np.max(sl.sy) + pad)
+        k_minus[i], k_plus[i] = np.clip(levels, sy_lo - pad, sy_hi + pad)
         windowed[i] = window != (-np.inf, np.inf)
         sorted_share[i] = share
         plateau[i] = k_plus[i] - k_minus[i] > 1e-4 * k_range
@@ -350,20 +353,22 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
         idx = np.zeros(n, dtype=np.intp)
         fa, fb = np.empty(n), np.empty(n)
         has_down, has_up = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        right = model.surplus.s_y(xb, float(ys[-1])) - k[-1]
-        pos_right = right > 0
+        # phi > 0 is s_y > k_j, and s_y is kept raw at the bracket: k comes
+        # off once, after the walk
+        right = model.surplus.s_y(xb, float(ys[-1]))
+        pos_right = right > k[-1]
         all_pos = pos_right.copy()
         for j in range(ys.size - 2, -1, -1):
-            left = model.surplus.s_y(xb, float(ys[j])) - k[j]
-            pos_left = left > 0
-            cross = pos_left != pos_right
-            down = cross & pos_left
-            take = down | (cross & ~has_down)
+            left = model.surplus.s_y(xb, float(ys[j]))
+            pos_left = left > k[j]
+            down = pos_left > pos_right
+            up = pos_right > pos_left
+            take = down | (up > has_down)
             np.copyto(idx, j, where=take)
             np.copyto(fa, left, where=take)
             np.copyto(fb, right, where=take)
             has_down |= down
-            has_up |= cross ^ down
+            has_up |= up
             all_pos &= pos_left
             right, pos_right = left, pos_left
         out[start:start + _CHUNK] = np.where(all_pos, curve.y_hi, curve.y_lo)
@@ -371,7 +376,8 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
         rows = np.nonzero(has_down | has_up)[0]
         j = idx[rows]
         out[start + rows] = _level_root(model, curve, xb[rows], ys[j], ys[j + 1],
-                                        fa[rows], fb[rows], y_tol)
+                                        fa[rows] - k[j], fb[rows] - k[j + 1],
+                                        y_tol)
     return out, settled
 
 

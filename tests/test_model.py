@@ -4,7 +4,8 @@ import pytest
 from nestor.errors import OutOfRange
 from nestor.geometry import (Quadrature, TargetInterval, annulus_domain,
                              box_domain, interval_domain, paraboloid_domain)
-from nestor.model import (DensityPair, Model, certify_nondegeneracy,
+from nestor.levelsets import level_set
+from nestor.model import (DensityPair, Model, certify_nondegeneracy, grad_norm,
                           region_mass, target_cdf, target_quantile)
 from nestor.surplus import arc_surplus, bilinear_surplus, polynomial_surplus
 
@@ -115,20 +116,47 @@ def test_determinism_bitwise():
     assert ca.min_grad_norm == cb.min_grad_norm
 
 
+def _varying_gradient_model(dim, quadrature):
+    """A polynomial surplus whose x-gradient varies from point to point in
+    every axis."""
+    terms = [(1.0, (1,) + (0,) * (dim - 1), 1)]
+    terms += [(0.3 + 0.2 * j, tuple(2 if i == j else 0 for i in range(dim)), 2)
+              for j in range(dim)]
+    return Model(box_domain([0] * dim, [1] * dim), TargetInterval(0, 1),
+                 polynomial_surplus(terms, dim), quadrature=quadrature)
+
+
 @pytest.mark.parametrize("dim, quadrature", [
     (1, Quadrature("tensor", 512)), (2, Quadrature("tensor", 96)),
     (3, Quadrature("tensor", 24)), (4, Quadrature("monte-carlo", 20_000, seed=2)),
 ])
 def test_slice_gradient_norm_matches_linalg_norm(dim, quadrature):
-    # a surplus whose x-gradient varies from point to point in every axis
-    terms = [(1.0, (1,) + (0,) * (dim - 1), 1)]
-    terms += [(0.3 + 0.2 * j, tuple(2 if i == j else 0 for i in range(dim)), 2)
-              for j in range(dim)]
-    model = Model(box_domain([0] * dim, [1] * dim), TargetInterval(0, 1),
-                  polynomial_surplus(terms, dim), quadrature=quadrature)
+    model = _varying_gradient_model(dim, quadrature)
     for y in (0.2, 0.7):
         sl = model.slice_at(y)
-        assert np.array_equal(sl.gnorm, np.linalg.norm(sl.grad, axis=1))
+        assert np.array_equal(grad_norm(sl.grad), np.linalg.norm(sl.grad, axis=1))
+
+
+@pytest.mark.parametrize("dim, quadrature", [
+    (2, Quadrature("tensor", 96)), (3, Quadrature("tensor", 24)),
+    (4, Quadrature("monte-carlo", 20_000, seed=2)),
+])
+def test_band_takes_norm_and_syy_on_its_rows(dim, quadrature):
+    # the slice keeps neither |grad_x s_y| nor s_yy; the band evaluates
+    # them on its samples, bit for bit the full-grid values at those rows
+    model = _varying_gradient_model(dim, quadrature)
+    pts = model.grid.points
+    for y in (0.2, 0.7):
+        sl = model.slice_at(y)
+        assert not hasattr(sl, "gnorm") and not hasattr(sl, "syy")
+        k = float(np.median(sl.sy))
+        ls = level_set(model, y, k, "band")
+        rows = np.flatnonzero(np.abs(sl.sy - k) < ls.epsilon)
+        assert 0 < rows.size < pts.shape[0]
+        assert np.array_equal(ls.points, pts[rows])
+        grad = np.asarray(model.surplus.grad_x_s_y(pts, y), dtype=float)
+        assert np.array_equal(ls.gnorm, np.linalg.norm(grad, axis=1)[rows])
+        assert np.array_equal(ls.syy, model.surplus.s_yy(pts, y)[rows])
 
 
 def test_density_positivity_enforced():

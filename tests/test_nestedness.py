@@ -5,7 +5,7 @@ from nestor.errors import EmptyBand, NoBoundaryOracle
 from nestor.geometry import Quadrature, TargetInterval, box_domain
 from nestor import levelsets, solver
 from nestor.levelsets import level_set, surface_integral
-from nestor.model import Model
+from nestor.model import Model, grad_norm
 from nestor.nestedness import (check_sublevel_monotonicity, dynamic_criterion,
                                kprime_bound_gap, nestedness_report,
                                speed_limit, transversality_diagnostic,
@@ -320,21 +320,24 @@ def test_kprime_bound(par2):
 def _kprime_bound_resampled(model, curve, y_nodes):
     """The k' bound with A(y) from a fresh band sample at each node."""
     lhs, rhs = [], []
+    pts = model.grid.points
     for y in y_nodes:
         y = float(y)
-        sl = model.slice_at(y)
+        syy = model.surplus.s_yy(pts, y)
+        gnorm = grad_norm(model.surplus.grad_x_s_y(pts, y))
         i = int(np.argmin(np.abs(curve.y_grid - y)))
         area = surface_integral(model, y, float(curve.k_plus[i])).value
         lhs.append(abs(float(curve.kprime[i])))
-        rhs.append(float(np.max(np.abs(sl.syy))) + float(model.g_at(y)[0])
-                   * float(np.max(sl.gnorm / model.f_vals)) / area)
+        rhs.append(float(np.max(np.abs(syy))) + float(model.g_at(y)[0])
+                   * float(np.max(gnorm / model.f_vals)) / area)
     return np.asarray(lhs), np.asarray(rhs)
 
 
 @pytest.mark.parametrize("name", ["par2", "par3"])
 def test_kprime_bound_reads_the_curve_area(name, request, monkeypatch):
-    # the bound reads every non-tangential node, takes no level-set sample
-    # and matches a per-node resample bit for bit (checked on every 10th)
+    # the bound reads every non-tangential node, takes no level-set sample,
+    # builds no surplus slice and matches a per-node resample bit for bit
+    # (checked on every 10th)
     solved = request.getfixturevalue(name)
     model, curve = solved.model, solved.curve
     nodes = curve.y_grid[~curve.tangential_flags][:: 10]
@@ -344,6 +347,7 @@ def test_kprime_bound_reads_the_curve_area(name, request, monkeypatch):
         raise AssertionError("kprime_bound_gap sampled a level set")
 
     monkeypatch.setattr(levelsets, "level_set", no_sample)
+    monkeypatch.setattr(Model, "slice_at", no_sample)
     lhs, rhs = kprime_bound_gap(model, curve)
     assert lhs.size == rhs.size == int(np.sum(~curve.tangential_flags))
     assert np.array_equal(lhs[:: 10], ref[0]) and np.array_equal(rhs[:: 10], ref[1])

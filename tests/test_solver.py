@@ -569,6 +569,26 @@ def test_contour_clip_does_not_scale_with_nodes(par2, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_solve_takes_syy_on_band_samples_only(par3, monkeypatch):
+    # s_yy is evaluated on each node's band samples, not on the grid: over
+    # a 257-node m = 3 solve under a quarter of nodes x grid points pass
+    # through the bundle's s_yy, and the curve is the fixture's bit for bit
+    model = par3.model
+    evaluated = [0]
+    s_yy = model.surplus.s_yy
+
+    def counting(x, y):
+        evaluated[0] += np.asarray(x).shape[0]
+        return s_yy(x, y)
+
+    monkeypatch.setattr(model, "surplus", replace(model.surplus, s_yy=counting))
+    curve = solve_split_curve(model, n_nodes=257)
+    assert 0 < evaluated[0] < 0.25 * curve.y_grid.size * model.grid.n_points
+    for name in ("k_plus", "h_k", "h_y", "syy_max", "area"):
+        assert np.array_equal(getattr(curve, name), getattr(par3.curve, name),
+                              equal_nan=True)
+
+
 def test_map_gradient_examples(uni1d, par2):
     df = map_gradient(par2.model, par2.curve, np.array([0.25, 0.0]))
     assert np.linalg.norm(df - np.array([0.75, 0.0])) <= 1e-2 * 0.75
