@@ -153,9 +153,11 @@ class Model:
     # ------------------------------------------------------------------
 
     def slice_at(self, y: float) -> SurplusSlice:
+        """The slice at y, kept until another y is asked for; when the
+        surplus declares ``sy_free_of_y``, the first one serves every y."""
         key = float(y)
         last = self._slice
-        if last is not None and last.y == key:
+        if last is not None and (last.y == key or self.surplus.sy_free_of_y):
             return last
         pts = self.grid.points
         sy = np.asarray(self.surplus.s_y(pts, key), dtype=float)

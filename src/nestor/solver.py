@@ -9,7 +9,10 @@ to the y whose indifference set passes through x, by rooting
 phi(y) = s_y(x, y) - k(y) ("by-level"; as v' = k, phi is the y-slope of
 s(x, .) - v, so u reads its sup off this node walk and root) or by
 re-solving the proportional-splitting equation at x ("by-splitting");
-the two agree exactly when the model is nested.
+the two agree exactly when the model is nested.  When the surplus declares
+s_y free of y (``SurplusBundle.sy_free_of_y``), one knot set gives every
+node's levels, and on a nondecreasing k a search of s_y(x) in k gives the
+walk's bracket.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ import numpy as np
 
 from ._pchip import Pchip
 from .errors import EmptyBand, NonNested, ZeroSpeed
-from .levelsets import (_contour_level_set, _contour_segments,
-                        _invert_sublevel, _planar_tensor, cumulative_mass,
-                        default_tangential_threshold, level_set, sublevel_mass)
+from .levelsets import (_contour_level_set, _contour_segments, _invert_knots,
+                        _invert_sublevel, _mass_knots, _planar_tensor,
+                        cumulative_mass, default_tangential_threshold,
+                        level_set, sublevel_mass)
 from .model import Model, target_cdf
 
 logger = logging.getLogger(__name__)
@@ -160,7 +164,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     samples only), inverts its mass and reduces the band sample of
     X(y, k_plus) at once to the area, the tangential flag and the boundary
     transversality (and, off planar tensor grids, to h_k, h_y and the s_yy
-    figures), so no sample outlives its node.  On planar
+    figures), so no sample outlives its node; when s_y is free of y, one
+    slice and one knot set serve every node.  On planar
     tensor grids one contour pass over all nodes then gives the contour
     samples that h_k, h_y and the s_yy figures reduce.  Nodes flagged
     tangential (more than ``default_tangential_threshold(model)`` of the
@@ -168,8 +173,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     difference-quotient derivatives instead of -h_y/h_k, whose hypotheses
     fail there.  The plateau, tangential and empty-level-set nodes are
     logged at DEBUG, and so are the counts of nodes inverted on a k window
-    and on the full knots (see ``sublevel_levels``) and the contour pass's
-    segment, clipped-segment and empty-contour counts.
+    and on the full knots (see ``sublevel_levels``) or on the one knot set,
+    and the contour pass's segment, clipped-segment and empty-contour counts.
     """
     model.require_nondegenerate()
     if y_grid is None:
@@ -197,19 +202,33 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
         x_syy_max[i] = ls.points[j]
 
     g_targets = target_cdf(model, y_grid)
+    one_slice = model.surplus.sy_free_of_y
+    if one_slice:  # one knot set; each node searches its running maximum
+        knots, mass = _mass_knots(model, model.slice_at(float(y_grid[0])))
+        peak = np.maximum.accumulate(mass)
+        for out, t, side in ((k_minus, g_targets - 1e-6, "left"),
+                             (k_plus, g_targets + 1e-6, "right")):
+            for i, j in enumerate(np.searchsorted(peak, t, side)):
+                s = slice(max(j - 1, 0), j + 1)  # all it reads of the knots
+                out[i] = _invert_knots(knots[s], peak[s], t[i], side)
+        del knots, mass, peak  # 2N knots, not kept through the band samples
+        logger.debug("split curve: s_y is free of y, so all %d nodes are "
+                     "inverted on one knot set", n)
     for i, y in enumerate(y_grid):
         y = float(y)
-        sl = model.slice_at(y)
-        sy_lo, sy_hi = np.min(sl.sy), np.max(sl.sy)
-        k_range = max(float(sy_hi - sy_lo), 1e-12)
-        pad = 1e-3 * k_range + 10 * sl.max_span if sl.span is not None \
-            else 1e-2 * k_range
-        g_target = float(g_targets[i])
-        levels, window, share = _invert_sublevel(
-            model, y, g_target - 1e-6, g_target + 1e-6)
-        k_minus[i], k_plus[i] = np.clip(levels, sy_lo - pad, sy_hi + pad)
-        windowed[i] = window != (-np.inf, np.inf)
-        sorted_share[i] = share
+        if i == 0 or not one_slice:  # one slice serves every node
+            sl = model.slice_at(y)
+            sy_lo, sy_hi = np.min(sl.sy), np.max(sl.sy)
+            k_range = max(float(sy_hi - sy_lo), 1e-12)
+            pad = 1e-3 * k_range + 10 * sl.max_span if sl.span is not None \
+                else 1e-2 * k_range
+        if not one_slice:
+            g = float(g_targets[i])
+            (k_minus[i], k_plus[i]), window, sorted_share[i] = \
+                _invert_sublevel(model, y, g - 1e-6, g + 1e-6)
+            windowed[i] = window != (-np.inf, np.inf)
+        k_minus[i], k_plus[i] = np.clip((k_minus[i], k_plus[i]),
+                                        sy_lo - pad, sy_hi + pad)
         plateau[i] = k_plus[i] - k_minus[i] > 1e-4 * k_range
 
         try:
@@ -247,10 +266,11 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
                        ("with an empty level set", empty)):
         logger.debug("split curve: %d of %d nodes %s at y = %s", np.sum(mask),
                      n, what, np.round(y_grid[mask], 6).tolist())
-    logger.debug("split curve: %d nodes inverted on a k window (median %.3g "
-                 "of the ramps sorted), %d on the full knots", np.sum(windowed),
-                 np.median(sorted_share[windowed]) if windowed.any() else np.nan,
-                 n - np.sum(windowed))
+    if not one_slice:
+        logger.debug("split curve: %d nodes inverted on a k window (median "
+                     "%.3g of the ramps sorted), %d on the full knots",
+                     np.sum(windowed), np.median(sorted_share[windowed])
+                     if windowed.any() else np.nan, n - np.sum(windowed))
 
     # difference quotients at tangential nodes (one-sided at the ends)
     fd = np.gradient(k_plus, y_grid)
@@ -343,34 +363,43 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
     upward: the correct matching root always crosses downward, and the
     smallest j is written last.  Rows with no sign change clamp to y_hi
     when phi > 0 at every node, else y_lo.  Returns F and the settled rows,
-    which cross down but never up: as v' = k, s - v peaks at F there."""
+    which cross down but never up: as v' = k, s - v peaks at F there.
+    With s_y free of y and k nondecreasing, a search gives the same."""
     out = np.empty(x.shape[0])
     settled = np.empty(x.shape[0], dtype=bool)
     ys, k = curve.y_grid, curve.k_plus
+    search = model.surplus.sy_free_of_y and np.all(np.diff(k) >= 0)
     for start in range(0, x.shape[0], _CHUNK):
         xb = x[start:start + _CHUNK]
         n = xb.shape[0]
-        idx = np.zeros(n, dtype=np.intp)
-        fa, fb = np.empty(n), np.empty(n)
-        has_down, has_up = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        has_up = np.zeros(n, dtype=bool)
         # phi > 0 is s_y > k_j, and s_y is kept raw at the bracket: k comes
         # off once, after the walk
         right = model.surplus.s_y(xb, float(ys[-1]))
-        pos_right = right > k[-1]
-        all_pos = pos_right.copy()
-        for j in range(ys.size - 2, -1, -1):
-            left = model.surplus.s_y(xb, float(ys[j]))
-            pos_left = left > k[j]
-            down = pos_left > pos_right
-            up = pos_right > pos_left
-            take = down | (up > has_down)
-            np.copyto(idx, j, where=take)
-            np.copyto(fa, left, where=take)
-            np.copyto(fb, right, where=take)
-            has_down |= down
-            has_up |= up
-            all_pos &= pos_left
-            right, pos_right = left, pos_left
+        if search:
+            # k is nondecreasing, so phi > 0 exactly at the nodes below
+            # J = searchsorted(k, s_y): one downcrossing, [y_J-1, y_J]
+            j = np.searchsorted(k, right, "left")
+            has_down, all_pos = (j > 0) & (j < ys.size), j == ys.size
+            idx, fa, fb = np.maximum(j - 1, 0), right, right
+        else:
+            idx, fa, fb = np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n)
+            has_down = np.zeros(n, dtype=bool)
+            pos_right = right > k[-1]
+            all_pos = pos_right.copy()
+            for j in range(ys.size - 2, -1, -1):
+                left = model.surplus.s_y(xb, float(ys[j]))
+                pos_left = left > k[j]
+                down = pos_left > pos_right
+                up = pos_right > pos_left
+                take = down | (up > has_down)
+                np.copyto(idx, j, where=take)
+                np.copyto(fa, left, where=take)
+                np.copyto(fb, right, where=take)
+                has_down |= down
+                has_up |= up
+                all_pos &= pos_left
+                right, pos_right = left, pos_left
         out[start:start + _CHUNK] = np.where(all_pos, curve.y_hi, curve.y_lo)
         settled[start:start + _CHUNK] = has_down & ~has_up
         rows = np.nonzero(has_down | has_up)[0]

@@ -20,11 +20,15 @@ from .geometry import Domain, TargetInterval
 
 @dataclass(frozen=True)
 class SurplusBundle:
+    """``sy_free_of_y`` declares that s_y does not depend on y: a model
+    then keeps one slice for every y, the split solve inverts all nodes on
+    one knot set and the by-level map brackets by one search over k."""
     s: Callable
     s_y: Callable
     grad_x_s_y: Callable
     s_yy: Callable
     name: str = "custom"
+    sy_free_of_y: bool = False
 
     def check_consistency(self, dom: Domain, target: TargetInterval,
                           n_probes: int = 100, seed: int = 0) -> dict:
@@ -33,7 +37,8 @@ class SurplusBundle:
         Steps are 1e-5 of the box scale (1e-4 for the second y-derivative,
         where roundoff dominates at smaller steps).  Errors are relative to
         the larger of |exact| and the sampled magnitude of s_y.
-        Raises ValueError when any probe exceeds 1e-5.
+        Raises ValueError when any probe exceeds 1e-5, or when s_y declared
+        free of y differs bitwise between two y values.
         """
         rng = np.random.default_rng(seed)
         x = dom.sample_interior(n_probes, seed=seed)
@@ -44,6 +49,9 @@ class SurplusBundle:
         ys = target.y_lo + pad + (target.length - 2 * pad) * rng.random(n_probes)
 
         sy = self.s_y(x, ys)
+        if self.sy_free_of_y and not np.array_equal(sy, self.s_y(x, ys[::-1])):
+            raise ValueError(f"surplus bundle {self.name!r} declares s_y free "
+                             f"of y, but s_y differs between two y values")
         ref = max(1.0, float(np.max(np.abs(sy))))
 
         fd_sy = (self.s(x, ys + h) - self.s(x, ys - h)) / (2 * h)
@@ -87,7 +95,7 @@ def bilinear_surplus(direction: Sequence[float]) -> SurplusBundle:
 
     This is the inner-product objective with targets on the segment
     {y e : y in Y}; s_y depends on x only, so the bundle is of index form
-    with index x . e.
+    with index x . e, and declares ``sy_free_of_y``.
     """
     e = np.asarray(direction, dtype=float)
     e = e / np.linalg.norm(e)
@@ -106,7 +114,7 @@ def bilinear_surplus(direction: Sequence[float]) -> SurplusBundle:
         return np.zeros(x.shape[0])
 
     return SurplusBundle(s=s, s_y=s_y, grad_x_s_y=grad, s_yy=s_yy,
-                         name="bilinear")
+                         name="bilinear", sy_free_of_y=True)
 
 
 def arc_surplus() -> SurplusBundle:

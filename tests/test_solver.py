@@ -9,11 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nestor import levelsets, solver
+from nestor import scenarios as sc
 from nestor.errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
 from nestor.levelsets import (grad_h, level_set, sublevel_levels,
                               sublevel_mass, surface_integral)
 from nestor.model import Model, target_cdf
+from nestor.nestedness import nestedness_report
 from nestor.solver import (SplitCurve, balance_residual, interpolation_error,
                            map_gradient, optimal_map, pushforward_distance,
                            solve_split_curve, source_payoff)
@@ -484,14 +486,83 @@ def test_map_and_payoff_memory_is_bounded(par2):
     assert peak < 64 * 2**20
 
 
+def _general_path(model):
+    """The same model with the surplus's ``sy_free_of_y`` cleared, so the
+    solve inverts each node on its own k window and the map walks the
+    nodes."""
+    return Model(model.domain, model.target,
+                 replace(model.surplus, sy_free_of_y=False), model.densities,
+                 model.quadrature)
+
+
+@pytest.mark.parametrize("name", ["par2", "par3", "par4", "flat3"])
+def test_one_slice_matches_the_general_path(request, name):
+    if name == "par4":  # a Monte Carlo grid, whose knots are jumps
+        model = sc.build("paraboloid-segment", m=4, resolution=20_000).model
+        curve = solve_split_curve(model)
+    else:
+        solved = request.getfixturevalue(name)
+        model, curve = solved.model, solved.curve
+    general = _general_path(model)
+    ref = solve_split_curve(general, y_grid=curve.y_grid)
+    assert np.max(np.abs(curve.k_minus - ref.k_minus)) <= 1e-11
+    assert np.max(np.abs(curve.k_plus - ref.k_plus)) <= 1e-11
+    assert np.array_equal(curve.tangential_flags, ref.tangential_flags)
+    # every grid point, and two points past the box that clamp to the ends
+    lo, hi = model.domain.bbox
+    x = np.concatenate([model.grid.points, [2 * lo - hi, 2 * hi - lo]])
+    fast, walk = (solver._map_and_payoff(m, curve, x) for m in (model, general))
+    for a, b in zip(fast, walk):
+        assert np.array_equal(a, b)
+    assert fast[0][-2] == curve.y_lo and fast[0][-1] == curve.y_hi
+    report = nestedness_report(model, curve)
+    report_ref = nestedness_report(general, ref)
+    for crit in ("sublevel_monotone", "dynamic", "unique_splitting"):
+        assert getattr(report, crit).status == getattr(report_ref, crit).status
+    assert report.verdict == report_ref.verdict
+
+
+def test_map_searches_only_a_nondecreasing_curve(par2):
+    # k dips below y^(2/3) around y = 0.5, so s_y - k changes sign three
+    # times on some rows; the search would take a wrong bracket there
+    nodes = []  # s_y calls at one y: the bracket's (the roots pass arrays)
+    bundle = par2.model.surplus
+
+    def s_y(x, y):
+        if np.ndim(y) == 0:
+            nodes.append(y)
+        return bundle.s_y(x, y)
+
+    model = Model(par2.model.domain, par2.model.target,
+                  replace(bundle, s_y=s_y), par2.model.densities,
+                  par2.model.quadrature)
+    dip = SplitCurve.from_function(
+        model.target, par2.curve.y_grid,
+        lambda y: y ** (2 / 3) - 0.1 * np.exp(-((y - 0.5) / 0.05) ** 2))
+    assert np.any(np.diff(dip.k_plus) < 0)
+    x = model.grid.points
+    blocks = -(-x.shape[0] // solver._CHUNK)
+    y_tol = 1e-8 * model.target.length
+    nodes.clear()
+    solver._map_by_level(model, par2.curve, x, y_tol)
+    assert len(nodes) == blocks  # the search: s_y once per block
+    nodes.clear()
+    f, settled = solver._map_by_level(model, dip, x, y_tol)
+    assert len(nodes) == blocks * dip.y_grid.size  # the walk: at every node
+    f_walk, settled_walk = solver._map_by_level(_general_path(par2.model),
+                                                dip, x, y_tol)
+    assert np.array_equal(f, f_walk)
+    assert np.array_equal(settled, settled_walk)
+    assert not settled.all()
+
+
 def test_debug_records(par2, monkeypatch, caplog):
     model, c = par2.model, par2.curve
-    # the default solve inverts every node's sublevel mass on its k window
+    # s_y = x . e is free of y: every node is inverted on one knot set
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
         solve_split_curve(model)
-    assert re.search(r"split curve: 65 nodes inverted on a k window \(median "
-                     r"0\.1\d+ of the ramps sorted\), 0 on the full knots",
-                     caplog.text)
+    assert ("split curve: s_y is free of y, so all 65 nodes are inverted on "
+            "one knot set" in caplog.text)
     caplog.clear()
     pts = model.domain.sample_interior(40, seed=5, margin=0.02)
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
@@ -516,7 +587,6 @@ def test_debug_records(par2, monkeypatch, caplog):
 def test_split_curve_debug_records(caplog):
     # a source with a gap in x1 gives a mass plateau at y = 0.5; pie-slice
     # at theta0 = 1.2 has tangential end nodes and two empty level sets
-    from nestor import scenarios as sc
     from nestor.geometry import Domain
 
     def inside(x):
@@ -537,6 +607,11 @@ def test_split_curve_debug_records(caplog):
     assert f"{n_tan} of 65 nodes tangential at y = [-1.19965, " in caplog.text
     assert ("2 of 65 nodes with an empty level set at y = [-1.19965, 1.19965]"
             in caplog.text)
+    # the arc surplus's s_y moves with y: each node is inverted on its own
+    # k window
+    assert re.search(r"split curve: 65 nodes inverted on a k window \(median "
+                     r"0\.1\d+ of the ramps sorted\), 0 on the full knots",
+                     caplog.text)
     # the planar solve's one contour pass reports its segments
     assert re.search(r"split curve: \d+ contour segments over 65 nodes, "
                      r"[1-9]\d* of them clipped; 2 nodes with an empty contour "

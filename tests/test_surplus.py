@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestor.geometry import TargetInterval, box_domain
+from nestor.geometry import Quadrature, TargetInterval, box_domain
+from nestor.model import Model
 from nestor.surplus import (SurplusBundle, arc_surplus, bilinear_surplus,
                             polynomial_surplus)
 
@@ -76,3 +79,16 @@ def test_row_wise_target_broadcast():
     t = np.array([0.0, np.pi / 2])
     assert np.allclose(b.s(x, t), [1.0, 1.0])
     assert np.allclose(b.s_y(x, t), [0.0, 0.0])
+
+
+def test_y_free_sy_declaration_is_checked_at_assembly():
+    assert bilinear_surplus([1, 0]).sy_free_of_y
+    assert not arc_surplus().sy_free_of_y
+    # s = x1 y^2 / 2: s_y = x1 y varies with y
+    honest = polynomial_surplus([(0.5, (1, 0), 2)], 2)
+    assert not honest.sy_free_of_y
+    dishonest = replace(honest, name="wobbly", sy_free_of_y=True)
+    quad = Quadrature("tensor", 16)
+    Model(DOM, TGT, honest, quadrature=quad)
+    with pytest.raises(ValueError, match="'wobbly' declares s_y free of y"):
+        Model(DOM, TGT, dishonest, quadrature=quad)
