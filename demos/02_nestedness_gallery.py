@@ -4,10 +4,10 @@ Nested problems admit a continuous optimal map built level set by level
 set; non-nested ones make the construction self-contradictory (some point
 would be assigned two targets).  Three sampled criteria decide the
 verdict; the dynamic and unique-splitting criteria read the solved curve,
-so they are not independent of the solve (the by-splitting map is the
-independent cross-check).  This gallery shows them agreeing on fixtures
-whose status is known, including the sector family whose verdict flips at
-half-angle pi/2.
+so they are not independent of the solve (the tests cross-check them
+against a map that ranks the grid afresh).  This gallery shows them
+agreeing on fixtures whose status is known, including the sector family
+whose verdict flips at half-angle pi/2.
 """
 
 import numpy as np

@@ -2,7 +2,8 @@
 
 Every numerical failure mode has its own class so callers (and the CLI)
 can distinguish data errors from genuine mathematical obstructions such
-as a non-nested model.
+as a vanishing level-set speed.  Non-nestedness is not an error: the
+nestedness report returns it as a verdict.
 """
 
 
@@ -34,14 +35,6 @@ class Degenerate(NestorError):
 class BracketFailure(NestorError):
     """The split function has no sign change in k; mass imbalance or
     degenerate data."""
-
-
-class NonNested(NestorError):
-    """A splitting equation has several roots; carries the witnesses."""
-
-    def __init__(self, message, witnesses=None):
-        super().__init__(message)
-        self.witnesses = witnesses if witnesses is not None else []
 
 
 class ZeroSpeed(NestorError):

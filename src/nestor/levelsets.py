@@ -84,14 +84,6 @@ def _sublevel_fractions(sl: SurplusSlice, k):
     return np.clip(t + 0.5, 0.0, 1.0)
 
 
-def cumulative_mass(sy: np.ndarray, mass: np.ndarray):
-    """sy in ascending order, and cum with cum[j] the mass of the j
-    smallest values: the binary sublevel mass at k is
-    cum[searchsorted(sorted, k, "right")]."""
-    order = np.argsort(sy, kind="stable")
-    return sy[order], np.concatenate([[0.0], np.cumsum(mass[order])])
-
-
 def _mass_knots(model: Model, sl: SurplusSlice, k_lo: float = -np.inf,
                 k_hi: float = np.inf):
     """Knots (k_j, M_j) of the sublevel mass M(k), exact for k in the window
@@ -111,8 +103,9 @@ def _mass_knots(model: Model, sl: SurplusSlice, k_lo: float = -np.inf,
     base = float(np.sum(model.point_mass[below]))
     sy, w = sl.sy[keep], model.point_mass[keep]
     if sl.span is None:
-        sy, cum = cumulative_mass(sy, w)
-        return np.repeat(sy, 2), base + np.repeat(cum, 2)[1:-1]
+        order = np.argsort(sy, kind="stable")
+        cum = np.concatenate([[0.0], np.cumsum(w[order])])
+        return np.repeat(sy[order], 2), base + np.repeat(cum, 2)[1:-1]
     # each ramp adds slope w_i f_i / span_i between s_y,i -/+ span_i / 2
     span = sl.span[keep]
     slope = w / span

@@ -10,8 +10,8 @@ strictly with y.  Three sampled criteria probe this:
 3. unique splitting       - each probe point must admit exactly one
    target splitting the population proportionately, read off the solved
    curve as the sign of h_k(y) (s_y(x, y) - k(y)); it is therefore not
-   independent of the solve, and the by-splitting map, which ranks the
-   grid afresh, is the independent cross-check.
+   independent of the solve (the tests check it against a scan that ranks
+   the grid afresh at every target node).
 
 The report also carries the boundary-transversality modulus
 1 - (n_X . n_levelset)^2 (values near zero flag tangential intersections
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NoBoundaryOracle
 from .model import Model, grad_norm
-from .solver import SplitCurve, count_sign_changes, effective_deadband
+from .solver import SplitCurve
 
 logger = logging.getLogger(__name__)
 
@@ -194,6 +194,30 @@ def dynamic_criterion(model: Model, curve: SplitCurve) -> CriterionResult:
 # criterion 3: unique splitting
 # ---------------------------------------------------------------------------
 
+def count_sign_changes(values: np.ndarray, deadband: float) -> tuple:
+    """Number of strict sign changes of a sampled function, ignoring the
+    deadband |v| <= deadband.
+
+    Returns (count, brackets): each bracket is an index pair (i, j) of
+    opposite-signed samples with only deadband values in between.
+    """
+    signs = np.where(values > deadband, 1, np.where(values < -deadband, -1, 0))
+    nz_idx = np.nonzero(signs != 0)[0]
+    if nz_idx.size == 0:
+        return 0, []
+    nz = signs[nz_idx]
+    flips = np.nonzero(nz[:-1] != nz[1:])[0]
+    brackets = [(int(nz_idx[i]), int(nz_idx[i + 1])) for i in flips]
+    return int(len(brackets)), brackets
+
+
+def effective_deadband(model: Model) -> float:
+    """Sign deadband of the unique-splitting scan of h_k (s_y - k), which
+    stands in for a sublevel mass minus G: 1e-3 of the mass, or one grid
+    point's mass (the binary mass quantization) when that is larger."""
+    return max(1e-3, float(np.max(model.point_mass)))
+
+
 def unique_splitting_check(model: Model, curve: SplitCurve,
                            x_probes: Optional[np.ndarray] = None,
                            n_probes: int = 100, seed: int = 0,
@@ -208,7 +232,7 @@ def unique_splitting_check(model: Model, curve: SplitCurve,
     changes of that product, with h_k interpolated linearly from
     ``curve.h_k`` (NaN read as 0).  A curve without h_k (as from
     ``SplitCurve.from_function``) leaves the criterion indeterminate.
-    Unlike the by-splitting map, it is not independent of the solve."""
+    Reading the curve, it is not independent of the solve."""
     model.require_nondegenerate()
     if x_probes is None:
         x_probes = model.domain.sample_interior(n_probes, seed=seed,

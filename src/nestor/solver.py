@@ -6,10 +6,8 @@ so its exact inverse gives the maximal root interval [k^-, k^+].  The
 target-side payoff is v(y) = integral of k, the source-side payoff is its
 generalized conjugate u(x) = sup_y s(x, y) - v(y), and the map F sends x
 to the y whose indifference set passes through x, by rooting
-phi(y) = s_y(x, y) - k(y) ("by-level"; as v' = k, phi is the y-slope of
-s(x, .) - v, so u reads its sup off this node walk and root) or by
-re-solving the proportional-splitting equation at x ("by-splitting");
-the two agree exactly when the model is nested.  When the surplus declares
+phi(y) = s_y(x, y) - k(y) (as v' = k, phi is the y-slope of s(x, .) - v,
+so u reads its sup off this node walk and root).  When the surplus declares
 s_y free of y (``SurplusBundle.sy_free_of_y``), one knot set gives every
 node's levels, and on a nondecreasing k a search of s_y(x) in k gives the
 walk's bracket.
@@ -24,11 +22,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._pchip import Pchip
-from .errors import EmptyBand, NonNested, ZeroSpeed
+from .errors import EmptyBand, ZeroSpeed
 from .levelsets import (_contour_level_set, _contour_segments, _invert_knots,
                         _invert_sublevel, _mass_knots, _planar_tensor,
-                        cumulative_mass, default_tangential_threshold,
-                        level_set, sublevel_mass)
+                        default_tangential_threshold, level_set)
 from .model import Model, target_cdf
 
 logger = logging.getLogger(__name__)
@@ -290,27 +287,16 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
 # map evaluation
 # ---------------------------------------------------------------------------
 
-def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray,
-                method: str = "by-level"):
-    """Map source points to targets.
-
-    by-level roots phi(y) = s_y(x, y) - k(y) on the curve grid, bracketed
-    by one streamed pass over the nodes per block of points (no points x
-    nodes matrix is kept); by-splitting roots
-    psi(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y), scanned on 65 uniform
-    nodes, raising NonNested when psi changes sign more than once.  Points
-    beyond the extreme level sets clamp to the interval ends.  Roots are
-    resolved to 1e-8 of the target length.
+def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray):
+    """Map source points to targets by rooting phi(y) = s_y(x, y) - k(y)
+    on the curve grid, bracketed by one streamed pass over the nodes per
+    block of points (no points x nodes matrix is kept).  Points beyond the
+    extreme level sets clamp to the interval ends.  Roots are resolved to
+    1e-8 of the target length.
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
-    if method == "by-level":
-        out, _ = _map_by_level(model, curve, x, y_tol)
-    elif method == "by-splitting":
-        out = _map_by_splitting(model, curve, x, y_tol)
-    else:
-        raise ValueError(f"unknown map method {method!r}")
+    out, _ = _map_by_level(model, curve, x, 1e-8 * (curve.y_hi - curve.y_lo))
     return float(out[0]) if single else out
 
 
@@ -408,111 +394,6 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
                                         fa[rows] - k[j], fb[rows] - k[j + 1],
                                         y_tol)
     return out, settled
-
-
-def splitting_profile(model: Model, x: np.ndarray,
-                      y_scan: np.ndarray) -> np.ndarray:
-    """psi_x(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y) sampled on y_scan,
-    one row per probe point, for the by-splitting map; it ranks the grid
-    afresh at every scan node, so it does not read the solved curve (the
-    unique-splitting criterion does, and the tests use this profile as its
-    independent reference).
-
-    Masses here are binary (sorted cumulative lookup, O(N log N) per scan
-    node); their jitter is far below the sign deadbands used on psi.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    pts = model.grid.points
-    psi = np.empty((x.shape[0], y_scan.size))
-    for j, yj in enumerate(y_scan):
-        sy = np.asarray(model.surplus.s_y(pts, float(yj)), dtype=float)
-        sy_sorted, cum = cumulative_mass(sy, model.point_mass)
-        kv = np.asarray(model.surplus.s_y(x, float(yj)), dtype=float)
-        idx = np.searchsorted(sy_sorted, kv, side="right")
-        psi[:, j] = cum[idx] - target_cdf(model, float(yj))
-    return psi
-
-
-def count_sign_changes(values: np.ndarray, deadband: float) -> tuple:
-    """Number of strict sign changes of a sampled function, ignoring the
-    deadband |v| <= deadband.
-
-    Returns (count, brackets): each bracket is an index pair (i, j) of
-    opposite-signed samples with only deadband values in between.
-    """
-    signs = np.where(values > deadband, 1, np.where(values < -deadband, -1, 0))
-    nz_idx = np.nonzero(signs != 0)[0]
-    if nz_idx.size == 0:
-        return 0, []
-    nz = signs[nz_idx]
-    flips = np.nonzero(nz[:-1] != nz[1:])[0]
-    brackets = [(int(nz_idx[i]), int(nz_idx[i + 1])) for i in flips]
-    return int(len(brackets)), brackets
-
-
-def effective_deadband(model: Model) -> float:
-    """Sign deadband for sampled splitting profiles: 1e-3 of the mass, or
-    the binary mass quantization of the grid (one point's worth of mass)
-    when that is larger."""
-    return max(1e-3, float(np.max(model.point_mass)))
-
-
-def _map_by_splitting(model: Model, curve: SplitCurve, x: np.ndarray,
-                      y_tol: float) -> np.ndarray:
-    y_scan = model.target.interior_grid(65, clustered=False)
-    psi = splitting_profile(model, x, y_scan)
-    mass_noise = effective_deadband(model)
-    out = np.empty(x.shape[0])
-    witnesses = []
-    for i in range(x.shape[0]):
-        n_changes, brackets = count_sign_changes(psi[i], mass_noise)
-        if n_changes == 0:
-            out[i] = curve.y_hi if psi[i, -1] > 0 else curve.y_lo
-            continue
-        if n_changes > 1:
-            roots = [0.5 * (y_scan[ja] + y_scan[jb]) for ja, jb in brackets]
-            witnesses.append((x[i].copy(), roots))
-            continue
-        (ja, jb), = brackets
-
-        def psi_at(yv):
-            kv = np.asarray(model.surplus.s_y(x[i][None, :], float(yv)), dtype=float)
-            return float(sublevel_mass(model, float(yv), kv)[0]
-                         - target_cdf(model, float(yv)))
-
-        # the scan used binary masses; re-check the bracket with the smooth
-        # estimator and widen by one scan step if quantization moved the root
-        for _ in range(3):
-            a, b = y_scan[ja], y_scan[jb]
-            pa, pb = psi_at(a), psi_at(b)
-            if (pa > 0) != (pb > 0):
-                break
-            if abs(pa) < abs(pb) and ja > 0:
-                ja -= 1
-            elif jb < y_scan.size - 1:
-                jb += 1
-            else:
-                break
-            logger.debug("by-splitting row %d: bracket [%.6g, %.6g] widened to "
-                         "[%.6g, %.6g]", i, a, b, y_scan[ja], y_scan[jb])
-        sign_a = pa > 0
-        if (pa > 0) == (pb > 0):
-            out[i] = 0.5 * (a + b)
-            continue
-        for _ in range(80):
-            if b - a <= y_tol:
-                break
-            mid = 0.5 * (a + b)
-            if (psi_at(mid) > 0) == sign_a:
-                a = mid
-            else:
-                b = mid
-        out[i] = 0.5 * (a + b)
-    if witnesses:
-        raise NonNested(
-            f"{len(witnesses)} probe(s) admit several proportional splits",
-            witnesses=witnesses)
-    return out
 
 
 # ---------------------------------------------------------------------------

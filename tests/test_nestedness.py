@@ -3,16 +3,18 @@ import pytest
 
 from nestor.errors import EmptyBand, NoBoundaryOracle
 from nestor.geometry import Quadrature, TargetInterval, box_domain
-from nestor import levelsets, solver
+from nestor import levelsets
 from nestor.levelsets import level_set, surface_integral
 from nestor.model import Model, grad_norm
-from nestor.nestedness import (check_sublevel_monotonicity, dynamic_criterion,
-                               kprime_bound_gap, nestedness_report,
-                               speed_limit, transversality_diagnostic,
+from nestor.nestedness import (check_sublevel_monotonicity,
+                               count_sign_changes, dynamic_criterion,
+                               effective_deadband, kprime_bound_gap,
+                               nestedness_report, speed_limit,
+                               transversality_diagnostic,
                                unique_splitting_check)
-from nestor.solver import (SplitCurve, count_sign_changes, effective_deadband,
-                           solve_split_curve, splitting_profile)
+from nestor.solver import SplitCurve, solve_split_curve
 from nestor.surplus import bilinear_surplus
+from splitting_reference import map_by_splitting, splitting_profile
 
 
 def test_monotonicity_criterion(par2, ball):
@@ -187,8 +189,7 @@ def test_probe_on_level_set_roots_there(par2):
     y_star = 0.42
     k_star = par2.curve.k_at(y_star)
     probe = np.array([[k_star, 0.3]])  # s_y = x1 on the bowl
-    from nestor.solver import optimal_map
-    root = optimal_map(par2.model, par2.curve, probe, method="by-splitting")
+    root = map_by_splitting(par2.model, par2.curve, probe)
     assert abs(root[0] - y_star) <= 1e-3
 
 
@@ -268,8 +269,8 @@ def test_report_reads_the_solved_curve(name, request, monkeypatch):
     monkeypatch.setattr(levelsets, "_contour_segments", no_sample)
     monkeypatch.setattr(Model, "slice_at", no_sample)
     # nor does it rank the grid for the unique-splitting criterion
-    monkeypatch.setattr(solver, "splitting_profile", no_sample)
-    monkeypatch.setattr(solver, "cumulative_mass", no_sample)
+    monkeypatch.setattr(levelsets, "_mass_knots", no_sample)
+    monkeypatch.setattr(levelsets, "sublevel_mass", no_sample)
     assert nestedness_report(model, curve).verdict == "nested"
 
 

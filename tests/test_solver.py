@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nestor import levelsets, solver
 from nestor import scenarios as sc
-from nestor.errors import BracketFailure, EmptyBand, NonNested, ZeroSpeed
+from nestor.errors import BracketFailure, EmptyBand, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
 from nestor.levelsets import (grad_h, level_set, sublevel_levels,
                               sublevel_mass, surface_integral)
@@ -20,6 +20,7 @@ from nestor.solver import (SplitCurve, balance_residual, interpolation_error,
                            map_gradient, optimal_map, pushforward_distance,
                            solve_split_curve, source_payoff)
 from nestor.surplus import bilinear_surplus
+from splitting_reference import NonNested, map_by_splitting
 
 
 def test_split_curve_identity(uni1d):
@@ -176,7 +177,7 @@ def test_optimal_map_examples(uni1d, par2, ball):
     assert abs(f_val - 0.49 ** 1.5) <= 5e-3
     with pytest.raises(NonNested) as err:
         pts = ball.model.domain.sample_interior(40, seed=11)
-        optimal_map(ball.model, ball.curve, pts, method="by-splitting")
+        map_by_splitting(ball.model, ball.curve, pts)
     assert len(err.value.witnesses) > 0
     x_w, roots = err.value.witnesses[0]
     assert len(roots) > 1
@@ -194,8 +195,7 @@ def test_map_methods_agree(par2, uni1d):
     for solved in (par2, uni1d):
         pts = solved.model.domain.sample_interior(40, seed=5, margin=0.02)
         by_level = optimal_map(solved.model, solved.curve, pts)
-        by_split = optimal_map(solved.model, solved.curve, pts,
-                               method="by-splitting")
+        by_split = map_by_splitting(solved.model, solved.curve, pts)
         assert np.max(np.abs(by_level - by_split)) <= 1e-4
 
 
@@ -573,14 +573,19 @@ def test_debug_records(par2, monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
         optimal_map(model, c, pts)
     assert "rows hit the 1-step cap" in caplog.text
-    caplog.clear()
+    assert all(r.levelno == logging.DEBUG and r.name == "nestor.solver"
+               for r in caplog.records)
+
+
+def test_splitting_reference_debug_records(par2, caplog):
     # two probes whose 65-node scan brackets lose their sign change under
     # the smooth sublevel masses
-    probes = model.domain.sample_interior(100, seed=0, margin=0.02)[[3, 17]]
-    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
-        optimal_map(model, c, probes, method="by-splitting")
+    probes = par2.model.domain.sample_interior(100, seed=0,
+                                               margin=0.02)[[3, 17]]
+    with caplog.at_level(logging.DEBUG, logger="splitting_reference"):
+        map_by_splitting(par2.model, par2.curve, probes)
     assert "widened to" in caplog.text
-    assert all(r.levelno == logging.DEBUG and r.name == "nestor.solver"
+    assert all(r.levelno == logging.DEBUG and r.name == "splitting_reference"
                for r in caplog.records)
 
 
@@ -844,7 +849,7 @@ def test_curved_surplus_end_to_end():
 
     pts = model.domain.sample_interior(60, seed=1, margin=0.03)
     bl = optimal_map(model, curve, pts)
-    bs = optimal_map(model, curve, pts, method="by-splitting")
+    bs = map_by_splitting(model, curve, pts)
     assert np.max(np.abs(bl - bs)) <= 1e-4
 
     assert pushforward_distance(model, curve) <= 5e-3
