@@ -2,12 +2,12 @@
 
 Nested problems admit a continuous optimal map built level set by level
 set; non-nested ones make the construction self-contradictory (some point
-would be assigned two targets).  Three sampled criteria decide the
-verdict; the dynamic and unique-splitting criteria read the solved curve,
-so they are not independent of the solve (the tests cross-check them
-against a map that ranks the grid afresh).  This gallery shows them
-agreeing on fixtures whose status is known, including the sector family
-whose verdict flips at half-angle pi/2.
+would be assigned two targets).  Three criteria decide the verdict;
+all three read the solved curve, so they are not independent of the
+solve (the tests cross-check the split against a map that ranks the
+grid afresh).  This gallery shows them agreeing on fixtures whose status
+is known, including the sector family whose verdict flips at half-angle
+pi/2.
 """
 
 import numpy as np
@@ -43,6 +43,8 @@ for x_w, roots in rep.unique_splitting.witnesses[:5]:
     roots_txt = ", ".join(f"{r:+.3f}" for r in roots)
     print(f"  x=({x_w[0]:+.3f}, {x_w[1]:+.3f})  splits at [{roots_txt}]")
 
+# the quadrature point with the largest phi = s_y - k just after it
+# leaves the sublevel set, between two consecutive curve nodes y < y'
 print("\nworst inclusion violation (sublevel sets must grow with y):")
 w = rep.sublevel_monotone.witnesses[0]
 print(f"  y={w[0]:+.3f} < y'={w[1]:+.3f}, x=({w[2][0]:+.3f}, {w[2][1]:+.3f}), "

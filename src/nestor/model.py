@@ -86,8 +86,7 @@ class Model:
 
     def __init__(self, domain: Domain, target: TargetInterval,
                  surplus: SurplusBundle, densities: Optional[DensityPair] = None,
-                 quadrature: Optional[Quadrature] = None, *,
-                 validate: bool = True):
+                 quadrature: Optional[Quadrature] = None):
         self.domain = domain
         self.target = target
         self.surplus = surplus
@@ -129,9 +128,8 @@ class Model:
         self._cdf = Pchip(nodes, cdf)
         self._quantile = Pchip(cdf, nodes)
 
-        if validate:
-            surplus.check_consistency(domain, target)
-            self._check_boundary_normals()
+        surplus.check_consistency(domain, target)
+        self._check_boundary_normals()
 
         self._slice: Optional[SurplusSlice] = None
         self._certificate: Optional[NondegeneracyCertificate] = None

@@ -1,9 +1,11 @@
 """Nestedness diagnostics.
 
 A model is nested when its selected sublevel sets X_<=(y, k(y)) grow
-strictly with y.  Three sampled criteria probe this:
+strictly with y.  Three criteria probe this:
 
-1. sublevel monotonicity - direct set inclusion on quadrature points;
+1. sublevel monotonicity - no quadrature point leaves the sublevel set
+   between two consecutive curve nodes: phi = s_y - k never crosses
+   upward along the map's node walk;
 2. the dynamic criterion  - sign of the outward normal speed k' - s_yy
    on each indifference set (strict positivity certifies nestedness when
    no level set is tangential to the domain boundary);
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import NoBoundaryOracle
 from .model import Model, grad_norm
-from .solver import SplitCurve
+from .solver import _CHUNK, SplitCurve, _node_walk
 
 logger = logging.getLogger(__name__)
 
@@ -89,41 +91,31 @@ def _jsonable(obj):
 
 def check_sublevel_monotonicity(model: Model,
                                 curve: SplitCurve) -> CriterionResult:
-    """For every pair y < y' of 13 nodes spread evenly over the grid, every
-    quadrature point of X_<=(y, k(y)) must lie strictly inside
-    X_<(y', k(y')).  A point violates when s_y(x, y') - k(y') exceeds the
-    margin tolerance, 1e-3 of the spread of s_y(., y') (it absorbs one
-    cell of discretization jitter); the 20 worst violations are kept.
-    s_y is evaluated once per level."""
-    n = curve.y_grid.size
-    levels = [float(y) for y in
-              curve.y_grid[np.unique(np.linspace(0, n - 1, 13).astype(int))]]
-    y_pairs = [(a, b) for i, a in enumerate(levels) for b in levels[i + 1:]]
-    sy = {y: np.asarray(model.surplus.s_y(model.grid.points, y), dtype=float)
-          for y in levels}
-    witnesses = []
-    worst = -np.inf
-    for y0, y1 in y_pairs:
-        sy0, sy1 = sy[y0], sy[y1]
-        tol = 1e-3 * max(float(np.max(sy1) - np.min(sy1)), 1e-12)
-        inside0 = sy0 <= curve.k_at(y0)
-        margin = sy1 - curve.k_at(y1)
-        viol = inside0 & (margin > tol)
-        if np.any(viol):
-            idx = np.nonzero(viol)[0]
-            top = idx[np.argsort(margin[idx])[::-1][:3]]
-            for i in top:
-                witnesses.append((y0, y1, model.grid.points[i].copy(),
-                                  float(margin[i])))
-        worst = max(worst, float(np.max(margin[inside0]))
-                    if np.any(inside0) else -np.inf)
-    witnesses.sort(key=lambda t: -t[3])
-    witnesses = witnesses[:20]
-    status = "fail" if witnesses else "pass"
-    return CriterionResult(name="sublevel_monotone", status=status,
-                           witnesses=witnesses,
-                           details={"n_pairs": len(y_pairs),
-                                    "worst_margin": worst})
+    """X_<=(y, k(y)) grows with y on the quadrature points when no point's
+    phi = s_y(x, .) - k crosses upward from one curve node to the next
+    (phi <= 0 at y_j and > 0 at y_j+1: x leaves the sublevel set).  The
+    map's node walk finds each point's first upcrossing, with no rooting
+    and no margin tolerance; the criterion fails on any, and the 20 with
+    the largest margin phi(y_j+1) are kept.  It reads only k, so a
+    ``from_function`` curve gets a verdict too."""
+    x = model.grid.points
+    ys, k = curve.y_grid, curve.k_plus
+    first_up = np.concatenate([_node_walk(model, curve, x[s:s + _CHUNK])[-1]
+                               for s in range(0, x.shape[0], _CHUNK)])
+    rows = np.flatnonzero(first_up >= 0)
+    j = first_up[rows]
+    margin = model.surplus.s_y(x[rows], ys[j + 1]) - k[j + 1]
+    witnesses = [(float(ys[j[i]]), float(ys[j[i] + 1]), x[rows[i]].copy(),
+                  float(margin[i]))
+                 for i in np.argsort(-margin, kind="stable")[:20]]
+    mass = float(np.sum(model.point_mass[rows]) / model.total_mass)
+    logger.debug("sublevel monotonicity: %d of %d points cross upward (%.3g "
+                 "of the mass); the worst between the nodes %s", rows.size,
+                 x.shape[0], mass, witnesses[0][:2] if witnesses else None)
+    return CriterionResult(
+        name="sublevel_monotone", status="fail" if witnesses else "pass",
+        witnesses=witnesses,
+        details={"n_upcrossing": int(rows.size), "upcrossing_mass": mass})
 
 
 # ---------------------------------------------------------------------------

@@ -339,56 +339,63 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
     return y
 
 
-def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
-                  y_tol: float):
-    """Bracket phi = s_y - k on the curve grid and root it per row.
+def _node_walk(model: Model, curve: SplitCurve, xb: np.ndarray):
+    """Bracket phi = s_y - k on the curve grid for the rows of xb.
 
     The nodes are walked from last to first, keeping per row the bracket
     [y_j, y_j+1] of the first downcrossing of phi (+ to -), else of its
-    first sign change, with phi at both ends, and whether phi ever crosses
-    upward: the correct matching root always crosses downward, and the
-    smallest j is written last.  Rows with no sign change clamp to y_hi
-    when phi > 0 at every node, else y_lo.  Returns F and the settled rows,
-    which cross down but never up: as v' = k, s - v peaks at F there.
-    With s_y free of y and k nondecreasing, a search gives the same."""
+    first sign change, and the node j of the first upcrossing (phi <= 0
+    at y_j, > 0 at y_j+1; -1 for none): the smallest j is written last.
+    Returns (j, s_y at y_j and y_j+1, has a downcrossing, phi > 0 at every
+    node, first upcrossing node); s_y is kept raw, k comes off once.  With
+    s_y free of y and k nondecreasing, a search gives the same, and no
+    row crosses upward."""
+    ys, k = curve.y_grid, curve.k_plus
+    n = xb.shape[0]
+    first_up = np.full(n, -1, dtype=np.intp)
+    right = model.surplus.s_y(xb, float(ys[-1]))
+    if model.surplus.sy_free_of_y and np.all(np.diff(k) >= 0):
+        # phi > 0 exactly at the nodes below J = searchsorted(k, s_y): one
+        # downcrossing, [y_J-1, y_J]
+        j = np.searchsorted(k, right, "left")
+        return (np.maximum(j - 1, 0), right, right, (j > 0) & (j < ys.size),
+                j == ys.size, first_up)
+    idx, fa, fb = np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n)
+    has_down = np.zeros(n, dtype=bool)
+    pos_right = right > k[-1]
+    all_pos = pos_right.copy()
+    for j in range(ys.size - 2, -1, -1):
+        left = model.surplus.s_y(xb, float(ys[j]))
+        pos_left = left > k[j]
+        down = pos_left > pos_right
+        up = pos_right > pos_left
+        take = down | (up > has_down)
+        np.copyto(idx, j, where=take)
+        np.copyto(fa, left, where=take)
+        np.copyto(fb, right, where=take)
+        np.copyto(first_up, j, where=up)
+        has_down |= down
+        all_pos &= pos_left
+        right, pos_right = left, pos_left
+    return idx, fa, fb, has_down, all_pos, first_up
+
+
+def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
+                  y_tol: float):
+    """Root phi = s_y - k per row in the bracket ``_node_walk`` gives, one
+    block of rows at a time: the correct matching root always crosses
+    downward.  Rows with no sign change clamp to y_hi when phi > 0 at
+    every node, else y_lo.  Returns F and the settled rows, which cross
+    down but never up: as v' = k, s - v peaks at F there."""
     out = np.empty(x.shape[0])
     settled = np.empty(x.shape[0], dtype=bool)
     ys, k = curve.y_grid, curve.k_plus
-    search = model.surplus.sy_free_of_y and np.all(np.diff(k) >= 0)
     for start in range(0, x.shape[0], _CHUNK):
         xb = x[start:start + _CHUNK]
-        n = xb.shape[0]
-        has_up = np.zeros(n, dtype=bool)
-        # phi > 0 is s_y > k_j, and s_y is kept raw at the bracket: k comes
-        # off once, after the walk
-        right = model.surplus.s_y(xb, float(ys[-1]))
-        if search:
-            # k is nondecreasing, so phi > 0 exactly at the nodes below
-            # J = searchsorted(k, s_y): one downcrossing, [y_J-1, y_J]
-            j = np.searchsorted(k, right, "left")
-            has_down, all_pos = (j > 0) & (j < ys.size), j == ys.size
-            idx, fa, fb = np.maximum(j - 1, 0), right, right
-        else:
-            idx, fa, fb = np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n)
-            has_down = np.zeros(n, dtype=bool)
-            pos_right = right > k[-1]
-            all_pos = pos_right.copy()
-            for j in range(ys.size - 2, -1, -1):
-                left = model.surplus.s_y(xb, float(ys[j]))
-                pos_left = left > k[j]
-                down = pos_left > pos_right
-                up = pos_right > pos_left
-                take = down | (up > has_down)
-                np.copyto(idx, j, where=take)
-                np.copyto(fa, left, where=take)
-                np.copyto(fb, right, where=take)
-                has_down |= down
-                has_up |= up
-                all_pos &= pos_left
-                right, pos_right = left, pos_left
+        idx, fa, fb, has_down, all_pos, first_up = _node_walk(model, curve, xb)
         out[start:start + _CHUNK] = np.where(all_pos, curve.y_hi, curve.y_lo)
-        settled[start:start + _CHUNK] = has_down & ~has_up
-        rows = np.nonzero(has_down | has_up)[0]
+        settled[start:start + _CHUNK] = has_down & (first_up < 0)
+        rows = np.nonzero(has_down | (first_up >= 0))[0]
         j = idx[rows]
         out[start + rows] = _level_root(model, curve, xb[rows], ys[j], ys[j + 1],
                                         fa[rows] - k[j], fb[rows] - k[j + 1],

@@ -1,9 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from nestor.errors import EmptyBand, NoBoundaryOracle
 from nestor.geometry import Quadrature, TargetInterval, box_domain
-from nestor import levelsets
+from nestor import build, levelsets
 from nestor.levelsets import level_set, surface_integral
 from nestor.model import Model, grad_norm
 from nestor.nestedness import (check_sublevel_monotonicity,
@@ -24,6 +26,49 @@ def test_monotonicity_criterion(par2, ball):
     assert bad.status == "fail"
     y0, y1, x_w, margin = bad.witnesses[0]
     assert y0 < y1 and margin > 0.01
+
+
+@pytest.mark.parametrize("theta0", [1.5, 1.58, 1.6, 1.65, 2.0])
+def test_sector_verdict_flips_past_a_right_angle(theta0):
+    # the sector is nested up to the half-angle pi/2; at 1.58 only 64 of
+    # the default grid's points cross upward, between two of 65 nodes
+    scenario = build("pie-slice", theta0=theta0)
+    curve = solve_split_curve(scenario.model)
+    rep = nestedness_report(scenario.model, curve)
+    assert rep.verdict == scenario.expected_verdict
+    mass = rep.sublevel_monotone.details["upcrossing_mass"]
+    assert (mass > 0) == (scenario.expected_verdict == "non-nested")
+
+
+def test_monotonicity_reads_only_k(par2):
+    model, y_grid = par2.model, par2.curve.y_grid
+    exact = SplitCurve.from_function(model.target, y_grid,
+                                     lambda y: y ** (2 / 3))
+    assert check_sublevel_monotonicity(model, exact).status == "pass"
+    # k dips around y = 0.5: points just above the falling k leave the
+    # sublevel set there
+    dip = SplitCurve.from_function(
+        model.target, y_grid,
+        lambda y: y ** (2 / 3) - 0.1 * np.exp(-((y - 0.5) / 0.05) ** 2))
+    res = check_sublevel_monotonicity(model, dip)
+    assert res.status == "fail" and res.details["n_upcrossing"] > 0
+    falling = y_grid[np.flatnonzero(np.diff(dip.k_plus) < 0)]
+    for y0, y1, _, margin in res.witnesses:
+        j = int(np.searchsorted(y_grid, y0))
+        assert y_grid[j] == y0 and y_grid[j + 1] == y1  # adjacent nodes
+        assert y0 in falling and margin > 0
+
+
+def test_monotonicity_debug_record(ball, caplog):
+    with caplog.at_level(logging.DEBUG, logger="nestor.nestedness"):
+        res = check_sublevel_monotonicity(ball.model, ball.curve)
+    records = [r for r in caplog.records
+               if r.getMessage().startswith("sublevel monotonicity:")]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    y0, y1 = res.witnesses[0][:2]
+    assert (f"{res.details['n_upcrossing']} of {ball.model.grid.n_points} "
+            f"points cross upward" in records[0].getMessage())
+    assert f"({y0!r}, {y1!r})" in records[0].getMessage()
 
 
 def test_dynamic_criterion(par2, ball, pie_wide, uni1d):

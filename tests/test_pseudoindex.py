@@ -79,7 +79,7 @@ def test_non_monotone_sign_detected():
     # s_y(., 0) = 0 has no gradient
     vanishing = Model(box_domain([0.1, 0.1], [1, 1]), TargetInterval(-1, 1),
                       polynomial_surplus([(1.0, (1, 0), 2)], 2),
-                      quadrature=Quadrature("tensor", 64), validate=False)
+                      quadrature=Quadrature("tensor", 64))
     with pytest.raises(NonMonotoneSign, match="vanishes"):
         reduce_and_solve_1d(vanishing)
     # s = x1 (y - 0.3)^2: s_y = 2 x1 (y - 0.3) turns with y through 0.3,
@@ -87,7 +87,7 @@ def test_non_monotone_sign_detected():
     turning = Model(box_domain([0.1, 0.1], [1, 1]), TargetInterval(-1, 1),
                     polynomial_surplus([(1.0, (1, 0), 2), (-0.6, (1, 0), 1),
                                         (0.09, (1, 0), 0)], 2),
-                    quadrature=Quadrature("tensor", 64), validate=False)
+                    quadrature=Quadrature("tensor", 64))
     with pytest.raises(NonMonotoneSign, match="changes sign"):
         reduce_and_solve_1d(turning)
 
