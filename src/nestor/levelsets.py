@@ -241,12 +241,13 @@ class LevelSet:
     ``measure[j]``; ``f``, ``grad``, ``gnorm`` and ``syy`` are the source
     density, grad_x s_y, its norm and s_yy there, taken at the samples
     only: the band reads f and grad_x s_y at its rows of the grid and the
-    slice, and evaluates the norm and s_yy there.  ``boundary`` flags band
-    samples in boundary-adjacent cells and ``segments`` holds the contour
-    polyline; each is None for the other estimator.  The properties are
-    the sums surface integrals reduce to: area, h_k (of f / |grad_x s_y|),
-    flux (of f s_yy / |grad_x s_y|, so h_y = -g(y) - flux) and, for the
-    band, the share of the area on boundary-adjacent samples.
+    slice, and evaluates the norm and s_yy there.  ``rows`` holds the band
+    samples' quadrature rows (increasing), ``boundary`` flags those in
+    boundary-adjacent cells and ``segments`` holds the contour polyline;
+    each is None for the other estimator.  The properties are the sums
+    surface integrals reduce to: area, h_k (of f / |grad_x s_y|), flux (of
+    f s_yy / |grad_x s_y|, so h_y = -g(y) - flux) and, for the band, the
+    share of the area on boundary-adjacent samples.
     """
     estimator: str                  # "band" | "contour2d"
     epsilon: float                  # band half-width; 0 for contour2d
@@ -256,6 +257,7 @@ class LevelSet:
     grad: np.ndarray                # (S, m)
     gnorm: np.ndarray               # (S,)
     syy: np.ndarray                 # (S,)
+    rows: Optional[np.ndarray]      # (S,) int, band only
     boundary: Optional[np.ndarray]  # (S,) bool, band only
     segments: Optional[np.ndarray]  # (S, 2, 2), contour2d only
 
@@ -304,7 +306,7 @@ def level_set(model: Model, y: float, k: float,
     if idx.size == 0:
         raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}",
                         estimator=estimator)
-    points, grad = model.grid.points[idx], sl.grad[idx]
+    points, grad = (np.take(a, idx, axis=0) for a in (model.grid.points, sl.grad))
     gnorm = grad_norm(grad)
     kernel = (1.0 - t[idx] / eps) / eps
     return LevelSet(
@@ -312,7 +314,7 @@ def level_set(model: Model, y: float, k: float,
         measure=model.grid.weights[idx] * gnorm * kernel,
         f=model.f_vals[idx], grad=grad, gnorm=gnorm,
         syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
-        boundary=model.grid.boundary_adjacent[idx], segments=None)
+        rows=idx, boundary=model.grid.boundary_adjacent[idx], segments=None)
 
 
 def _contour_level_set(model: Model, y: float, k: float,
@@ -330,7 +332,7 @@ def _contour_level_set(model: Model, y: float, k: float,
         measure=np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1),
         f=model.f_at(points), grad=grad, gnorm=grad_norm(grad),
         syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
-        boundary=None, segments=segments)
+        rows=None, boundary=None, segments=segments)
 
 
 # ---------------------------------------------------------------------------

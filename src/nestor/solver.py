@@ -113,12 +113,15 @@ class SplitCurve:
     def v_at(self, y):
         """Target payoff v(y) = integral_{y_lo}^{y} k, with k extended as a
         constant beyond the end nodes; v(y_lo) = 0."""
-        y_arr = np.asarray(y, dtype=float)
-        y0, yn = self.y_grid[0], self.y_grid[-1]
-        out = (float(self.k_plus[0]) * (np.minimum(y_arr, y0) - self.y_lo)
-               + self.interpolation.integral(np.clip(y_arr, y0, yn))
-               + float(self.k_plus[-1]) * np.maximum(y_arr - yn, 0.0))
+        out = self._v(np.asarray(y, dtype=float))
         return out if np.ndim(y) else float(out)
+
+    def _v(self, y: np.ndarray, hint=None):
+        """``v_at`` on an array, with a hint of each y's PCHIP interval."""
+        y0, yn = self.y_grid[0], self.y_grid[-1]
+        return (float(self.k_plus[0]) * (np.minimum(y, y0) - self.y_lo)
+                + self.interpolation.integral(np.clip(y, y0, yn), hint)
+                + float(self.k_plus[-1]) * np.maximum(y - yn, 0.0))
 
     def nearest_nodes(self, y):
         """Index of the node nearest each y (the first one on ties)."""
@@ -162,16 +165,18 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     X(y, k_plus) at once to the area, the tangential flag and the boundary
     transversality (and, off planar tensor grids, to h_k, h_y and the s_yy
     figures), so no sample outlives its node; when s_y is free of y, one
-    slice and one knot set serve every node.  On planar
-    tensor grids one contour pass over all nodes then gives the contour
-    samples that h_k, h_y and the s_yy figures reduce.  Nodes flagged
+    slice and one knot set serve every node.  One boundary-normal pass over
+    the boundary-adjacent rows serves every band, which reads it by row.  On
+    planar tensor grids one contour pass over all nodes then gives the
+    contour samples that h_k, h_y and the s_yy figures reduce.  Nodes flagged
     tangential (more than ``default_tangential_threshold(model)`` of the
     band area in boundary-adjacent cells, or an empty level set) get
     difference-quotient derivatives instead of -h_y/h_k, whose hypotheses
     fail there.  The plateau, tangential and empty-level-set nodes are
     logged at DEBUG, and so are the counts of nodes inverted on a k window
     and on the full knots (see ``sublevel_levels``) or on the one knot set,
-    and the contour pass's segment, clipped-segment and empty-contour counts.
+    the contour pass's segment, clipped-segment and empty-contour counts,
+    and the rows the normals were taken on and the band samples reading them.
     """
     model.require_nondegenerate()
     if y_grid is None:
@@ -189,6 +194,9 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     sorted_share = np.empty(n)
     h_k, h_y, syy_min, syy_max, area, transversality = np.full((6, n), np.nan)
     normal = model.domain.boundary_normal
+    adjacent, read = np.flatnonzero(model.grid.boundary_adjacent), 0
+    if normal is not None:  # one oracle pass; the bands read it by row
+        normals = np.atleast_2d(normal(np.take(model.grid.points, adjacent, axis=0)))
     x_syy_max = np.full((n, model.domain.dim), np.nan)
 
     def keep_sample(i, ls):
@@ -238,10 +246,17 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
         b = band.boundary
         if normal is not None and np.any(b):
             n_level = band.grad[b] / band.gnorm[b][:, None]
-            dots = np.sum(np.atleast_2d(normal(band.points[b])) * n_level, axis=1)
+            at = np.searchsorted(adjacent, band.rows[b])
+            dots = np.sum(normals[at] * n_level, axis=1)
             transversality[i] = np.min(1.0 - dots ** 2)
+            read += at.size
         if not planar:
             keep_sample(i, band)
+    band = None  # neither the last band nor the normals outlive the node loop
+    if normal is not None:
+        logger.debug("split curve: boundary normals taken once, on %d boundary-"
+                     "adjacent rows, and read at %d band samples", adjacent.size, read)
+        del normals, adjacent
 
     if planar:
         segments, clipped = _contour_segments(model, y_grid, k_plus)
@@ -296,19 +311,21 @@ def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray):
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out, _ = _map_by_level(model, curve, x, 1e-8 * (curve.y_hi - curve.y_lo))
+    out = _map_by_level(model, curve, x, 1e-8 * (curve.y_hi - curve.y_lo))[0]
     return float(out[0]) if single else out
 
 
 def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
-                b: np.ndarray, fa: np.ndarray, fb: np.ndarray, y_tol: float):
+                b: np.ndarray, fa: np.ndarray, fb: np.ndarray, y_tol: float,
+                j: Optional[np.ndarray] = None):
     """Root of phi(y) = s_y(x, y) - k(y) per row of x in [a, b], where
     phi(a) = fa and phi(b) = fb differ in sign: safeguarded Newton (rtsafe;
     Press et al., Numerical Recipes, 3rd ed., sec. 9.4) from the secant
     point, with phi' = s_yy - k' (k' of the interpolant, and 0 past the
     end nodes, where k_at holds k constant), bisecting where the Newton
     point would leave the bracket.  A row stops, and is not evaluated
-    again, once its step or its bracket is within y_tol."""
+    again, once its step or its bracket is within y_tol.  ``j`` is given where
+    [a, b] is the curve interval [y_j, y_j+1], which the iterates never leave."""
     a, b, pos_a = a.copy(), b.copy(), fa > 0
     y = a - fa * (b - a) / (fb - fa)
     rows = np.arange(y.size)
@@ -317,7 +334,7 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
             break
         xr, yr = x[rows], y[rows]
         yc = np.clip(yr, curve.y_grid[0], curve.y_grid[-1])
-        k, kp = curve.interpolation.value_and_slope(yc)
+        k, kp = curve.interpolation.value_and_slope(yc, None if j is None else j[rows])
         f = model.surplus.s_y(xr, yr) - k
         df = model.surplus.s_yy(xr, yr) - np.where(yc == yr, kp, 0.0)
         keep_a = (f > 0) != pos_a[rows]
@@ -384,23 +401,25 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
                   y_tol: float):
     """Root phi = s_y - k per row in the bracket ``_node_walk`` gives, one
     block of rows at a time: the correct matching root always crosses
-    downward.  Rows with no sign change clamp to y_hi when phi > 0 at
-    every node, else y_lo.  Returns F and the settled rows, which cross
-    down but never up: as v' = k, s - v peaks at F there."""
+    downward.  Rows with no sign change clamp to y_hi when phi > 0 at every
+    node, else y_lo.  Returns F, the settled rows (they cross down but never
+    up: as v' = k, s - v peaks at F there) and each row's bracket node."""
     out = np.empty(x.shape[0])
     settled = np.empty(x.shape[0], dtype=bool)
+    node = np.empty(x.shape[0], dtype=np.intp)
     ys, k = curve.y_grid, curve.k_plus
     for start in range(0, x.shape[0], _CHUNK):
         xb = x[start:start + _CHUNK]
         idx, fa, fb, has_down, all_pos, first_up = _node_walk(model, curve, xb)
         out[start:start + _CHUNK] = np.where(all_pos, curve.y_hi, curve.y_lo)
         settled[start:start + _CHUNK] = has_down & (first_up < 0)
+        node[start:start + _CHUNK] = idx
         rows = np.nonzero(has_down | (first_up >= 0))[0]
         j = idx[rows]
         out[start + rows] = _level_root(model, curve, xb[rows], ys[j], ys[j + 1],
                                         fa[rows] - k[j], fb[rows] - k[j + 1],
-                                        y_tol)
-    return out, settled
+                                        y_tol, j)
+    return out, settled, node
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +447,9 @@ def _map_and_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
     as ``optimal_map`` gives it, (u, y*) as ``source_payoff`` does."""
     ends = np.concatenate([[curve.y_lo], curve.y_grid, [curve.y_hi]])
     y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
-    f_val, settled = _map_by_level(model, curve, x, y_tol)
+    f_val, settled, node = _map_by_level(model, curve, x, y_tol)
     y_star = f_val.copy()  # the scan below overwrites y* on unsettled rows
-    u_val = model.surplus.s(x, y_star) - curve.v_at(y_star)
+    u_val = model.surplus.s(x, y_star) - curve._v(y_star, node)
     rest = np.nonzero(~settled)[0]
     ys, v = curve.y_grid, curve.v_values
     for start in range(0, rest.size, _CHUNK):

@@ -3,6 +3,8 @@ longer imports but the tests still have."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from nestor._pchip import Pchip
@@ -50,3 +52,46 @@ def test_pchip_matches_scipy(name):
 def test_pchip_matches_scipy_on_solved_curves(request, name):
     curve = request.getfixturevalue(name).curve
     _check_against_scipy(curve.y_grid, curve.k_plus)
+
+
+_CURVES = _data()
+# per t: its own interval, the ones below and above, and -1, n - 1 and n
+# for n nodes (past both ends of the intervals 0 .. n - 2)
+_HINTS = ["right", "below", "above", "-1", "n-1", "n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hinted_lookups_equal_unhinted(data):
+    x, y = _CURVES[data.draw(st.sampled_from(sorted(_CURVES)))]
+    p, n = Pchip(x, y), x.size
+    span = x[-1] - x[0]
+    # nodes (both ends included) and points inside and outside [x0, xn]
+    t = np.array(data.draw(st.lists(
+        st.sampled_from(list(x)) | st.floats(x[0] - span, x[-1] + span),
+        min_size=1, max_size=16)))
+    right = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+    kinds = data.draw(st.lists(st.sampled_from(_HINTS), min_size=t.size,
+                               max_size=t.size))
+    pick = {"right": right, "below": right - 1, "above": right + 1,
+            "-1": np.full(t.size, -1), "n-1": np.full(t.size, n - 1),
+            "n": np.full(t.size, n)}
+    hint = np.array([pick[kind][j] for j, kind in enumerate(kinds)])
+    given_hint = hint.copy()
+    for name in ("__call__", "slope", "integral"):
+        lookup = getattr(p, name)
+        assert np.array_equal(lookup(t, hint), lookup(t))
+    for got, want in zip(p.value_and_slope(t, hint), p.value_and_slope(t)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(hint, given_hint)  # the caller's hint is not written
+
+
+def test_right_hints_skip_the_search(monkeypatch):
+    x, y = _CURVES["random"]
+    p = Pchip(x, y)
+    t = np.concatenate([x[:-1], 0.5 * (x[:-1] + x[1:]), [x[0] - 1, x[-1] + 1]])
+    hint = np.concatenate([np.arange(x.size - 1)] * 2 + [[0, x.size - 2]])
+    want = p(t)
+    assert p(x[3], 2) == p(x[3])  # a scalar t, and a wrong hint searched
+    monkeypatch.setattr(np, "searchsorted", None)
+    assert np.array_equal(p(t, hint), want)

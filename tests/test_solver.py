@@ -547,10 +547,10 @@ def test_map_searches_only_a_nondecreasing_curve(par2):
     solver._map_by_level(model, par2.curve, x, y_tol)
     assert len(nodes) == blocks  # the search: s_y once per block
     nodes.clear()
-    f, settled = solver._map_by_level(model, dip, x, y_tol)
+    f, settled, _ = solver._map_by_level(model, dip, x, y_tol)
     assert len(nodes) == blocks * dip.y_grid.size  # the walk: at every node
-    f_walk, settled_walk = solver._map_by_level(_general_path(par2.model),
-                                                dip, x, y_tol)
+    f_walk, settled_walk, _ = solver._map_by_level(_general_path(par2.model),
+                                                   dip, x, y_tol)
     assert np.array_equal(f, f_walk)
     assert np.array_equal(settled, settled_walk)
     assert not settled.all()
@@ -621,7 +621,11 @@ def test_split_curve_debug_records(caplog):
     assert re.search(r"split curve: \d+ contour segments over 65 nodes, "
                      r"[1-9]\d* of them clipped; 2 nodes with an empty contour "
                      r"at y = \[-1\.19965, 1\.19965\]", caplog.text)
-    assert len(caplog.records) == 5
+    # the boundary normals: one oracle pass, read by the band samples
+    assert re.search(r"split curve: boundary normals taken once, on "
+                     rf"{np.sum(pie.grid.boundary_adjacent)} boundary-adjacent "
+                     r"rows, and read at [1-9]\d* band samples", caplog.text)
+    assert len(caplog.records) == 6
     assert all(r.levelno == logging.DEBUG and r.name == "nestor.solver"
                for r in caplog.records)
 
@@ -667,6 +671,52 @@ def test_solve_takes_syy_on_band_samples_only(par3, monkeypatch):
     for name in ("k_plus", "h_k", "h_y", "syy_max", "area"):
         assert np.array_equal(getattr(curve, name), getattr(par3.curve, name),
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["par2", "par3", "pie"])
+def test_one_boundary_normal_pass_per_solve(request, name, monkeypatch, caplog):
+    # the oracle runs once, on the boundary-adjacent rows, and each node's
+    # band reads it by quadrature row: the transversality is a per-node
+    # recomputation from a fresh band and the oracle, bit for bit
+    if name == "pie":
+        model, y_grid = sc.build("pie-slice", theta0=1.2, resolution=96).model, None
+    else:
+        solved = request.getfixturevalue(name)
+        model, y_grid = solved.model, solved.curve.y_grid
+    normal = model.domain.boundary_normal
+    calls = []
+
+    def counting(x):
+        calls.append(np.asarray(x).shape[0])
+        return normal(x)
+
+    monkeypatch.setattr(model, "domain",
+                        replace(model.domain, boundary_normal=counting))
+    with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
+        curve = solve_split_curve(model, y_grid=y_grid)
+    assert calls == [np.sum(model.grid.boundary_adjacent)]
+    if y_grid is not None:
+        assert np.array_equal(curve.transversality, solved.curve.transversality,
+                              equal_nan=True)
+    read = 0
+    for i, y in enumerate(curve.y_grid):
+        try:
+            band = level_set(model, y, curve.k_plus[i], "band")
+        except EmptyBand:
+            assert np.isnan(curve.transversality[i])
+            continue
+        assert np.array_equal(model.grid.points[band.rows], band.points)
+        b = band.boundary
+        read += np.sum(b)
+        if not np.any(b):
+            assert np.isnan(curve.transversality[i])
+            continue
+        n_level = band.grad[b] / band.gnorm[b][:, None]
+        dots = np.sum(np.atleast_2d(normal(band.points[b])) * n_level, axis=1)
+        assert curve.transversality[i] == np.min(1.0 - dots ** 2)
+    assert np.any(np.isfinite(curve.transversality))
+    assert (f"boundary normals taken once, on {calls[0]} boundary-adjacent "
+            f"rows, and read at {read} band samples") in caplog.text
 
 
 def test_map_gradient_examples(uni1d, par2):
