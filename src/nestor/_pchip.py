@@ -18,9 +18,10 @@ def _end_slope(h0, h1, m0, m1):
 
 class Pchip:
     """PCHIP through (x, y), x increasing: value, slope and the integral
-    from x[0].  Points past the end nodes take the end cubics.  A lookup's
-    ``hint`` i per t is kept where x[i] <= t < x[i+1] (open at both outer
-    ends) and searched for elsewhere: it saves a search, never a digit."""
+    from x[0].  Points past the end nodes take the end cubics.  The
+    ``hint`` of ``value_and_slope`` and ``integral``, an interval i per t,
+    is kept where x[i] <= t < x[i+1] (open at both outer ends) and searched
+    for elsewhere: it saves a search, never a digit."""
 
     def __init__(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -48,19 +49,19 @@ class Pchip:
         if hint is None:
             i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, last)
         else:
-            i = np.clip(np.array(hint, dtype=np.intp), 0, last, out=...)
+            i = np.clip(hint, 0, last)  # a new array: the caller's is not written
             miss = ~(((self.x[i] <= t) | (i == 0))
                      & ((t < self.x[i + 1]) | (i == last)))
             if miss.any():
                 i[miss] = np.clip(np.searchsorted(self.x, t[miss], "right") - 1, 0, last)
         return i, t - self.x[i]
 
-    def __call__(self, t, hint=None):
-        i, s = self._locate(t, hint)
+    def __call__(self, t):
+        i, s = self._locate(t)
         return ((self.c3[i] * s + self.c2[i]) * s + self.c1[i]) * s + self.c0[i]
 
-    def slope(self, t, hint=None):
-        i, s = self._locate(t, hint)
+    def slope(self, t):
+        i, s = self._locate(t)
         return (3 * self.c3[i] * s + 2 * self.c2[i]) * s + self.c1[i]
 
     def value_and_slope(self, t, hint=None):

@@ -194,8 +194,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     sorted_share = np.empty(n)
     h_k, h_y, syy_min, syy_max, area, transversality = np.full((6, n), np.nan)
     normal = model.domain.boundary_normal
-    adjacent, read = np.flatnonzero(model.grid.boundary_adjacent), 0
     if normal is not None:  # one oracle pass; the bands read it by row
+        adjacent, read = np.flatnonzero(model.grid.boundary_adjacent), 0
         normals = np.atleast_2d(normal(np.take(model.grid.points, adjacent, axis=0)))
     x_syy_max = np.full((n, model.domain.dim), np.nan)
 
@@ -252,11 +252,10 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
             read += at.size
         if not planar:
             keep_sample(i, band)
-    band = None  # neither the last band nor the normals outlive the node loop
     if normal is not None:
         logger.debug("split curve: boundary normals taken once, on %d boundary-"
                      "adjacent rows, and read at %d band samples", adjacent.size, read)
-        del normals, adjacent
+    band = normals = adjacent = None  # none of them outlives the node loop
 
     if planar:
         segments, clipped = _contour_segments(model, y_grid, k_plus)
@@ -447,9 +446,9 @@ def _map_and_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
     as ``optimal_map`` gives it, (u, y*) as ``source_payoff`` does."""
     ends = np.concatenate([[curve.y_lo], curve.y_grid, [curve.y_hi]])
     y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
-    f_val, settled, node = _map_by_level(model, curve, x, y_tol)
+    f_val, settled, bracket = _map_by_level(model, curve, x, y_tol)
     y_star = f_val.copy()  # the scan below overwrites y* on unsettled rows
-    u_val = model.surplus.s(x, y_star) - curve._v(y_star, node)
+    u_val = model.surplus.s(x, y_star) - curve._v(y_star, bracket)
     rest = np.nonzero(~settled)[0]
     ys, v = curve.y_grid, curve.v_values
     for start in range(0, rest.size, _CHUNK):

@@ -78,9 +78,7 @@ def test_hinted_lookups_equal_unhinted(data):
             "n": np.full(t.size, n)}
     hint = np.array([pick[kind][j] for j, kind in enumerate(kinds)])
     given_hint = hint.copy()
-    for name in ("__call__", "slope", "integral"):
-        lookup = getattr(p, name)
-        assert np.array_equal(lookup(t, hint), lookup(t))
+    assert np.array_equal(p.integral(t, hint), p.integral(t))
     for got, want in zip(p.value_and_slope(t, hint), p.value_and_slope(t)):
         assert np.array_equal(got, want)
     assert np.array_equal(hint, given_hint)  # the caller's hint is not written
@@ -91,7 +89,8 @@ def test_right_hints_skip_the_search(monkeypatch):
     p = Pchip(x, y)
     t = np.concatenate([x[:-1], 0.5 * (x[:-1] + x[1:]), [x[0] - 1, x[-1] + 1]])
     hint = np.concatenate([np.arange(x.size - 1)] * 2 + [[0, x.size - 2]])
-    want = p(t)
-    assert p(x[3], 2) == p(x[3])  # a scalar t, and a wrong hint searched
+    want = (*p.value_and_slope(t), p.integral(t))
+    assert p.integral(x[3:4], [2]) == p.integral(x[3:4])  # a wrong hint searched
     monkeypatch.setattr(np, "searchsorted", None)
-    assert np.array_equal(p(t, hint), want)
+    for got, w in zip((*p.value_and_slope(t, hint), p.integral(t, hint)), want):
+        assert np.array_equal(got, w)
