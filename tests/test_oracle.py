@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import re
@@ -62,6 +63,16 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="surplus matrix"):
         DiscreteInstance(np.zeros((3, 1)), np.full(4, 0.25), np.zeros(3), b,
                          s43)
+    # non-finite atoms: a NaN surplus used to solve to a 0-pivot plan with
+    # objective nan, and NaN weights passed both weight checks
+    ok = _instance([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    for name, value in (("surplus_matrix", [[0.0, np.nan], [1.0, 0.0]]),
+                        ("source_weights", [np.nan, np.nan]),
+                        ("target_weights", [0.5, np.nan]),
+                        ("source_points", [[np.inf], [0.0]]),
+                        ("target_points", [0.0, -np.inf])):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(ok, **{name: np.asarray(value)})
 
 
 def test_identity_2x2():
@@ -371,7 +382,16 @@ def test_pivot_budget(par2):
         == plan.n_pivots
 
 
-def test_debug_records(par2, caplog):
+def test_debug_records(par2, caplog, monkeypatch):
+    from nestor import oracle
+    shift = oracle._shift_subtree
+    went = []
+
+    def counted_shift(*args):
+        went.append(shift(*args))
+        return went[-1]
+
+    monkeypatch.setattr(oracle, "_shift_subtree", counted_shift)
     inst = _shuffled(sample_instance(par2.model, 200, 20, seed=7), seed=2)
     with caplog.at_level(logging.DEBUG, logger="nestor.oracle"):
         plan = solve_transport(inst)
@@ -385,6 +405,12 @@ def test_debug_records(par2, caplog):
     moved = re.search(r"mean stem (\S+) nodes, mean cut-off subtree (\S+) "
                       r"nodes", caplog.text)
     assert moved and 1 <= float(moved[1]) <= float(moved[2])
+    # dense passes on both sides, counted as the shifts report them
+    dense = re.search(r"dense dual shifts: (\d+) row passes, (\d+) column "
+                      r"passes", caplog.text)
+    assert dense and len(went) == plan.n_pivots
+    assert [int(n) for n in dense.groups()] == np.sum(went, axis=0).tolist()
+    assert all(0 < int(n) < plan.n_pivots for n in dense.groups())
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="nestor.oracle"):
         _assert_optimal(_two_level_instance(400, 100, seed=1))
@@ -574,7 +600,15 @@ def _two_level_instance(ns, nt, seed):
 def test_preorder_tree_matches_rehang_reference(par2, caplog):
     atoms = sample_instance(par2.model, 500, 50, seed=7)
     for seed in (1, 2):
-        assert _assert_same_as_rehang(_shuffled(atoms, seed)).n_pivots > 1000
+        with caplog.at_level(logging.DEBUG, logger="nestor.oracle"):
+            plan = _assert_same_as_rehang(_shuffled(atoms, seed))
+        assert plan.n_pivots > 1000
+        # the reference gathers every shift; these pivots also ran dense ones
+        dense = re.search(r"dense dual shifts: (\d+) row passes, (\d+) "
+                          r"column passes", caplog.text)
+        assert dense and all(0 < int(n) < plan.n_pivots
+                             for n in dense.groups())
+        caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="nestor.oracle"):
         plan = _assert_same_as_rehang(_two_level_instance(400, 100, seed=1))
     assert plan.n_pivots > 0
@@ -591,6 +625,40 @@ def test_preorder_tree_matches_rehang_reference(par2, caplog):
 def test_preorder_tree_matches_rehang_reference_on_random_instances(ns, nt,
                                                                     seed):
     _assert_same_as_rehang(_random_instance(ns, nt, seed))
+
+
+def test_dense_and_gathered_dual_shifts_agree():
+    # _shift_subtree against the gathered shift of the reference, with as
+    # many rows (columns) as the cut-off allows and one more; the block of
+    # the subtree's rows by its columns moves twice, and R holds +-0
+    from nestor.oracle import _DENSE_COLS, _DENSE_ROWS, _shift_subtree
+    rng = np.random.default_rng(9)
+    ns, nt = 40, 12
+    base = rng.standard_normal((ns, nt))
+    base[rng.random((ns, nt)) < 0.2] = 0.0
+    base[rng.random((ns, nt)) < 0.2] = -0.0
+    sides, zero_flips = set(), 0
+    row_cut, col_cut = int(_DENSE_ROWS * ns), int(_DENSE_COLS * nt)
+    for n_rows in (0, 1, row_cut, row_cut + 1, ns):
+        for n_cols in (0, 1, col_cut, col_cut + 1, nt):
+            for shift in (0.75, -0.75, 2.0 ** -60):
+                rows = rng.choice(ns, n_rows, replace=False)
+                cols = rng.choice(nt, n_cols, replace=False)
+                subtree = rng.permutation(np.concatenate([rows, ns + cols]))
+                gathered = base.copy()
+                gathered[rows] -= shift
+                gathered[:, cols] += shift
+                shifted = base.copy()
+                went = _shift_subtree(shifted, subtree.astype(np.intp), shift)
+                assert went == (n_rows > _DENSE_ROWS * ns,
+                                n_cols > _DENSE_COLS * nt)
+                sides.add(went)
+                assert np.array_equal(shifted, gathered)
+                # the same bits, but where a dense pass turned -0 into +0
+                bits = shifted.view(np.int64) != gathered.view(np.int64)
+                assert np.all(gathered[bits] == 0.0)
+                zero_flips += int(np.count_nonzero(bits))
+    assert len(sides) == 4 and zero_flips > 0
 
 
 def test_basis_tree_invariants_after_every_pivot(par2, monkeypatch):
