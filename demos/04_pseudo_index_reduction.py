@@ -4,9 +4,10 @@ When the surplus decomposes as alpha(x) + sigma(I(x), y) the whole
 multi-dimensional problem collapses: push the source density through the
 canonical index I = s_y(., y_mid), then match quantiles with the target
 (increasingly: sigma's mixed derivative at y_mid is |grad_x s_y|^2 > 0).
-Detection is statistical: pairs of points sharing a level set of
-s_y(., y0) are tested at other target values; pairs that separate witness
-that the level sets move.
+Detection tests gradient alignment: the level sets of s_y(., y) stay put
+exactly when grad_x s_y(x, y) stays parallel to grad_x s_y(x, y_mid), so
+an interior probe where the sine of their angle is not at roundoff level
+witnesses that the level sets move.
 """
 
 import numpy as np
@@ -19,14 +20,15 @@ print("-" * 72)
 segment = build("paraboloid-segment", m=2)
 det = detect_index_form(segment.model, seed=0)
 print(f"bilinear surplus, segment target: is_index={det['is_index']} "
-      f"(confidence {det['confidence']:.3f}, {det['n_pairs']} pairs)")
+      f"(confidence {det['confidence']:.3f})")
 
 arc = build("ball-circle", r=0.05)
 det_arc = detect_index_form(arc.model, seed=0)
 print(f"bilinear surplus, circular-arc target: is_index={det_arc['is_index']} "
       f"(confidence {det_arc['confidence']:.3f})")
-xa, xb, y1, gap = det_arc["witnesses"][0]
-print(f"  witness pair splits at y={y1:+.2f}: slope values separate by {gap:.3f}")
+x, y1, sine = det_arc["witnesses"][0]
+print(f"  witness at x=({x[0]:+.3f}, {x[1]:+.3f}), y={y1:+.2f}: "
+      f"grad_x s_y turns by sin {sine:.3f} from y_mid")
 
 print("\nreduction of the segment problem")
 print("-" * 72)

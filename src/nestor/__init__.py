@@ -9,10 +9,9 @@ an exact discrete LP oracle.
 """
 
 from .errors import (BracketFailure, ConfigError, Degenerate, EmptyBand,
-                     EmptyDomain, InsufficientPairs, InsufficientRange,
-                     NestorError, NoBoundaryOracle, NonMonotoneSign,
-                     OutOfRange, PivotBudgetExceeded, UnknownScenario,
-                     ZeroSpeed)
+                     EmptyDomain, InsufficientRange, NestorError,
+                     NoBoundaryOracle, NonMonotoneSign, OutOfRange,
+                     PivotBudgetExceeded, UnknownScenario, ZeroSpeed)
 from .geometry import (Domain, Quadrature, TargetInterval, annulus_domain,
                        box_domain, interval_domain, paraboloid_domain,
                        pie_slice_domain)

@@ -350,8 +350,7 @@ def run(config: dict, out_dir: str = None) -> int:
 
     if config["outputs"]["reduce_1d"]:
         det = pix.detect_index_form(model, seed=config["seed"])
-        entry = {"is_index": det["is_index"], "confidence": det["confidence"],
-                 "n_pairs": det["n_pairs"]}
+        entry = {"is_index": det["is_index"], "confidence": det["confidence"]}
         if det["is_index"]:
             rearr = pix.reduce_and_solve_1d(model)
             entry["ode_residual_max"] = pix.verify_1d_ode(rearr)

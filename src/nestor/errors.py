@@ -46,10 +46,6 @@ class NoBoundaryOracle(NestorError):
     """The domain carries no boundary-normal oracle."""
 
 
-class InsufficientPairs(NestorError):
-    """Too few matched probe pairs to run the index-form detector."""
-
-
 class NonMonotoneSign(NestorError):
     """The mixed second derivative of the effective surplus changes sign."""
 

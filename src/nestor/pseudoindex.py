@@ -8,11 +8,11 @@ match quantiles with the target.  With the canonical index
 I = s_y(., y_mid) the mixed derivative of sigma at y_mid is
 |grad_x s_y|^2 > 0, so the matching is always increasing.
 
-The detector is statistical: it manufactures pairs of points on a common
-level set of s_y(., y0) (a tangent step followed by a few Newton
-projections) and tests whether they stay matched at other target values.
-Failing pairs are exactly sampled witnesses of the level-set motion that
-breaks universal nestedness.
+The level sets of s_y(., y) stay put exactly when grad_x s_y(x, y) stays
+parallel to grad_x s_y(x, y_mid).  The detector measures the sine of that
+angle at seeded interior probes and four target values; a probe where it
+is not at roundoff level is a sampled witness of the level-set motion
+that breaks universal nestedness.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from ._pchip import Pchip
-from .errors import InsufficientPairs, NonMonotoneSign
-from .levelsets import sublevel_mass
+from .errors import NonMonotoneSign
+from .levelsets import _mass_knots
 from .model import Model, target_quantile
 
 
@@ -60,82 +60,40 @@ class Rearrangement1D:
 # detection
 # ---------------------------------------------------------------------------
 
-def _project_to_level(model: Model, x: np.ndarray, y0: float,
-                      target_vals: np.ndarray) -> np.ndarray:
-    """Six Newton steps along grad s_y pulling each row of x onto its
-    assigned level {s_y(., y0) = target}."""
-    x = x.copy()
-    for _ in range(6):
-        vals = np.asarray(model.surplus.s_y(x, y0), dtype=float)
-        grad = np.asarray(model.surplus.grad_x_s_y(x, y0), dtype=float)
-        gn2 = np.sum(grad * grad, axis=1)
-        gn2 = np.maximum(gn2, 1e-300)
-        x = x - ((vals - target_vals) / gn2)[:, None] * grad
-    return x
-
-
-def detect_index_form(model: Model, pair_probes: int = 400,
-                      seed: int = 0) -> dict:
+def detect_index_form(model: Model, seed: int = 0) -> dict:
     """Decide whether the level sets of x -> s_y(x, y) move with y.
 
-    Pairs matched at the midpoint y0 of the target (|difference| at
-    roundoff level after projection) are re-tested 0.15, 0.35, 0.65 and
-    0.85 of the way along the target; a pair fails when its s_y values
-    separate by more than 1e-6 of the sampled s_y spread.  The surplus has
-    index form when under 1% of these tests fail; up to 10 failures are
-    kept as witnesses.  Raises InsufficientPairs below 100 usable pairs.
+    At 400 seeded interior probes (margin 0.02) and 0.15, 0.35, 0.65 and
+    0.85 of the way along the target, a test takes the sine of the angle
+    between g = grad_x s_y(x, y) and g0 = grad_x s_y(x, y_mid): the length
+    of g's component orthogonal to g0 over |g|.  A test fails unless the
+    sine is at most 1e-6 (a NaN sine fails).  The surplus has index form
+    when under 1% of the tests fail; up to three failures per level, and
+    10 in all, are kept as (x, y, sine) witnesses.
     """
     model.require_nondegenerate()
     if model.domain.dim == 1:
         # level sets are single points; the surplus is trivially of index
         # form with I = s_y(., y_mid)
-        return {"is_index": True, "confidence": 1.0, "witnesses": [],
-                "n_pairs": 0, "n_tests": 0}
-    rng = np.random.default_rng(seed)
+        return {"is_index": True, "confidence": 1.0, "witnesses": []}
     t = model.target
-    y0 = t.mid
-    base = model.domain.sample_interior(pair_probes, seed=seed, margin=0.02)
-    vals0 = np.asarray(model.surplus.s_y(base, y0), dtype=float)
-    grad0 = np.asarray(model.surplus.grad_x_s_y(base, y0), dtype=float)
-    gn = np.linalg.norm(grad0, axis=1)
-    # random tangent step, then project back onto the level set
-    step = rng.standard_normal(base.shape)
-    step -= (np.sum(step * grad0, axis=1) / np.maximum(gn, 1e-300) ** 2)[:, None] * grad0
-    norms = np.linalg.norm(step, axis=1)
-    ok = norms > 1e-12
-    step[ok] /= norms[ok][:, None]
-    partner = base + 0.05 * model.domain.scale * step
-    partner = _project_to_level(model, partner, y0, vals0)
-    inside = model.domain.contains(partner) & ok
-    d0 = np.abs(np.asarray(model.surplus.s_y(partner, y0), dtype=float) - vals0)
-    spread0 = max(float(np.max(vals0) - np.min(vals0)), 1e-12)
-    matched = inside & (d0 <= 1e-9 * spread0)
-    n_pairs = int(np.sum(matched))
-    if n_pairs < 100:
-        raise InsufficientPairs(
-            f"only {n_pairs} matched pairs (need 100); increase pair_probes")
-    xa = base[matched]
-    xb = partner[matched]
+    pts = model.domain.sample_interior(400, seed=seed, margin=0.02)
+    g0 = np.asarray(model.surplus.grad_x_s_y(pts, t.mid), dtype=float)
     witnesses = []
-    n_tests = 0
     n_fail = 0
-    for q in (0.15, 0.35, 0.65, 0.85):
-        y1 = t.y_lo + q * t.length
-        va = np.asarray(model.surplus.s_y(xa, y1), dtype=float)
-        vb = np.asarray(model.surplus.s_y(xb, y1), dtype=float)
-        spread1 = max(float(np.max(va) - np.min(va)), 1e-12)
-        d1 = np.abs(va - vb)
-        bad = d1 > 1e-6 * spread1
-        n_tests += d1.size
-        n_fail += int(np.sum(bad))
-        for i in np.nonzero(bad)[0][:3]:
-            if len(witnesses) < 10:
-                witnesses.append((xa[i].copy(), xb[i].copy(), float(y1),
-                                  float(d1[i])))
-    rate = n_fail / n_tests
-    return {"is_index": rate < 0.01,
-            "confidence": 1.0 - rate, "witnesses": witnesses,
-            "n_pairs": n_pairs, "n_tests": n_tests}
+    for y in t.y_lo + np.array([0.15, 0.35, 0.65, 0.85]) * t.length:
+        g = np.asarray(model.surplus.grad_x_s_y(pts, y), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            along = np.sum(g * g0, axis=1) / np.sum(g0 * g0, axis=1)
+            sine = (np.linalg.norm(g - along[:, None] * g0, axis=1)
+                    / np.linalg.norm(g, axis=1))
+        bad = np.flatnonzero(~(sine <= 1e-6))
+        n_fail += bad.size
+        witnesses += [(pts[i].copy(), float(y), float(sine[i]))
+                      for i in bad[:3]]
+    rate = n_fail / (4 * pts.shape[0])
+    return {"is_index": rate < 0.01, "confidence": 1.0 - rate,
+            "witnesses": witnesses[:10]}
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +135,23 @@ def reduce_and_solve_1d(model: Model) -> Rearrangement1D:
     """Push mu through the canonical index, build its CDF on a 257-point
     grid, and compose with the target quantile function.  Since
     I = s_y(., y_mid), the CDF at t is the split solve's own sublevel mass
-    at (y_mid, t) over the total, ramps included.  The result matches the
+    at (y_mid, t) over the total, ramps included: the midpoint slice's
+    mass knots, read as their running maximum.  The result matches the
     full nested solve whenever the surplus really is of index form."""
     _check_orientation(model)
-    index = canonical_index(model)
-    i_vals = np.asarray(index(model.grid.points), dtype=float)
-    lo, hi = float(np.min(i_vals)), float(np.max(i_vals))
+    sl = model.slice_at(model.target.mid)
+    lo, hi = float(np.min(sl.sy)), float(np.max(sl.sy))
     pad = 1e-9 * max(hi - lo, 1.0)
     grid = np.linspace(lo - pad, hi + pad, 257)
-    cdf_vals = (sublevel_mass(model, model.target.mid, grid)
+    knots, mass = _mass_knots(model, sl)
+    cdf_vals = (np.interp(grid, knots, np.maximum.accumulate(mass))
                 / model.total_mass)
     # strictly increasing knots for the monotone interpolant
     keep = np.concatenate([[True], np.diff(cdf_vals) > 1e-15])
     keep[0] = keep[-1] = True
     interp = Pchip(grid[keep], cdf_vals[keep])
     return Rearrangement1D(index_grid=grid, index_cdf=interp, model=model,
-                           index=index)
+                           index=canonical_index(model))
 
 
 def verify_1d_ode(rearr: Rearrangement1D) -> float:

@@ -129,9 +129,21 @@ def test_reduce_1d_subcommand(tmp_path):
                      "--out", str(tmp_path)])
     assert code == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary["reduce_1d"]) == {"is_index", "confidence",
+                                         "ode_residual_max", "sup_gap_vs_full"}
     assert summary["reduce_1d"]["is_index"] is True
     assert summary["reduce_1d"]["sup_gap_vs_full"] <= 1e-2
     assert (tmp_path / "map1d.csv").exists()
+
+
+def test_reduce_1d_subcommand_not_index_form(tmp_path):
+    code = run_main(["reduce-1d", "ball-circle", "--resolution", "48",
+                     "--y-nodes", "17", "--out", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary["reduce_1d"]) == {"is_index", "confidence"}
+    assert summary["reduce_1d"]["is_index"] is False
+    assert not (tmp_path / "map1d.csv").exists()
 
 
 def test_holder_subcommand(tmp_path):

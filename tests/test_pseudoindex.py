@@ -1,45 +1,78 @@
 import numpy as np
 import pytest
 
-from nestor.errors import InsufficientPairs, NonMonotoneSign
+from nestor.errors import NonMonotoneSign
 from nestor.geometry import Quadrature, TargetInterval, box_domain
+from nestor.levelsets import sublevel_mass
 from nestor.model import Model
 from nestor.pseudoindex import (canonical_index, detect_index_form,
                                 reduce_and_solve_1d, verify_1d_ode)
+from nestor.scenarios import build
 from nestor.solver import optimal_map
 from nestor.surplus import polynomial_surplus
 
 
-def test_detector_true_for_segment_target(par2):
-    det = detect_index_form(par2.model, seed=0)
-    assert det["is_index"] and det["confidence"] > 0.99
-    assert det["n_pairs"] >= 100
+def _unit_box(terms):
+    """The unit box onto [0, 1] with a polynomial surplus, at 48^2."""
+    return Model(box_domain([0.0, 0.0], [1.0, 1.0]), TargetInterval(0, 1),
+                 polynomial_surplus(terms, 2),
+                 quadrature=Quadrature("tensor", 48))
 
 
-def test_detector_false_for_arc_target(ball):
-    det = detect_index_form(ball.model, seed=0)
-    assert not det["is_index"]
-    assert det["witnesses"], "expected failing pairs as witnesses"
-    xa, xb, y1, gap = det["witnesses"][0]
-    assert gap > 0
+# s = alpha(x) + sigma(I(x), y) with I = x1 + x2, sigma = I y + I^2 y:
+# supermodular by construction
+_EXPLICIT_INDEX_FORM = [(1.0, (1, 0), 1), (1.0, (0, 1), 1),           # I*y
+                        (1.0, (2, 0), 1), (2.0, (1, 1), 1),
+                        (1.0, (0, 2), 1),                             # I^2 y
+                        (0.5, (2, 0), 0)]                             # alpha
+
+_DETECTOR_TABLE = {
+    "par2": (lambda: build("paraboloid-segment", m=2).model, True),
+    "par3": (lambda: build("paraboloid-segment", m=3).model, True),
+    "par4-monte-carlo": (lambda: build("paraboloid-segment", m=4,
+                                       resolution=20000).model, True),
+    "flat-paraboloid": (lambda: build("flat-paraboloid").model, True),
+    "uniform-1d": (lambda: build("uniform-1d").model, True),
+    "explicit-index-form": (lambda: Model(
+        box_domain([0.1, 0.1], [1, 1]), TargetInterval(0, 1),
+        polynomial_surplus(_EXPLICIT_INDEX_FORM, 2),
+        quadrature=Quadrature("tensor", 128)), True),
+    "box-y-x1": (lambda: _unit_box([(1.0, (1, 0), 1)]), True),
+    "ball-circle": (lambda: build("ball-circle").model, False),
+    "pie-slice": (lambda: build("pie-slice").model, False),
+    "pie-slice-1.2": (lambda: build("pie-slice", theta0=1.2).model, False),
+    "pie-slice-1.58": (lambda: build("pie-slice", theta0=1.58).model, False),
+    # s_y = x1 + 0.7 x2 y: the level sets turn with y
+    "box-turning": (lambda: _unit_box([(1.0, (1, 0), 1),
+                                       (0.35, (0, 1), 2)]), False),
+}
 
 
-def test_detector_true_for_explicit_index_form():
-    # s = alpha(x) + sigma(I(x), y) with I = x1 + x2, sigma = I y + I^2 y:
-    # supermodular by construction
-    terms = [(1.0, (1, 0), 1), (1.0, (0, 1), 1),          # I*y
-             (1.0, (2, 0), 1), (2.0, (1, 1), 1), (1.0, (0, 2), 1),  # I^2 y
-             (0.5, (2, 0), 0)]                             # alpha
-    bundle = polynomial_surplus(terms, 2)
-    model = Model(box_domain([0.1, 0.1], [1, 1]), TargetInterval(0, 1),
-                  bundle, quadrature=Quadrature("tensor", 128))
-    det = detect_index_form(model, seed=1)
-    assert det["is_index"]
+@pytest.mark.parametrize("name", list(_DETECTOR_TABLE))
+def test_detector_table(name):
+    make, is_index = _DETECTOR_TABLE[name]
+    model = make()
+    det = detect_index_form(model, seed=0)
+    assert det["is_index"] is is_index
+    assert det["confidence"] == (1.0 if is_index else 0.0)
+    if is_index:
+        assert det["witnesses"] == []
+        return
+    assert 0 < len(det["witnesses"]) <= 10
+    for x, y, sine in det["witnesses"]:
+        assert model.domain.contains(x[None, :])[0]
+        assert model.target.y_lo <= y <= model.target.y_hi
+        assert sine > 1e-6
 
 
-def test_insufficient_pairs(par2):
-    with pytest.raises(InsufficientPairs):
-        detect_index_form(par2.model, pair_probes=50)
+@pytest.mark.parametrize("m, resolution", [(2, 48), (3, 24), (4, 20000)])
+def test_knot_cdf_matches_sublevel_mass(m, resolution):
+    # the PCHIP's knots are the grid points where the CDF rises
+    model = build("paraboloid-segment", m=m, resolution=resolution).model
+    rearr = reduce_and_solve_1d(model)
+    knots = rearr.index_cdf.x
+    ref = sublevel_mass(model, model.target.mid, knots) / model.total_mass
+    assert np.max(np.abs(rearr.cdf(knots) - ref)) <= 1e-12
 
 
 def test_reduction_matches_direct_solve(par2):
