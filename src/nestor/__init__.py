@@ -27,12 +27,13 @@ from .nestedness import (NestednessReport, check_sublevel_monotonicity,
 from .oracle import (DiscreteInstance, DiscretePlan,
                      cyclical_monotonicity_audit, compare_with_map,
                      sample_instance, solve_transport)
+from .pipeline import Run, solve
 from .pseudoindex import (Rearrangement1D, detect_index_form,
                           reduce_and_solve_1d, verify_1d_ode)
 from .scenarios import Scenario, build, holder_probe, list_scenarios
 from .solver import (SplitCurve, balance_residual, interpolation_error,
-                     map_gradient, optimal_map, pushforward_distance,
-                     solve_split_curve, source_payoff)
+                     map_and_payoff, map_gradient, optimal_map,
+                     pushforward_distance, solve_split_curve, source_payoff)
 from .surplus import SurplusBundle, arc_surplus, bilinear_surplus, \
     polynomial_surplus
 

@@ -298,7 +298,7 @@ def box_domain(lo, hi) -> Domain:
                   boundary_normal=normal)
 
 
-def annulus_domain(r_inner: float, r_outer: float = 1.0) -> Domain:
+def annulus_domain(r_inner: float = 0.0, r_outer: float = 1.0) -> Domain:
     """Planar annulus r_inner < |x| < r_outer; r_inner = 0 gives the
     punctured disk."""
     if not 0.0 <= r_inner < r_outer:
@@ -362,7 +362,7 @@ def pie_slice_domain(theta0: float, radius: float = 1.0) -> Domain:
     return Domain(dim=2, bbox=bbox, inside=inside, boundary_normal=normal)
 
 
-def paraboloid_domain(m: int, flatness: float = 1.0, height: float = 1.0) -> Domain:
+def paraboloid_domain(m: int = 2, flatness: float = 1.0, height: float = 1.0) -> Domain:
     """Solid region (|x'|^2 / 2)^flatness < x_1 < height with x' the last
     m-1 coordinates; flatness 1 is the round paraboloid."""
     if m < 2:

@@ -25,7 +25,7 @@ ell = inf (k' - s_yy), whose positivity yields a Lipschitz bound
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -59,18 +59,12 @@ class NestednessReport:
     verdict: str                 # "nested" | "non-nested" | "inconclusive"
 
     def to_dict(self) -> dict:
-        def crit(c: CriterionResult) -> dict:
-            return {"status": c.status,
-                    "witnesses": [_jsonable(w) for w in c.witnesses],
-                    "details": _jsonable(c.details)}
-        return {
-            "sublevel_monotone": crit(self.sublevel_monotone),
-            "dynamic": crit(self.dynamic),
-            "unique_splitting": crit(self.unique_splitting),
-            "transversality_min": self.transversality_min,
-            "speed_limit": self.speed_limit,
-            "verdict": self.verdict,
-        }
+        """Every field as JSON-ready values; a criterion keyed by its name."""
+        out = _jsonable(asdict(self))
+        for crit in (out["sublevel_monotone"], out["dynamic"],
+                     out["unique_splitting"]):
+            del crit["name"]
+        return out
 
 
 def _jsonable(obj):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import PivotBudgetExceeded
 from .model import Model, target_quantile
-from .solver import _map_and_payoff
+from .solver import map_and_payoff
 
 logger = logging.getLogger(__name__)
 _BLAND_AFTER = 40  # degenerate pivots in a row before Bland's rule
@@ -69,17 +69,11 @@ class DiscreteInstance:
         return self.surplus_matrix.shape
 
     def to_dict(self) -> dict:
-        return {"source_points": self.source_points.tolist(),
-                "source_weights": self.source_weights.tolist(),
-                "target_points": self.target_points.tolist(),
-                "target_weights": self.target_weights.tolist(),
-                "surplus_matrix": self.surplus_matrix.tolist()}
+        return _fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteInstance":
-        return cls(*(np.asarray(d[k], dtype=float) for k in
-                     ("source_points", "source_weights", "target_points",
-                      "target_weights", "surplus_matrix")))
+        return cls(*(np.asarray(d[f.name], dtype=float) for f in fields(cls)))
 
 
 @dataclass
@@ -105,10 +99,13 @@ class DiscretePlan:
         return self.rows[keep], self.cols[keep], self.values[keep]
 
     def to_dict(self) -> dict:
-        return {"rows": self.rows.tolist(), "cols": self.cols.tolist(),
-                "values": self.values.tolist(), "u": self.u.tolist(),
-                "v": self.v.tolist(), "objective": self.objective,
-                "n_pivots": self.n_pivots}
+        return _fields_to_dict(self)
+
+
+def _fields_to_dict(obj) -> dict:
+    """A dataclass's fields as JSON-ready lists and scalars."""
+    return {f.name: np.asarray(getattr(obj, f.name)).tolist()
+            for f in fields(obj)}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +456,7 @@ def compare_with_map(model: Model, curve, inst: DiscreteInstance,
     dual_gap: max deviation between oracle duals and (u, v) on the atoms
     after the optimal additive shift.
     """
-    f_vals, u_num, _ = _map_and_payoff(model, curve, inst.source_points)
+    f_vals, u_num, _ = map_and_payoff(model, curve, inst.source_points)
     s_graph = np.asarray(model.surplus.s(inst.source_points, f_vals), dtype=float)
     graph_value = float(np.sum(inst.source_weights * s_graph))
     surplus_gap = (plan.objective - graph_value) / max(abs(plan.objective), 1e-300)

@@ -436,14 +436,15 @@ def source_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
     (interval ends past the end nodes) the map's Newton solve roots it,
     and u is the best of that root, the node and the two neighbours."""
     single = np.asarray(x).ndim == 1
-    _, u_val, y_star = _map_and_payoff(
+    _, u_val, y_star = map_and_payoff(
         model, curve, np.atleast_2d(np.asarray(x, dtype=float)))
     return (float(u_val[0]), float(y_star[0])) if single else (u_val, y_star)
 
 
-def _map_and_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
-    """(F, u, y*) for the rows of a 2-d x from one by-level node walk: F
-    as ``optimal_map`` gives it, (u, y*) as ``source_payoff`` does."""
+def map_and_payoff(model: Model, curve: SplitCurve, x: np.ndarray):
+    """(F, u, y*) arrays for the rows of a 2-d x from one by-level node
+    walk: F as ``optimal_map`` gives it, (u, y*) as ``source_payoff`` does,
+    for the cost of one of the two."""
     ends = np.concatenate([[curve.y_lo], curve.y_grid, [curve.y_hi]])
     y_tol = 1e-8 * (curve.y_hi - curve.y_lo)
     f_val, settled, bracket = _map_by_level(model, curve, x, y_tol)
@@ -500,26 +501,24 @@ def _map_derivative_parts(model: Model, curve: SplitCurve, x: np.ndarray,
     return grad, kp - syy
 
 
-def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray):
+def map_gradient(model: Model, curve: SplitCurve, x: np.ndarray,
+                 f_val: Optional[np.ndarray] = None):
     """DF(x) = grad_x s_y(x, F(x)) / (k'(F(x)) - s_yy(x, F(x))).
 
     The derivative of the interpolated curve is used for k' so the identity
-    is consistent with finite differences of the by-level map.  Raises
-    ZeroSpeed when the denominator drops to 1e-8 or below.
+    is consistent with finite differences of the by-level map.  ``f_val``,
+    the map values F(x) where the caller has them, saves the map's node
+    walk.  Raises ZeroSpeed when the denominator drops to 1e-8 or below.
     """
     single = np.asarray(x).ndim == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = _map_gradient_at(model, curve, x, optimal_map(model, curve, x))
-    return out[0] if single else out
-
-
-def _map_gradient_at(model: Model, curve: SplitCurve, x: np.ndarray,
-                     f_val: np.ndarray) -> np.ndarray:
-    """DF at the rows of a 2-d x, given their map values F."""
+    if f_val is None:
+        f_val = optimal_map(model, curve, x)
     grad, denom = _map_derivative_parts(model, curve, x, f_val)
     if np.any(denom <= _ZERO_SPEED):
         raise ZeroSpeed("level-set speed k' - s_yy at or below threshold")
-    return grad / denom[:, None]
+    out = grad / denom[:, None]
+    return out[0] if single else out
 
 
 def balance_residual(model: Model, curve: SplitCurve, y):

@@ -239,7 +239,10 @@ def test_runtime_loads_no_scipy(tmp_path):
 
 
 def test_every_tolerance_settable_and_echoed(tmp_path):
-    from nestor.cli import DEFAULT_TOLERANCES
+    from importlib import resources
+    schema = json.loads(resources.files("nestor").joinpath(
+        "config_schema.json").read_text())
+    settable = schema["properties"]["tolerances"]["properties"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "scenario": "uniform-1d", "y_nodes": 33,
@@ -248,7 +251,7 @@ def test_every_tolerance_settable_and_echoed(tmp_path):
     assert run_main(["check-nested", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert set(DEFAULT_TOLERANCES) == set(summary["tolerances"])
+    assert set(settable) == set(summary["tolerances"])
     assert summary["tolerances"] == {"nestedness_probes": 50, "scan_nodes": 101}
 
 
@@ -264,6 +267,60 @@ def test_dump_level_2d_writes_contour_segments(tmp_path):
     assert np.array_equal(rows[:, 0], np.repeat(np.arange(rows.shape[0] // 2), 2))
     # s_y = x1 on the bowl, so the level set at y is the chord x1 = y^(2/3)
     assert np.max(np.abs(rows[:, 1] - 0.5 ** (2 / 3))) < 1e-2
+
+
+def test_close_dump_levels_write_two_files(tmp_path):
+    assert run_main(["solve", "paraboloid-segment", "--resolution", "32",
+                     "--y-nodes", "17", "--dump-level", "0.5",
+                     "--dump-level", "0.5000001", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "levelset_0p5.csv").exists()
+    assert (tmp_path / "levelset_0p5000001.csv").exists()
+
+
+def test_inline_domain_missing_field_is_named(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for domain, field in (({"type": "box", "hi": [1.0, 1.0]}, "'lo'"),
+                          ({"type": "pie-slice"}, "'theta0'")):
+        config.write_text(json.dumps(_inline(domain=domain)))
+        assert run_main(["solve", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err, err
+
+
+@pytest.mark.parametrize("command, extra, stages", [
+    ("solve", [], {"solve_split_curve_s", "nestedness_s", "total_s"}),
+    ("oracle", ["--atoms", "40x10", "--require-nested"],
+     {"solve_split_curve_s", "nestedness_s", "oracle_s", "total_s"})])
+def test_timings_are_recorded_apart(tmp_path, command, extra, stages):
+    args = [command, "uniform-1d", "--y-nodes", "17", *extra]
+    assert run_main([*args, "--timings", "--out", str(tmp_path / "a")]) == 0
+    assert run_main([*args, "--out", str(tmp_path / "b")]) == 0
+    timed = json.loads((tmp_path / "a" / "summary.json").read_text())
+    timings = timed.pop("timings_seconds")
+    assert set(timings) == stages
+    assert all(np.isfinite(t) and t >= 0 for t in timings.values())
+    assert timed == json.loads((tmp_path / "b" / "summary.json").read_text())
+
+
+def test_library_call_gives_the_cli_summary(tmp_path):
+    from nestor import build, pipeline, solve
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "scenario": "paraboloid-segment", "quadrature": {"resolution": 48},
+        "y_nodes": 33,
+        "outputs": {"oracle": True, "reduce_1d": True, "holder_probe": True}}))
+    assert run_main(["solve", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    cli_summary = json.loads((tmp_path / "summary.json").read_text())
+    assert cli_summary.pop("scenario") == "paraboloid-segment"
+    assert cli_summary.pop("params") == {"resolution": 48, "seed": 0}
+    run = solve(build("paraboloid-segment", resolution=48).model, y_nodes=33,
+                oracle_atoms=pipeline.ORACLE_ATOMS, reduce_1d=True,
+                holder_probe=True)
+    library = json.loads(json.dumps(run.summary, default=lambda v: v.item()))
+    assert {"oracle", "reduce_1d", "holder_exponent"} <= set(library)
+    assert library == cli_summary
 
 
 def test_dump_level_band_writes_samples_with_measure(tmp_path):
@@ -301,7 +358,7 @@ def test_map_gradient_failure_is_recorded(tmp_path, monkeypatch):
     def zero_speed(*args, **kwargs):
         raise ZeroSpeed("level-set speed k' - s_yy at or below threshold")
 
-    monkeypatch.setattr(solver, "_map_gradient_at", zero_speed)
+    monkeypatch.setattr(solver, "map_gradient", zero_speed)
     assert run_main(["solve", "uniform-1d", "--y-nodes", "33",
                      "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -432,6 +489,9 @@ def _inline(**model):
                  id="param-of-another-scenario"),
     pytest.param({**_inline(), "params": {"m": 3}}, [],
                  id="params-beside-inline-model"),
+    pytest.param(_inline(domain={"type": "box"}), [], id="box-without-lo"),
+    pytest.param(_inline(domain={"type": "pie-slice"}), [],
+                 id="pie-slice-without-theta0"),
     pytest.param(None, ["uniform-1d", "--dump-level", "2.5"],
                  id="dump-level-outside-target"),
     pytest.param(None, ["uniform-1d", "--dump-level", "nan"],
@@ -484,7 +544,7 @@ def test_pivot_budget_goes_through_the_error_path(tmp_path, monkeypatch,
     # simplex must pivot, and a budget of 0 pivots is exceeded
     from functools import partial
 
-    from nestor import cli
+    from nestor import pipeline
     from nestor.oracle import DiscreteInstance, sample_instance, solve_transport
 
     def reversed_atoms(*args, **kwargs):
@@ -494,13 +554,15 @@ def test_pivot_budget_goes_through_the_error_path(tmp_path, monkeypatch,
                                 inst.source_weights[rev], inst.target_points,
                                 inst.target_weights, inst.surplus_matrix[rev])
 
-    monkeypatch.setattr(cli, "sample_instance", reversed_atoms)
-    monkeypatch.setattr(cli, "solve_transport",
+    monkeypatch.setattr(pipeline, "sample_instance", reversed_atoms)
+    monkeypatch.setattr(pipeline, "solve_transport",
                         partial(solve_transport, max_pivots=0))
     code = run_main(["oracle", "uniform-1d", "--atoms", "80x20",
-                     "--y-nodes", "33", "--out", str(tmp_path)])
+                     "--y-nodes", "33", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error: PivotBudgetExceeded: " in capsys.readouterr().err
+    # the run raised before anything was written
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dump_level_missing_level_is_header_only(tmp_path):

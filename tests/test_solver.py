@@ -431,7 +431,7 @@ def test_one_walk_gives_the_map_and_the_payoff(ball):
     # F must still be the map's value there, bit for bit
     model, c = ball.model, ball.curve
     x = model.domain.sample_interior(2000, seed=5, margin=0.01)
-    f_val, u_val, y_star = solver._map_and_payoff(model, c, x)
+    f_val, u_val, y_star = solver.map_and_payoff(model, c, x)
     u_ref, y_ref = source_payoff(model, c, x)
     assert np.array_equal(f_val, optimal_map(model, c, x))
     assert np.array_equal(u_val, u_ref) and np.array_equal(y_star, y_ref)
@@ -511,7 +511,7 @@ def test_one_slice_matches_the_general_path(request, name):
     # every grid point, and two points past the box that clamp to the ends
     lo, hi = model.domain.bbox
     x = np.concatenate([model.grid.points, [2 * lo - hi, 2 * hi - lo]])
-    fast, walk = (solver._map_and_payoff(m, curve, x) for m in (model, general))
+    fast, walk = (solver.map_and_payoff(m, curve, x) for m in (model, general))
     for a, b in zip(fast, walk):
         assert np.array_equal(a, b)
     assert fast[0][-2] == curve.y_lo and fast[0][-1] == curve.y_hi
