@@ -77,14 +77,19 @@ _DOMAINS = {"box": box_domain, "interval": interval_domain,
 
 def _domain_from_spec(spec: dict):
     """The spec's fields are the keywords of its type's domain factory,
-    whose defaults fill the fields it leaves out."""
+    whose defaults fill the fields it leaves out; a field the factory does
+    not take is an error."""
     factory = _DOMAINS[spec["type"]]
     params = inspect.signature(factory).parameters
+    fields = {k: v for k, v in spec.items() if k != "type"}
     missing = [name for name, par in params.items()
-               if par.default is par.empty and name not in spec]
+               if par.default is par.empty and name not in fields]
     if missing:
         raise ConfigError(f"a {spec['type']} domain needs {missing}")
-    return factory(**{k: v for k, v in spec.items() if k in params})
+    stray = sorted(set(fields) - set(params))
+    if stray:
+        raise ConfigError(f"a {spec['type']} domain takes no field {stray}")
+    return factory(**fields)
 
 
 def _surplus_from_spec(spec: dict, dim: int):

@@ -36,6 +36,9 @@ from .solver import _CHUNK, SplitCurve, _node_walk
 
 logger = logging.getLogger(__name__)
 
+# the unique-splitting check's defaults: probe points and scan nodes
+_N_PROBES, _SCAN_NODES = 100, 201
+
 
 @dataclass
 class CriterionResult:
@@ -206,8 +209,8 @@ def effective_deadband(model: Model) -> float:
 
 def unique_splitting_check(model: Model, curve: SplitCurve,
                            x_probes: Optional[np.ndarray] = None,
-                           n_probes: int = 100, seed: int = 0,
-                           scan_nodes: int = 201) -> CriterionResult:
+                           n_probes: int = _N_PROBES, seed: int = 0,
+                           scan_nodes: int = _SCAN_NODES) -> CriterionResult:
     """Count the roots of psi_x(y) = mu[{s_y(., y) <= s_y(x, y)}] - G(y)
     per probe; the first 20 probes with several roots witness
     non-nestedness.
@@ -320,8 +323,8 @@ def kprime_bound_gap(model: Model, curve: SplitCurve):
 # ---------------------------------------------------------------------------
 
 def nestedness_report(model: Model, curve: SplitCurve, seed: int = 0,
-                      n_probes: int = 100,
-                      scan_nodes: int = 201) -> NestednessReport:
+                      n_probes: int = _N_PROBES,
+                      scan_nodes: int = _SCAN_NODES) -> NestednessReport:
     """Run all three criteria plus the transversality and speed-limit
     diagnostics; nested requires all three to pass, non-nested at least one
     definite failure witness, anything else is inconclusive."""

@@ -42,7 +42,8 @@ class Run:
 
 def solve(model: Model, *, y_nodes: int = 65, seed: int = 0,
           map_samples: int = 500, report: bool = True,
-          nestedness_probes: int = 100, scan_nodes: int = 201,
+          nestedness_probes: int = nd._N_PROBES,
+          scan_nodes: int = nd._SCAN_NODES,
           oracle_atoms: Optional[dict] = None,
           reduce_1d: bool = False, holder_probe: bool = False) -> Run:
     """Solve ``model`` on ``y_nodes`` nodes and compute the figures around

@@ -1,20 +1,20 @@
 """Built-in analytic fixtures.
 
 Each scenario bundles a model with the closed-form map/potentials it is
-known to admit, so solver output can be regressed against ground truth:
+known to admit, so solver output can be regressed against ground truth.
+The closed forms come in two families:
 
-* uniform-1d          scalar segment-to-segment matching (identity map,
-                      or the square-root map for the linear target);
-* paraboloid-segment  solid paraboloid onto a segment under the inner
-                      product; map x -> x_1^((m+1)/2), nested;
-* flat-paraboloid     flattened bowl (|x'|^2/2)^kappa < x_1; the map
-                      exponent 1 + 1/(2 kappa) degrades toward 1 as the
-                      bowl flattens, probing boundary regularity;
-* ball-circle         punctured ball (annulus) onto the punctured unit
-                      circle parameterized by angle; the angle map is
-                      optimal but the model is not nested;
-* pie-slice           circular sector onto its arc; nested exactly up to
-                      opening half-angle pi/2.
+* the power law (``_power_law``): under s = y x_1 onto [0, 1] the optimal
+  map is the monotone rearrangement F = x_1^p.  uniform-1d matches two
+  segments (p = 1, or 1/2 for the linear target density);
+  paraboloid-segment (any m >= 2) and the planar flat-paraboloid fill the
+  bowl (|x'|^2/2)^kappa < x_1 < 1, with p = 1 + (m - 1)/(2 kappa) (kappa = 1
+  for the round paraboloid): flattening the bowl degrades the exponent
+  toward 1, probing boundary regularity;
+* the angle map (``_ANGLE_MAP``): under s = x . (cos y, sin y) onto an arc
+  of angles, F = angle of x, u = |x| and k = v = 0.  ball-circle maps an
+  annulus onto the punctured circle and is not nested; pie-slice maps a
+  sector onto its arc and is nested exactly up to half-angle pi/2.
 """
 
 from __future__ import annotations
@@ -52,107 +52,84 @@ def _quad_for(dim: int, resolution: Optional[int], seed: int) -> Quadrature:
                    if resolution is None else resolution)
 
 
+def _power_law(p: float) -> dict:
+    """The map F = x_1^p, the split curve k = F^-1 (s_y = x_1 on the graph
+    of F), v = int_0^y k and u = s(x, F(x)) - v(F(x))."""
+    q = 1.0 + 1.0 / p
+    return dict(
+        analytic_map=lambda x: np.atleast_2d(x)[:, 0] ** p,
+        analytic_k=lambda y: np.asarray(y, dtype=float) ** (1.0 / p),
+        analytic_v=lambda y: np.asarray(y, dtype=float) ** q / q,
+        analytic_u=lambda x: np.atleast_2d(x)[:, 0] ** (p + 1.0) / (p + 1.0))
+
+
+def _zero(y):
+    return np.zeros_like(np.asarray(y, dtype=float))
+
+
+# s = |x| cos(y - angle x) peaks at the angle of x with s_y = 0 there
+_ANGLE_MAP = dict(
+    analytic_map=lambda x: np.arctan2(np.atleast_2d(x)[:, 1],
+                                      np.atleast_2d(x)[:, 0]),
+    analytic_u=lambda x: np.linalg.norm(np.atleast_2d(x), axis=1),
+    analytic_v=_zero, analytic_k=_zero)
+
+
 def _build_uniform_1d(resolution=None, seed=0, target="uniform"):
-    dom = interval_domain(0.0, 1.0)
-    tgt = TargetInterval(0.0, 1.0)
     if target == "uniform":
-        dens = DensityPair()
-        analytic = dict(
-            analytic_map=lambda x: np.atleast_2d(x)[:, 0],
-            analytic_v=lambda y: 0.5 * np.asarray(y) ** 2,
-            analytic_u=lambda x: 0.5 * np.atleast_2d(x)[:, 0] ** 2,
-            analytic_k=lambda y: np.asarray(y, dtype=float))
+        dens, p = DensityPair(), 1.0
     elif target == "linear":
         dens = DensityPair(g=lambda y: 2.0 * np.maximum(np.asarray(y, dtype=float), 1e-300))
-        analytic = dict(
-            analytic_map=lambda x: np.sqrt(np.atleast_2d(x)[:, 0]),
-            analytic_v=lambda y: np.asarray(y) ** 3 / 3.0,
-            analytic_u=lambda x: (2.0 / 3.0) * np.atleast_2d(x)[:, 0] ** 1.5,
-            analytic_k=lambda y: np.asarray(y, dtype=float) ** 2)
+        p = 0.5
     else:
         raise UnknownScenario(f"uniform-1d target {target!r}")
-    model = Model(dom, tgt, bilinear_surplus([1.0]), dens,
+    model = Model(interval_domain(0.0, 1.0), TargetInterval(0.0, 1.0),
+                  bilinear_surplus([1.0]), dens,
                   quadrature=_quad_for(1, resolution, seed))
-    return Scenario(name="uniform-1d", model=model,
-                    params={"target": target}, expected_verdict="nested",
-                    **analytic)
+    return Scenario("uniform-1d", model, {"target": target}, "nested",
+                    **_power_law(p))
+
+
+def _bowl(name, m, kappa, params, resolution, seed):
+    # the slice at height x_1 has volume ~ x_1^((m - 1)/(2 kappa))
+    model = Model(paraboloid_domain(m, flatness=kappa),
+                  TargetInterval(0.0, 1.0),
+                  bilinear_surplus([1.0] + [0.0] * (m - 1)),
+                  quadrature=_quad_for(m, resolution, seed))
+    return Scenario(name, model, params, "nested",
+                    **_power_law(1.0 + (m - 1) / (2.0 * kappa)))
 
 
 def _build_paraboloid(m=2, resolution=None, seed=0):
     m = int(m)
-    dom = paraboloid_domain(m)
-    tgt = TargetInterval(0.0, 1.0)
-    e1 = [1.0] + [0.0] * (m - 1)
-    model = Model(dom, tgt, bilinear_surplus(e1),
-                  quadrature=_quad_for(m, resolution, seed))
-    p_map = (m + 1) / 2.0
-    p_u = (m + 3) / 2.0
-    c_u = 2.0 / (m + 3)
-    c_v = (m + 1) / (m + 3)
-    p_v = 1.0 + 2.0 / (m + 1)
-    return Scenario(
-        name="paraboloid-segment", model=model, params={"m": m},
-        expected_verdict="nested",
-        analytic_map=lambda x: np.atleast_2d(x)[:, 0] ** p_map,
-        analytic_u=lambda x: c_u * np.atleast_2d(x)[:, 0] ** p_u,
-        analytic_v=lambda y: c_v * np.asarray(y, dtype=float) ** p_v,
-        analytic_k=lambda y: np.asarray(y, dtype=float) ** (2.0 / (m + 1)))
+    return _bowl("paraboloid-segment", m, 1.0, {"m": m}, resolution, seed)
 
 
 def _build_flat_paraboloid(m=2, flatness=2.0, resolution=None, seed=0):
     if int(m) != 2:
         raise UnknownScenario("flat-paraboloid is a planar fixture (m = 2)")
     kappa = float(flatness)
-    dom = paraboloid_domain(2, flatness=kappa)
-    tgt = TargetInterval(0.0, 1.0)
-    model = Model(dom, tgt, bilinear_surplus([1.0, 0.0]),
-                  quadrature=_quad_for(2, resolution, seed))
-    p_map = 1.0 + 1.0 / (2.0 * kappa)          # F = x_1^p
-    p_k = (2.0 * kappa) / (2.0 * kappa + 1.0)  # k = y^(1/p)
-    c_v = (2.0 * kappa + 1.0) / (4.0 * kappa + 1.0)
-    p_v = (4.0 * kappa + 1.0) / (2.0 * kappa + 1.0)
-    c_u = 2.0 * kappa / (4.0 * kappa + 1.0)
-    p_u = (4.0 * kappa + 1.0) / (2.0 * kappa)
-    return Scenario(
-        name="flat-paraboloid", model=model,
-        params={"m": 2, "flatness": kappa}, expected_verdict="nested",
-        analytic_map=lambda x: np.atleast_2d(x)[:, 0] ** p_map,
-        analytic_v=lambda y: c_v * np.asarray(y, dtype=float) ** p_v,
-        analytic_u=lambda x: c_u * np.atleast_2d(x)[:, 0] ** p_u,
-        analytic_k=lambda y: np.asarray(y, dtype=float) ** p_k)
+    return _bowl("flat-paraboloid", 2, kappa, {"m": 2, "flatness": kappa},
+                 resolution, seed)
+
+
+def _arc(name, domain, half_angle, params, verdict, resolution, seed):
+    model = Model(domain, TargetInterval(-half_angle, half_angle),
+                  arc_surplus(), quadrature=_quad_for(2, resolution, seed))
+    return Scenario(name, model, params, verdict, **_ANGLE_MAP)
 
 
 def _build_ball_circle(r=0.05, resolution=None, seed=0):
     r = float(r)
-    dom = annulus_domain(r, 1.0)
-    tgt = TargetInterval(-np.pi, np.pi)
-    model = Model(dom, tgt, arc_surplus(),
-                  quadrature=_quad_for(2, resolution, seed))
-    return Scenario(
-        name="ball-circle", model=model, params={"r": r},
-        expected_verdict="non-nested",
-        analytic_map=lambda x: np.arctan2(np.atleast_2d(x)[:, 1],
-                                          np.atleast_2d(x)[:, 0]),
-        analytic_u=lambda x: np.linalg.norm(np.atleast_2d(x), axis=1),
-        analytic_v=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        analytic_k=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
+    return _arc("ball-circle", annulus_domain(r, 1.0), np.pi, {"r": r},
+                "non-nested", resolution, seed)
 
 
 def _build_pie_slice(theta0=np.pi / 4, resolution=None, seed=0):
     theta0 = float(theta0)
-    dom = pie_slice_domain(theta0, 1.0)
-    tgt = TargetInterval(-theta0, theta0)
-    model = Model(dom, tgt, arc_surplus(),
-                  quadrature=_quad_for(2, resolution, seed))
     verdict = "nested" if theta0 <= np.pi / 2 else "non-nested"
-    return Scenario(
-        name="pie-slice", model=model, params={"theta0": theta0},
-        expected_verdict=verdict,
-        analytic_map=lambda x: np.arctan2(np.atleast_2d(x)[:, 1],
-                                          np.atleast_2d(x)[:, 0]),
-        analytic_u=lambda x: np.linalg.norm(np.atleast_2d(x), axis=1),
-        analytic_v=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        analytic_k=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
+    return _arc("pie-slice", pie_slice_domain(theta0, 1.0), theta0,
+                {"theta0": theta0}, verdict, resolution, seed)
 
 
 _BUILDERS = {

@@ -279,13 +279,57 @@ def test_close_dump_levels_write_two_files(tmp_path):
 
 def test_inline_domain_missing_field_is_named(tmp_path, capsys):
     config = tmp_path / "config.json"
+    # a field the factory needs and lacks, or one it does not take
     for domain, field in (({"type": "box", "hi": [1.0, 1.0]}, "'lo'"),
-                          ({"type": "pie-slice"}, "'theta0'")):
+                          ({"type": "pie-slice"}, "'theta0'"),
+                          ({"type": "annulus", "r_inner": 0.1,
+                            "r_outter": 3.0, "theta0": 0.5},
+                           "['r_outter', 'theta0']"),
+                          ({**_BOX, "theta0": 0.5}, "['theta0']")):
         config.write_text(json.dumps(_inline(domain=domain)))
         assert run_main(["solve", "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err, err
+
+
+@pytest.mark.parametrize("model, resolution, scenario", [
+    pytest.param({"domain": {"type": "pie-slice", "theta0": 1.2},
+                  "target": [-1.2, 1.2], "surplus": {"builtin": "arc"}},
+                 64, ["pie-slice", "--theta0", "1.2"], id="pie-slice"),
+    pytest.param({"domain": {"type": "paraboloid", "m": 2},
+                  "target": [0.0, 1.0], "surplus": {"builtin": "bilinear"}},
+                 48, ["paraboloid-segment"], id="paraboloid")])
+def test_inline_model_writes_its_scenarios_artifacts(tmp_path, model,
+                                                     resolution, scenario):
+    # the inline spec builds the scenario's model: only the echo of the
+    # scenario and its parameters tells the two runs apart
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": model, "y_nodes": 33,
+                                  "quadrature": {"resolution": resolution}}))
+    assert run_main(["solve", "--config", str(config),
+                     "--out", str(tmp_path / "inline")]) == 0
+    assert run_main(["solve", *scenario, "--resolution", str(resolution),
+                     "--y-nodes", "33", "--out", str(tmp_path / "built")]) == 0
+    inline, built = tmp_path / "inline", tmp_path / "built"
+    for name in ("curve.csv", "map.csv", "nestedness.json"):
+        assert (inline / name).read_bytes() == (built / name).read_bytes()
+    summaries = []
+    for out in (inline, built):
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["scenario"], summary["params"]
+        summaries.append(json.dumps(summary, sort_keys=True))
+    assert summaries[0] == summaries[1]
+
+
+def test_holder_probe_error_is_recorded(tmp_path):
+    # 5 nodes leave one in the fit window: the run succeeds and records why
+    # the exponent is missing
+    assert run_main(["holder-probe", "paraboloid-segment", "--resolution",
+                     "32", "--y-nodes", "5", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["holder_exponent"] is None
+    assert summary["holder_error"] == "only 1 nodes in the fit window"
 
 
 @pytest.mark.parametrize("command, extra, stages", [
@@ -492,6 +536,11 @@ def _inline(**model):
     pytest.param(_inline(domain={"type": "box"}), [], id="box-without-lo"),
     pytest.param(_inline(domain={"type": "pie-slice"}), [],
                  id="pie-slice-without-theta0"),
+    pytest.param(_inline(domain={"type": "annulus", "r_inner": 0.1,
+                                 "r_outter": 3.0, "theta0": 0.5}), [],
+                 id="annulus-with-stray-fields"),
+    pytest.param(_inline(domain={**_BOX, "theta0": 0.5}), [],
+                 id="box-with-theta0"),
     pytest.param(None, ["uniform-1d", "--dump-level", "2.5"],
                  id="dump-level-outside-target"),
     pytest.param(None, ["uniform-1d", "--dump-level", "nan"],

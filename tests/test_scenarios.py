@@ -111,3 +111,28 @@ def test_shell_variant_also_non_nested():
     rep = nestedness_report(scenario.model, curve)
     assert rep.verdict == "non-nested"
     assert rep.unique_splitting.details["n_multi"] >= 5
+
+
+@pytest.mark.parametrize("name, params", [
+    ("uniform-1d", {}), ("uniform-1d", {"target": "linear"}),
+    *(("paraboloid-segment", {"m": m}) for m in (2, 3, 4)),
+    *(("flat-paraboloid", {"flatness": kappa}) for kappa in (1.5, 2.0, 3.0)),
+    *(("ball-circle", {"r": r}) for r in (0.0, 0.05)),
+    *(("pie-slice", {"theta0": theta0}) for theta0 in (np.pi / 4, 1.2, 2.2))])
+def test_closed_forms_satisfy_the_duality_identities(name, params):
+    # on the graph of F the split level is s_y and u + v = s; v' = k
+    resolution = 2000 if params.get("m") == 4 else 16
+    scenario = build(name, resolution=resolution, **params)
+    model = scenario.model
+    x = model.domain.sample_interior(1000, seed=1)
+    f = scenario.analytic_map(x)
+    assert np.allclose(scenario.analytic_k(f), model.surplus.s_y(x, f),
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(scenario.analytic_u(x),
+                       model.surplus.s(x, f) - scenario.analytic_v(f),
+                       rtol=0.0, atol=1e-12)
+    tgt = model.target
+    ys = tgt.y_lo + tgt.length * np.linspace(0.01, 0.99, 99)
+    h = 1e-5 * tgt.length
+    dv = (scenario.analytic_v(ys + h) - scenario.analytic_v(ys - h)) / (2 * h)
+    assert np.allclose(dv, scenario.analytic_k(ys), rtol=0.0, atol=1e-6)
