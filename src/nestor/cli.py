@@ -75,33 +75,43 @@ _DOMAINS = {"box": box_domain, "interval": interval_domain,
             "paraboloid": paraboloid_domain}
 
 
-def _domain_from_spec(spec: dict):
-    """The spec's fields are the keywords of its type's domain factory,
-    whose defaults fill the fields it leaves out; a field the factory does
-    not take is an error."""
-    factory = _DOMAINS[spec["type"]]
+def _from_fields(factory, fields: dict, noun: str):
+    """Call ``factory`` on a spec's fields, which are its keywords: its
+    defaults fill the fields the spec leaves out, and a field it needs and
+    lacks, or one it does not take, is a ConfigError naming them."""
     params = inspect.signature(factory).parameters
-    fields = {k: v for k, v in spec.items() if k != "type"}
     missing = [name for name, par in params.items()
                if par.default is par.empty and name not in fields]
     if missing:
-        raise ConfigError(f"a {spec['type']} domain needs {missing}")
+        raise ConfigError(f"{noun} needs {missing}")
     stray = sorted(set(fields) - set(params))
     if stray:
-        raise ConfigError(f"a {spec['type']} domain takes no field {stray}")
+        raise ConfigError(f"{noun} takes no field {stray}")
     return factory(**fields)
 
 
+def _domain_from_spec(spec: dict):
+    fields = {k: v for k, v in spec.items() if k != "type"}
+    noun = f"a {spec['type']} domain"
+    return _from_fields(_DOMAINS[spec["type"]], fields, noun)
+
+
 def _surplus_from_spec(spec: dict, dim: int):
-    if "polynomial" in spec:
-        return polynomial_surplus(spec["polynomial"], dim)
-    builtin = spec.get("builtin", "bilinear")
-    if builtin == "bilinear":
-        direction = spec.get("direction", [1.0] + [0.0] * (dim - 1))
-        return bilinear_surplus(direction)
-    if builtin == "arc":
-        return arc_surplus()
-    raise ConfigError(f"unknown surplus builtin {builtin!r}")
+    """A polynomial spec has no other field; otherwise ``builtin`` names the
+    factory (bilinear by default, along x1 unless ``direction`` is given)."""
+    fields = dict(spec)
+    if "polynomial" in fields:
+        kind = "polynomial"
+
+        def factory(polynomial):
+            return polynomial_surplus([(t["coeff"], t["x_powers"], t["y_power"])
+                                       for t in polynomial], dim)
+    else:
+        kind = fields.pop("builtin", "bilinear")
+        factory = {"bilinear": bilinear_surplus, "arc": arc_surplus}[kind]
+        if kind == "bilinear":
+            fields.setdefault("direction", [1.0] + [0.0] * (dim - 1))
+    return _from_fields(factory, fields, f"the {kind} surplus")
 
 
 def _densities_from_spec(model_spec: dict, dim: int) -> DensityPair:

@@ -313,7 +313,7 @@ def level_set(model: Model, y: float, k: float,
         estimator=estimator, epsilon=eps, points=points,
         measure=model.grid.weights[idx] * gnorm * kernel,
         f=model.f_vals[idx], grad=grad, gnorm=gnorm,
-        syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
+        syy=model.surplus.s_yy(points, y),
         rows=idx, boundary=model.grid.boundary_adjacent[idx], segments=None)
 
 
@@ -326,12 +326,12 @@ def _contour_level_set(model: Model, y: float, k: float,
         raise EmptyBand(f"level {k:g} has no contour inside the domain",
                         estimator="contour2d")
     points = segments.mean(axis=1)
-    grad = np.asarray(model.surplus.grad_x_s_y(points, y), dtype=float)
+    grad = model.surplus.grad_x_s_y(points, y)
     return LevelSet(
         estimator="contour2d", epsilon=0.0, points=points,
         measure=np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1),
         f=model.f_at(points), grad=grad, gnorm=grad_norm(grad),
-        syy=np.asarray(model.surplus.s_yy(points, y), dtype=float),
+        syy=model.surplus.s_yy(points, y),
         rows=None, boundary=None, segments=segments)
 
 
@@ -426,7 +426,7 @@ def _contour_segments(model: Model, ys, ks):
 
     values, ci, cj, counts = [], [], [], []
     for y, k in zip(ys, ks):
-        vals = np.asarray(model.surplus.s_y(lattice, float(y)), dtype=float)
+        vals = model.surplus.s_y(lattice, float(y))
         T = vals.reshape(n[0] + 1, n[1] + 1) - float(k)
         T[T == 0.0] = 1e-14 * max(1.0, float(np.max(np.abs(vals))))
         sign = T > 0

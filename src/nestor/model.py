@@ -158,8 +158,8 @@ class Model:
         if last is not None and (last.y == key or self.surplus.sy_free_of_y):
             return last
         pts = self.grid.points
-        sy = np.asarray(self.surplus.s_y(pts, key), dtype=float)
-        grad = np.asarray(self.surplus.grad_x_s_y(pts, key), dtype=float)
+        sy = self.surplus.s_y(pts, key)
+        grad = self.surplus.grad_x_s_y(pts, key)
         span = None if self.grid.spacing is None \
             else np.maximum(np.abs(grad) @ self.grid.spacing, 1e-30)
         self._slice = SurplusSlice(
@@ -229,8 +229,7 @@ def certify_nondegeneracy(model: Model) -> NondegeneracyCertificate:
     best = np.inf
     witness = None
     for y in model.target.interior_grid(17):
-        gnorm = grad_norm(np.asarray(
-            model.surplus.grad_x_s_y(model.grid.points, float(y)), dtype=float))
+        gnorm = grad_norm(model.surplus.grad_x_s_y(model.grid.points, float(y)))
         i = int(np.argmin(gnorm))
         if gnorm[i] < best:
             best = float(gnorm[i])
@@ -251,7 +250,7 @@ def certify_nondegeneracy(model: Model) -> NondegeneracyCertificate:
         vals = np.full(trial.shape[0], penalty)
         if inside.any():
             g = model.surplus.grad_x_s_y(trial[inside], y0)
-            vals[inside] = np.linalg.norm(np.asarray(g, dtype=float), axis=1)
+            vals[inside] = np.linalg.norm(g, axis=1)
         j = int(np.argmin(vals))
         if vals[j] < best:
             best, witness = float(vals[j]), (trial[j], y0)

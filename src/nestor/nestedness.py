@@ -129,12 +129,12 @@ def _speed_resolution_floor(model: Model) -> float:
         h = float(np.max(model.grid.spacing))
     pts = model.domain.sample_interior(64, seed=3)
     y_mid = model.target.mid
-    s0 = np.asarray(model.surplus.s_yy(pts, y_mid), dtype=float)
+    s0 = model.surplus.s_yy(pts, y_mid)
     lip = 0.0
     for j in range(model.domain.dim):
         shifted = pts.copy()
         shifted[:, j] += h
-        s1 = np.asarray(model.surplus.s_yy(shifted, y_mid), dtype=float)
+        s1 = model.surplus.s_yy(shifted, y_mid)
         lip = max(lip, float(np.max(np.abs(s1 - s0))) / h)
     return lip * h
 
@@ -232,7 +232,7 @@ def unique_splitting_check(model: Model, curve: SplitCurve,
     k = curve.k_at(y_scan)
     psi = np.empty((x_probes.shape[0], y_scan.size))
     for j, yj in enumerate(y_scan):
-        sy = np.asarray(model.surplus.s_y(x_probes, float(yj)), dtype=float)
+        sy = model.surplus.s_y(x_probes, float(yj))
         psi[:, j] = h_k[j] * (sy - k[j])
     band = effective_deadband(model)
     witnesses = []
@@ -308,8 +308,8 @@ def kprime_bound_gap(model: Model, curve: SplitCurve):
     rhs = []
     for i in idx:
         y = float(curve.y_grid[i])
-        syy = np.asarray(model.surplus.s_yy(pts, y), dtype=float)
-        gnorm = grad_norm(np.asarray(model.surplus.grad_x_s_y(pts, y), dtype=float))
+        syy = model.surplus.s_yy(pts, y)
+        gnorm = grad_norm(model.surplus.grad_x_s_y(pts, y))
         sup_syy = float(np.max(np.abs(syy)))
         sup_ratio = float(np.max(gnorm / model.f_vals))
         g_y = float(model.g_at(y)[0])

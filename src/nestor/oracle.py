@@ -130,9 +130,7 @@ def sample_instance(model: Model, n_source: int, n_target: int,
     ys = np.asarray(target_quantile(model, q), dtype=float)
     b = np.full(n_target, 1.0 / n_target)
 
-    s_mat = np.stack(
-        [np.asarray(model.surplus.s(xs, float(y)), dtype=float) for y in ys],
-        axis=1)
+    s_mat = np.stack([model.surplus.s(xs, float(y)) for y in ys], axis=1)
     return DiscreteInstance(source_points=xs, source_weights=a,
                             target_points=ys, target_weights=b,
                             surplus_matrix=s_mat)
@@ -457,7 +455,7 @@ def compare_with_map(model: Model, curve, inst: DiscreteInstance,
     after the optimal additive shift.
     """
     f_vals, u_num, _ = map_and_payoff(model, curve, inst.source_points)
-    s_graph = np.asarray(model.surplus.s(inst.source_points, f_vals), dtype=float)
+    s_graph = model.surplus.s(inst.source_points, f_vals)
     graph_value = float(np.sum(inst.source_weights * s_graph))
     surplus_gap = (plan.objective - graph_value) / max(abs(plan.objective), 1e-300)
 

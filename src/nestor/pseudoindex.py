@@ -78,11 +78,11 @@ def detect_index_form(model: Model, seed: int = 0) -> dict:
         return {"is_index": True, "confidence": 1.0, "witnesses": []}
     t = model.target
     pts = model.domain.sample_interior(400, seed=seed, margin=0.02)
-    g0 = np.asarray(model.surplus.grad_x_s_y(pts, t.mid), dtype=float)
+    g0 = model.surplus.grad_x_s_y(pts, t.mid)
     witnesses = []
     n_fail = 0
     for y in t.y_lo + np.array([0.15, 0.35, 0.65, 0.85]) * t.length:
-        g = np.asarray(model.surplus.grad_x_s_y(pts, y), dtype=float)
+        g = model.surplus.grad_x_s_y(pts, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             along = np.sum(g * g0, axis=1) / np.sum(g0 * g0, axis=1)
             sine = (np.linalg.norm(g - along[:, None] * g0, axis=1)
@@ -106,8 +106,7 @@ def canonical_index(model: Model) -> Callable:
     y_mid = model.target.mid
 
     def index(x):
-        return np.asarray(model.surplus.s_y(np.atleast_2d(x), y_mid),
-                          dtype=float)
+        return model.surplus.s_y(np.atleast_2d(x), y_mid)
 
     return index
 
@@ -119,13 +118,12 @@ def _check_orientation(model: Model) -> None:
     the target: the mixed derivative of the effective surplus must not
     change sign."""
     pts = model.domain.sample_interior(64, seed=0, margin=0.01)
-    grad_i = np.asarray(model.surplus.grad_x_s_y(pts, model.target.mid),
-                        dtype=float)
+    grad_i = model.surplus.grad_x_s_y(pts, model.target.mid)
     if np.any(np.linalg.norm(grad_i, axis=1) < 1e-12):
         raise NonMonotoneSign("index gradient vanishes at a probe")
     for q in (0.2, 0.5, 0.8):
         y = model.target.y_lo + q * model.target.length
-        g_sy = np.asarray(model.surplus.grad_x_s_y(pts, y), dtype=float)
+        g_sy = model.surplus.grad_x_s_y(pts, y)
         if np.any(np.sum(g_sy * grad_i, axis=1) < 0):
             raise NonMonotoneSign(
                 "mixed derivative of the effective surplus changes sign")

@@ -203,12 +203,12 @@ def validate_analytic(scenario: Scenario) -> dict:
         ys = model.target.y_lo + model.target.length * rng.random(400)
         u_vals = np.asarray(scenario.analytic_u(xs), dtype=float)
         v_vals = np.asarray(scenario.analytic_v(ys), dtype=float)
-        s_vals = np.asarray(model.surplus.s(xs, ys), dtype=float)
+        s_vals = model.surplus.s(xs, ys)
         out["stability_min"] = float(np.min(u_vals + v_vals - s_vals))
         if scenario.analytic_map is not None:
             f_vals = np.asarray(scenario.analytic_map(xs), dtype=float)
             vf = np.asarray(scenario.analytic_v(f_vals), dtype=float)
-            sf = np.asarray(model.surplus.s(xs, f_vals), dtype=float)
+            sf = model.surplus.s(xs, f_vals)
             out["graph_equality_max"] = float(np.max(np.abs(u_vals + vf - sf)))
     return out
 

@@ -157,6 +157,8 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
                       n_nodes: int = 65) -> SplitCurve:
     """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
+    The nodes are ``y_grid``, else ``n_nodes`` Chebyshev roots; fewer than
+    3 is a ValueError.
     k_minus and k_plus are the edges of the mass band {k : |h(y, k)| <= 1e-6},
     clamped to the padded range of s_y.  The solve makes two passes.  The
     first builds each node's slice once (s_y, grad_x s_y and the cell spans
@@ -178,13 +180,14 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     the contour pass's segment, clipped-segment and empty-contour counts,
     and the rows the normals were taken on and the band samples reading them.
     """
+    y_grid = np.asarray(model.target.interior_grid(n_nodes) if y_grid is None
+                        else y_grid, dtype=float)
+    n = y_grid.size
+    if n < 3:
+        raise ValueError(f"the split solve needs at least 3 nodes, got {n}")
     model.require_nondegenerate()
-    if y_grid is None:
-        y_grid = model.target.interior_grid(n_nodes)
     tangential_threshold = default_tangential_threshold(model)
     planar = _planar_tensor(model)
-    y_grid = np.asarray(y_grid, dtype=float)
-    n = y_grid.size
     k_minus = np.empty(n)
     k_plus = np.empty(n)
     kprime = np.full(n, np.nan)
@@ -496,8 +499,8 @@ def _map_derivative_parts(model: Model, curve: SplitCurve, x: np.ndarray,
     """grad_x s_y(x, F) and the level-set speed k'(F) - s_yy(x, F) at the
     map values F of the rows of x, with k' the interpolant's slope."""
     kp = np.atleast_1d(curve.kprime_at(f_val))
-    syy = np.asarray(model.surplus.s_yy(x, f_val), dtype=float)
-    grad = np.asarray(model.surplus.grad_x_s_y(x, f_val), dtype=float)
+    syy = model.surplus.s_yy(x, f_val)
+    grad = model.surplus.grad_x_s_y(x, f_val)
     return grad, kp - syy
 
 

@@ -1,11 +1,13 @@
 """Surplus bundles: the objective s(x, y) and its derivatives.
 
-A bundle carries vectorized evaluators for s, s_y, grad_x s_y and s_yy.
-Every evaluator takes an (N, m) array of source points and a target
-coordinate y that may be a scalar or an (N,) array; results broadcast
-accordingly.  Built-in families (bilinear, circular-arc, polynomial)
-supply exact derivatives; arbitrary bundles are accepted but are probed
-for finite-difference consistency when a model is assembled.
+A bundle carries vectorized evaluators for s, s_y, grad_x s_y and s_yy,
+under one contract: each takes an (N, m) array of source points and a
+target coordinate y that is a scalar or an (N,) array, and returns a
+float64 ndarray of shape (N,), or (N, m) for grad_x s_y.  Callers use the
+results as they are.  Built-in families (bilinear, circular-arc,
+polynomial) supply exact derivatives and broadcast a scalar y; any bundle
+is checked against the contract and probed for finite-difference
+consistency when a model is assembled.
 """
 
 from __future__ import annotations
@@ -32,13 +34,17 @@ class SurplusBundle:
 
     def check_consistency(self, dom: Domain, target: TargetInterval,
                           n_probes: int = 100, seed: int = 0) -> dict:
-        """Probe the declared derivatives against central differences.
+        """Check the evaluator contract, then probe the declared
+        derivatives against central differences.
 
-        Steps are 1e-5 of the box scale (1e-4 for the second y-derivative,
-        where roundoff dominates at smaller steps).  Errors are relative to
-        the larger of |exact| and the sampled magnitude of s_y.
-        Raises ValueError when any probe exceeds 1e-5, or when s_y declared
-        free of y differs bitwise between two y values.
+        Each evaluator is called with a scalar y and with one y per row; a
+        result that is not a float64 ndarray of the contract's shape raises
+        ValueError naming the evaluator.  Steps are 1e-5 of the box scale
+        (1e-4 for the second y-derivative, where roundoff dominates at
+        smaller steps).  Errors are relative to the larger of |exact| and
+        the sampled magnitude of s_y.  Raises ValueError when any probe
+        exceeds 1e-5, or when s_y declared free of y differs bitwise between
+        two y values.
         """
         rng = np.random.default_rng(seed)
         x = dom.sample_interior(n_probes, seed=seed)
@@ -47,6 +53,18 @@ class SurplusBundle:
         h2 = 1e-4 * scale
         pad = max(h, h2)
         ys = target.y_lo + pad + (target.length - 2 * pad) * rng.random(n_probes)
+        for name in ("s", "s_y", "grad_x_s_y", "s_yy"):
+            shape, label = ((x.shape, "(N, m)") if name == "grad_x_s_y"
+                            else (x.shape[:1], "(N,)"))
+            for y in (float(ys[0]), ys):
+                out = getattr(self, name)(x, y)
+                if not (isinstance(out, np.ndarray) and out.shape == shape
+                        and out.dtype == np.float64):
+                    raise ValueError(
+                        f"surplus bundle {self.name!r}: {name} must return a "
+                        f"float64 ndarray of shape {label}, got "
+                        f"{getattr(out, 'dtype', type(out).__name__)} "
+                        f"of shape {np.shape(out)}")
 
         sy = self.s_y(x, ys)
         if self.sy_free_of_y and not np.array_equal(sy, self.s_y(x, ys[::-1])):
@@ -82,14 +100,6 @@ class SurplusBundle:
         return report
 
 
-def _as_scalar_or_rows(y, n):
-    """Broadcast y to shape (n,) when it is a scalar."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 0:
-        return np.full(n, float(y))
-    return y
-
-
 def bilinear_surplus(direction: Sequence[float]) -> SurplusBundle:
     """s(x, y) = y * (x . e) for a fixed unit direction e.
 
@@ -119,91 +129,71 @@ def bilinear_surplus(direction: Sequence[float]) -> SurplusBundle:
 
 def arc_surplus() -> SurplusBundle:
     """s(x, t) = x1 cos t + x2 sin t: inner product against the unit
-    circle parameterized by angle; the target lives on a circular arc."""
+    circle parameterized by angle; the target lives on a circular arc.
+    A scalar t takes one cosine and one sine, which broadcast over rows."""
 
     def s(x, t):
-        t = _as_scalar_or_rows(t, x.shape[0])
         return x[:, 0] * np.cos(t) + x[:, 1] * np.sin(t)
 
     def s_y(x, t):
-        t = _as_scalar_or_rows(t, x.shape[0])
         return -x[:, 0] * np.sin(t) + x[:, 1] * np.cos(t)
 
-    def grad(x, t):
-        t = _as_scalar_or_rows(t, x.shape[0])
-        return np.stack([-np.sin(t), np.cos(t)], axis=1)
+    def grad(x, t):  # free of x: a scalar t gives one row, tiled
+        g = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+        return g if g.ndim == 2 else np.tile(g, (x.shape[0], 1))
 
     def s_yy(x, t):
-        t = _as_scalar_or_rows(t, x.shape[0])
-        return -(x[:, 0] * np.cos(t) + x[:, 1] * np.sin(t))
+        return -s(x, t)
 
     return SurplusBundle(s=s, s_y=s_y, grad_x_s_y=grad, s_yy=s_yy,
                          name="arc")
 
 
-@dataclass(frozen=True)
-class PolyTerm:
-    coeff: float
-    x_powers: tuple  # length m, non-negative integers
-    y_power: int
-
-
 def polynomial_surplus(terms: Sequence, dim: int) -> SurplusBundle:
     """Surplus from a coefficient table: s = sum c * prod x_j^a_j * y^p.
 
-    Terms may be PolyTerm instances, (coeff, x_powers, y_power) tuples or
-    {"coeff":, "x_powers":, "y_power":} dicts.  All derivatives are exact
-    power-shift manipulations of the table.
+    Each term is a (coeff, x_powers, y_power) triple; every power must be a
+    non-negative integer.  All derivatives are exact power-shift
+    manipulations of the table.  A scalar y is raised to a power as a 0-d
+    array, whose power matches the per-row one bit for bit (a Python
+    float's power can differ in the last bit).
     """
-    parsed = []
-    for t in terms:
-        if isinstance(t, PolyTerm):
-            c, xp, yp = t.coeff, t.x_powers, t.y_power
-        elif isinstance(t, dict):
-            c, xp, yp = t["coeff"], t["x_powers"], t["y_power"]
-        else:
-            c, xp, yp = t
-        xp = tuple(int(a) for a in xp)
+    table = []
+    for c, xp, yp in terms:
         if len(xp) != dim:
-            raise ValueError(f"x_powers {xp} does not match dim {dim}")
-        if min(xp) < 0 or yp < 0:
-            raise ValueError("powers must be non-negative")
-        parsed.append(PolyTerm(float(c), xp, int(yp)))
-    parsed = tuple(parsed)
+            raise ValueError(f"x_powers {tuple(xp)} does not match dim {dim}")
+        powers = (*xp, yp)
+        if any(p < 0 or p != int(p) for p in powers):
+            raise ValueError(f"powers must be non-negative integers, "
+                             f"got {powers}")
+        table.append((float(c), tuple(int(a) for a in xp), int(yp)))
 
     def _eval(x, y, table):
-        y = _as_scalar_or_rows(y, x.shape[0])
+        y = np.asarray(y, dtype=float)
         out = np.zeros(x.shape[0])
-        for term in table:
-            v = np.full(x.shape[0], term.coeff)
-            for j, a in enumerate(term.x_powers):
+        for c, xp, yp in table:
+            v = c
+            for j, a in enumerate(xp):
                 if a:
                     v = v * x[:, j] ** a
-            if term.y_power:
-                v = v * y ** term.y_power
+            if yp:
+                v = v * y ** yp
             out += v
         return out
 
     def _dy(table):
-        return tuple(PolyTerm(t.coeff * t.y_power, t.x_powers, t.y_power - 1)
-                     for t in table if t.y_power >= 1)
+        return tuple((c * p, xp, p - 1) for c, xp, p in table if p)
 
     def _dx(table, j):
-        out = []
-        for t in table:
-            a = t.x_powers[j]
-            if a >= 1:
-                xp = list(t.x_powers)
-                xp[j] = a - 1
-                out.append(PolyTerm(t.coeff * a, tuple(xp), t.y_power))
-        return tuple(out)
+        return tuple((c * xp[j], xp[:j] + (xp[j] - 1,) + xp[j + 1:], p)
+                     for c, xp, p in table if xp[j])
 
-    table_sy = _dy(parsed)
+    table_sy = _dy(table)
     table_syy = _dy(table_sy)
     tables_grad = [_dx(table_sy, j) for j in range(dim)]
 
     def s(x, y):
-        return _eval(x, y, parsed)
+        return _eval(x, y, table)
 
     def s_y(x, y):
         return _eval(x, y, table_sy)

@@ -541,6 +541,12 @@ def _inline(**model):
                  id="annulus-with-stray-fields"),
     pytest.param(_inline(domain={**_BOX, "theta0": 0.5}), [],
                  id="box-with-theta0"),
+    pytest.param(_inline(domain={"type": "pie-slice", "theta0": 1.2},
+                         target=[-1.2, 1.2],
+                         surplus={"builtin": "arc", "direction": [0.0, 1.0]}),
+                 [], id="arc-with-direction"),
+    pytest.param(_inline(surplus={"builtin": "arc", **_BILINEAR}), [],
+                 id="arc-with-polynomial"),
     pytest.param(None, ["uniform-1d", "--dump-level", "2.5"],
                  id="dump-level-outside-target"),
     pytest.param(None, ["uniform-1d", "--dump-level", "nan"],

@@ -145,6 +145,16 @@ def test_balance_residual_reads_the_curve(name, request, monkeypatch):
     assert np.array_equal(res, expected, equal_nan=True)
 
 
+def test_too_few_nodes_are_a_value_error(par2):
+    # from n_nodes through the library solve, and from a given y grid
+    import nestor
+    for call in (lambda: nestor.solve(par2.model, y_nodes=2),
+                 lambda: nestor.solve(par2.model, y_nodes=1),
+                 lambda: solve_split_curve(par2.model, y_grid=[0.3, 0.6])):
+        with pytest.raises(ValueError, match="needs at least 3 nodes"):
+            call()
+
+
 def test_bracket_failure_when_mass_cannot_reach_target():
     model = Model(interval_domain(), TargetInterval(0, 1),
                   bilinear_surplus([1.0]))

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,57 @@ def test_polynomial_validates_terms():
         polynomial_surplus([(1.0, (1,), 1)], 2)  # wrong arity
     with pytest.raises(ValueError):
         polynomial_surplus([(1.0, (-1, 0), 1)], 2)
+    # powers that are not integers are not truncated
+    for terms in ([(1.0, (1.5, 0), 1), (2.0, (0, 1), 2.7)],
+                  [(2.0, (0, 1), 2.7)], [(1.0, (1, 0), -1)]):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            polynomial_surplus(terms, 2)
+
+
+_EVALUATORS = ("s", "s_y", "grad_x_s_y", "s_yy")
+
+
+@pytest.mark.parametrize("bundle, dim", [
+    pytest.param(bilinear_surplus([0.6, 0.8]), 2, id="bilinear-2d"),
+    pytest.param(bilinear_surplus([1.0, -2.0, 0.5]), 3, id="bilinear-3d"),
+    pytest.param(arc_surplus(), 2, id="arc"),
+    pytest.param(polynomial_surplus(
+        [(0.7, (0, 1), 0), (-1.3, (1, 0), 1), (0.4, (2, 1), 2),
+         (1.1, (0, 3), 3), (-0.2, (1, 1), 4)], 2), 2, id="polynomial-2d"),
+    pytest.param(polynomial_surplus(
+        [(0.7, (0, 1, 1), 0), (-1.3, (1, 0, 0), 1), (0.4, (2, 0, 1), 2),
+         (1.1, (0, 3, 0), 3), (-0.2, (1, 1, 1), 4)], 3), 3,
+        id="polynomial-3d")])
+def test_scalar_y_gives_the_bits_of_one_y_per_row(bundle, dim):
+    x = np.random.default_rng(7).uniform(-1.5, 1.5, (1000, dim))
+    for y in np.random.default_rng(8).uniform(-2.0, 2.0, 50):
+        for name in _EVALUATORS:
+            fn = getattr(bundle, name)
+            rows = fn(x, np.full(x.shape[0], y))
+            for scalar in (float(y), y):
+                out = fn(x, scalar)
+                assert out.shape == rows.shape, name
+                assert out.tobytes() == rows.tobytes(), (name, y)
+
+
+_ARC = arc_surplus()
+
+
+@pytest.mark.parametrize("name, broken, shape", [
+    pytest.param("s_y", lambda x, y: list(_ARC.s_y(x, y)), "(N,)",
+                 id="s_y-list"),
+    pytest.param("s_yy", lambda x, y: _ARC.s_yy(x, y).astype(np.float32),
+                 "(N,)", id="s_yy-float32"),
+    pytest.param("s", lambda x, y: _ARC.s(x, y)[:, None], "(N,)",
+                 id="s-column"),
+    pytest.param("grad_x_s_y", lambda x, y: _ARC.grad_x_s_y(x, y)[:, 0],
+                 "(N, m)", id="grad_x_s_y-flat")])
+def test_model_rejects_a_bundle_that_breaks_the_contract(name, broken, shape):
+    bundle = replace(_ARC, name="broken", **{name: broken})
+    message = (f"surplus bundle 'broken': {name} must return a float64 "
+               f"ndarray of shape {shape}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Model(DOM, TGT, bundle, quadrature=Quadrature("tensor", 16))
 
 
 def test_row_wise_target_broadcast():
