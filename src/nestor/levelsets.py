@@ -34,12 +34,13 @@ otherwise.  An empty level set raises EmptyBand.
 Sublevel masses use a sub-cell linear ramp instead of a binary indicator
 so that h is smooth in k at fixed resolution; the ramp width is the span
 of s_y across one cell, which reproduces the exact cut-cell volume
-fraction for grid-aligned level sets.  The ramp mass is piecewise linear
-in k, and ``sublevel_levels`` inverts it exactly (a weighted quantile on
-Monte Carlo grids) from the sorted breakpoints of only the ramps that
-overlap a k window: a sorted strided subsample of s_y places the window
-around both levels, and the full breakpoints are sorted only when a level
-falls outside it.
+fraction for grid-aligned level sets.  One knot table (``_ramp_knots``)
+of ramps and atoms (Monte Carlo points, whose two knots carry the two
+sides of a jump) serves the split inversion, the 1-d CDF of the index
+reduction and the pushforward distance.  ``sublevel_levels`` inverts it
+exactly on only the ramps that overlap a k window: a sorted strided
+subsample of s_y places the window around both levels, and the full
+table is built only when a level falls outside it.
 """
 
 from __future__ import annotations
@@ -84,59 +85,66 @@ def _sublevel_fractions(sl: SurplusSlice, k):
     return np.clip(t + 0.5, 0.0, 1.0)
 
 
+def _ramp_knots(centre, half, weight):
+    """Sorted knots of the law spreading weight_i evenly over
+    centre_i -/+ half_i, with its CDF at each: linear between knots, while
+    an atom (half_i = 0) adds its weight at its upper knot, so its two knots
+    carry the two sides of its jump.  The CDF is a raw running sum."""
+    half = np.broadcast_to(half, np.shape(centre))
+    knots = np.concatenate([centre - half, centre + half])
+    order = np.argsort(knots, kind="stable")
+    knots = knots[order]
+    atom = half == 0
+    slope = weight / np.where(atom, np.inf, 2.0 * half)
+    rate = np.cumsum(np.concatenate([slope, -slope])[order])
+    gain = np.diff(knots, prepend=knots[:1])
+    gain[1:] *= rate[:-1]
+    if atom.any():  # a 2N gather that a table of ramps alone skips
+        gain += np.concatenate([np.zeros(atom.size),
+                                np.where(atom, weight, 0.0)])[order]
+    return knots, np.cumsum(gain)
+
+
 def _mass_knots(model: Model, sl: SurplusSlice, k_lo: float = -np.inf,
                 k_hi: float = np.inf):
     """Knots (k_j, M_j) of the sublevel mass M(k), exact for k in the window
     [k_lo, k_hi]: M is linear between consecutive knots and constant
-    outside them; two knots at one k make a jump (the binary indicator).
-    Point i ramps over s_y,i -/+ span_i / 2 (a jump at s_y,i on Monte
-    Carlo grids).  With h the largest half-span, the ramps with
+    outside them; two knots at one k make a jump.  Point i ramps over
+    s_y,i -/+ span_i / 2 (an atom at s_y,i on Monte Carlo grids) in the
+    ``_ramp_knots`` table.  With h the largest half-span, the ramps with
     s_y,i <= k_lo - h lie wholly below the window and add their mass to
     every knot as one base (a pairwise sum), the ramps with
     s_y,i >= k_hi + h lie wholly above it and are dropped, and only the
     rest are sorted; the default window keeps every ramp, so M runs from 0
-    to the total.  M_j is the raw running sum, which rounding can dip below
-    an earlier value; ``_invert_knots`` reads it as its running maximum."""
+    to the total.  M_j is the table's running maximum: no rounding dip."""
     h = 0.5 * sl.max_span
     below = sl.sy <= k_lo - h
     keep = np.flatnonzero(~below & (sl.sy < k_hi + h))
     base = float(np.sum(model.point_mass[below]))
-    sy, w = sl.sy[keep], model.point_mass[keep]
-    if sl.span is None:
-        order = np.argsort(sy, kind="stable")
-        cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        return np.repeat(sy[order], 2), base + np.repeat(cum, 2)[1:-1]
-    # each ramp adds slope w_i f_i / span_i between s_y,i -/+ span_i / 2
-    span = sl.span[keep]
-    slope = w / span
-    knots = np.concatenate([sy - 0.5 * span, sy + 0.5 * span])
-    order = np.argsort(knots, kind="stable")
-    knots = knots[order]
-    rate = np.cumsum(np.concatenate([slope, -slope])[order])
-    return knots, base + np.concatenate(
-        [[0.0], np.cumsum(rate[:-1] * np.diff(knots))])
+    # max_span is 0 only on Monte Carlo grids, whose points are atoms
+    half = 0.5 * sl.span[keep] if sl.max_span else 0.0
+    knots, mass = _ramp_knots(sl.sy[keep], half, model.point_mass[keep])
+    return knots, np.maximum.accumulate(base + mass)
 
 
-def _invert_knots(knots, mass, target: float, side: str) -> float:
+def _invert_knots(knots, mass, target, side: str):
     """Smallest k with M(k) >= target (side "left") or largest k with
-    M(k) <= target (side "right"), M read as the running maximum of the
-    knot masses; +-inf when no knot bounds it (+inf when there is none).
-
-    The first knot whose raw mass reaches the target (>= on the left, > on
-    the right) is where the running maximum first does, i.e. its
-    searchsorted index; there the running maximum is the raw mass, and at
-    the knot before it the maximum of the masses before."""
-    hit = mass >= target if side == "left" else mass > target
-    if not hit.any():
-        return np.inf
-    j = int(np.argmax(hit))
-    if j == 0:
-        return -np.inf
-    a, b = knots[j - 1], knots[j]
-    if a == b and side == "right":  # a jump: M(a) already exceeds target
-        return float(np.nextafter(a, -np.inf))
-    m_a = np.max(mass[:j])
-    return float(a + (target - m_a) / (mass[j] - m_a) * (b - a))
+    M(k) <= target (side "right") on a nondecreasing knot table, for a
+    scalar or an array of targets; +-inf when no knot bounds it (+inf when
+    there is none).  k lies between the searchsorted knot j (the first to
+    reach the target, or to pass it on the right) and the one before; a
+    jump there puts a right k just below it."""
+    t = np.atleast_1d(np.asarray(target, dtype=float))
+    j = np.searchsorted(mass, t, side)
+    out = np.where(j == mass.size, np.inf, -np.inf)
+    inner = (j > 0) & (j < mass.size)
+    j = j[inner]
+    a, b, m_a = knots[j - 1], knots[j], mass[j - 1]
+    level = a + (t[inner] - m_a) / (mass[j] - m_a) * (b - a)
+    if side == "right":
+        level = np.where(a == b, np.nextafter(a, -np.inf), level)
+    out[inner] = level
+    return float(out[0]) if np.ndim(target) == 0 else out
 
 
 # The k window comes from every 16th point: its sort costs a sixteenth of

@@ -134,16 +134,14 @@ def reduce_and_solve_1d(model: Model) -> Rearrangement1D:
     grid, and compose with the target quantile function.  Since
     I = s_y(., y_mid), the CDF at t is the split solve's own sublevel mass
     at (y_mid, t) over the total, ramps included: the midpoint slice's
-    mass knots, read as their running maximum.  The result matches the
-    full nested solve whenever the surplus really is of index form."""
+    mass knot table, the one the split solve inverts.  The result matches
+    the full nested solve whenever the surplus really is of index form."""
     _check_orientation(model)
     sl = model.slice_at(model.target.mid)
     lo, hi = float(np.min(sl.sy)), float(np.max(sl.sy))
     pad = 1e-9 * max(hi - lo, 1.0)
     grid = np.linspace(lo - pad, hi + pad, 257)
-    knots, mass = _mass_knots(model, sl)
-    cdf_vals = (np.interp(grid, knots, np.maximum.accumulate(mass))
-                / model.total_mass)
+    cdf_vals = np.interp(grid, *_mass_knots(model, sl)) / model.total_mass
     # strictly increasing knots for the monotone interpolant
     keep = np.concatenate([[True], np.diff(cdf_vals) > 1e-15])
     keep[0] = keep[-1] = True

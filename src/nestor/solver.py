@@ -25,7 +25,7 @@ from ._pchip import Pchip
 from .errors import EmptyBand, ZeroSpeed
 from .levelsets import (_contour_level_set, _contour_segments, _invert_knots,
                         _invert_sublevel, _mass_knots, _planar_tensor,
-                        default_tangential_threshold, level_set)
+                        _ramp_knots, default_tangential_threshold, level_set)
 from .model import Model, target_cdf
 
 logger = logging.getLogger(__name__)
@@ -211,15 +211,11 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
 
     g_targets = target_cdf(model, y_grid)
     one_slice = model.surplus.sy_free_of_y
-    if one_slice:  # one knot set; each node searches its running maximum
+    if one_slice:  # one knot set; one search per side for every node
         knots, mass = _mass_knots(model, model.slice_at(float(y_grid[0])))
-        peak = np.maximum.accumulate(mass)
-        for out, t, side in ((k_minus, g_targets - 1e-6, "left"),
-                             (k_plus, g_targets + 1e-6, "right")):
-            for i, j in enumerate(np.searchsorted(peak, t, side)):
-                s = slice(max(j - 1, 0), j + 1)  # all it reads of the knots
-                out[i] = _invert_knots(knots[s], peak[s], t[i], side)
-        del knots, mass, peak  # 2N knots, not kept through the band samples
+        k_minus[:] = _invert_knots(knots, mass, g_targets - 1e-6, "left")
+        k_plus[:] = _invert_knots(knots, mass, g_targets + 1e-6, "right")
+        del knots, mass  # 2N knots, not kept through the band samples
         logger.debug("split curve: s_y is free of y, so all %d nodes are "
                      "inverted on one knot set", n)
     for i, y in enumerate(y_grid):
@@ -550,25 +546,15 @@ def weighted_ks_distance(model: Model, f_vals: np.ndarray,
     over [f_i - r_i, f_i + r_i], the image of the cell; r_i = 0 (every
     Monte Carlo point) leaves an atom at f_i.  Without the spread the
     statistic would report the atomization of the quadrature rather than
-    transport error.  The law's CDF is piecewise linear between the knots
-    f_i -/+ r_i and jumps at the atoms; the distance is its largest gap to
-    G at the knots, read on both sides of each jump.
+    transport error.  The law's CDF is the knot table of
+    ``levelsets._ramp_knots``, which the sublevel mass also reads: linear
+    between the knots f_i -/+ r_i, with an atom's two knots on the two
+    sides of its jump; the distance is its largest gap to G at the knots.
     """
-    w = np.asarray(weights, dtype=float) / np.sum(weights)
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), w.shape)
-    ramp = radius > 0
-    slope = np.where(ramp, w / np.where(ramp, 2.0 * radius, 1.0), 0.0)
-    knots = np.concatenate([f_vals - radius, f_vals + radius])
-    order = np.argsort(knots, kind="stable")
-    knots = knots[order]
-    jump = np.concatenate([np.where(ramp, 0.0, w), np.zeros(w.size)])[order]
-    rate = np.cumsum(np.concatenate([slope, -slope])[order])
-    after = np.cumsum(jump + np.concatenate([[0.0],
-                                             rate[:-1] * np.diff(knots)]))
+    knots, cdf = _ramp_knots(f_vals, radius, weights / np.sum(weights))
     g_here = target_cdf(model, np.clip(knots, model.target.y_lo,
                                        model.target.y_hi))
-    return float(max(np.max(np.abs(after - jump - g_here)),
-                     np.max(np.abs(after - g_here))))
+    return float(np.max(np.abs(cdf - g_here)))
 
 
 def pushforward_distance(model: Model, curve: SplitCurve) -> float:

@@ -526,6 +526,12 @@ def _inline(**model):
         id="short-x-powers"),
     pytest.param(_inline(density_f={"polynomial": [
         {"coeff": -1.0, "x_powers": [0, 0]}]}), [], id="negative-density"),
+    pytest.param(_inline(surplus={"polynomial": [
+        {"coeff": 1.0, "x_powers": [1, 0], "y_power": 1, "extra": 2}]}), [],
+        id="surplus-term-with-stray-key"),
+    pytest.param(_inline(density_f={"polynomial": [
+        {"coeff": 1.0, "x_powers": [0, 0], "y_power": 3}]}), [],
+        id="density-term-with-y-power"),
     pytest.param(None, ["paraboloid-segment", "--m", "1"],
                  id="bad-scenario-param"),
     pytest.param(None, ["uniform-1d", "--m", "2"], id="stray-scenario-param"),

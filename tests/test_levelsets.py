@@ -222,7 +222,8 @@ def test_windowed_levels_agree_with_the_full_knots(request, monkeypatch, name):
 
 def test_invert_knots_reads_through_a_rounding_dip():
     # knot 3 dips one ulp below knot 2, as a running sum can by rounding;
-    # knots 4 and 5 sit at one k (a jump)
+    # knots 4 and 5 sit at one k (a jump).  The table holds the running
+    # maximum of the masses, which the reference takes itself
     knots = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 4.0, 5.0])
     mass = np.array([0.0, 0.3, 0.5, np.nextafter(0.5, 0.0), 0.7, 0.9, 1.0])
     assert np.any(np.diff(mass) < 0)
@@ -231,8 +232,34 @@ def test_invert_knots_reads_through_a_rounding_dip():
                               np.nextafter(values, np.inf)])
     for target in targets:
         for side in ("left", "right"):
-            assert levelsets._invert_knots(knots, mass, target, side) == \
+            assert levelsets._invert_knots(
+                knots, np.maximum.accumulate(mass), target, side) == \
                 _invert_running_max(knots, mass, target, side), (target, side)
+
+
+@pytest.mark.parametrize("name", ["seg1d", "bowl", "cube", "disk", "square_mc"])
+def test_mass_knots_make_one_nondecreasing_table(request, name):
+    # tensor ramps in 1, 2 and 3 dimensions and Monte Carlo atoms: the full
+    # knots, a window around half the mass and a window holding no point
+    model = request.getfixturevalue(name)
+    total = float(np.sum(model.point_mass))
+    y = float(model.target.interior_grid(65)[40])
+    sl = model.slice_at(y)
+    top = float(np.max(sl.sy))
+    windows = [(-np.inf, np.inf), (top + 1.0, top + 2.0),
+               levelsets._invert_sublevel(model, y, total / 2, total / 2)[1]]
+    targets = total * np.linspace(-0.1, 1.1, 97)
+    for window in windows:
+        knots, mass = levelsets._mass_knots(model, sl, *window)
+        assert knots.shape == mass.shape, window
+        assert np.all(np.diff(knots) >= 0) and np.all(np.diff(mass) >= 0)
+        for side in ("left", "right"):
+            levels = levelsets._invert_knots(knots, mass, targets, side)
+            assert levels.tobytes() == np.array([
+                levelsets._invert_knots(knots, mass, t, side)
+                for t in targets]).tobytes(), (window, side)
+    # the half-mass window is a true window, not the full fallback
+    assert knots.size > 0 and windows[-1] != (-np.inf, np.inf)
 
 
 def split_function(model, y, k):
