@@ -16,11 +16,10 @@ from .geometry import (Domain, Quadrature, TargetInterval, annulus_domain,
                        box_domain, interval_domain, paraboloid_domain,
                        pie_slice_domain)
 from .levelsets import (GradH, LevelSet, SurfaceIntegralResult, grad_h,
-                        is_tangential, level_set, sublevel_levels,
-                        sublevel_mass, surface_integral)
+                        is_tangential, level_set, sublevel_mass,
+                        surface_integral)
 from .model import (DensityPair, Model, NondegeneracyCertificate,
-                    certify_nondegeneracy, region_mass, target_cdf,
-                    target_quantile)
+                    certify_nondegeneracy, target_cdf, target_quantile)
 from .nestedness import (NestednessReport, check_sublevel_monotonicity,
                          dynamic_criterion, nestedness_report, speed_limit,
                          transversality_diagnostic, unique_splitting_check)

@@ -180,8 +180,8 @@ def _write_csv(out_dir: str, name: str, columns: dict):
 
 def _write_json(out_dir: str, name: str, payload: dict):
     with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True,
+                            default=_jsonable, allow_nan=False) + "\n")
 
 
 def _dump_level_set(model, curve, y: float, out_dir: str):
@@ -275,7 +275,7 @@ def run(config: dict) -> int:
             _write_json(out_dir, f"oracle_{name}.json", part.to_dict())
     if result.map1d is not None:
         _write_csv(out_dir, "map1d.csv", result.map1d)
-    _write_json(out_dir, "summary.json", summary)
+    _write_json(out_dir, "summary.json", _jsonable(summary))
     if result.report is not None:
         _print_report(result.report)
     print(f"artifacts written to {out_dir}")

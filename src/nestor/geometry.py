@@ -136,7 +136,6 @@ class QuadratureGrid:
     weights: np.ndarray         # (N,)
     spacing: Optional[np.ndarray]  # (m,) or None for monte-carlo
     boundary_adjacent: np.ndarray  # (N,) bool
-    mode: str = "tensor"
 
     @property
     def n_points(self) -> int:
@@ -244,7 +243,6 @@ class Quadrature:
             weights=weights[keep],
             spacing=spacing,
             boundary_adjacent=cut[keep],
-            mode="tensor",
         )
 
     def _monte_carlo(self, dom: Domain) -> QuadratureGrid:
@@ -270,7 +268,6 @@ class Quadrature:
             weights=np.full(pts_in.shape[0], w),
             spacing=None,
             boundary_adjacent=adjacent,
-            mode="monte-carlo",
         )
 
 

@@ -37,7 +37,7 @@ of s_y across one cell, which reproduces the exact cut-cell volume
 fraction for grid-aligned level sets.  One knot table (``_ramp_knots``)
 of ramps and atoms (Monte Carlo points, whose two knots carry the two
 sides of a jump) serves the split inversion, the 1-d CDF of the index
-reduction and the pushforward distance.  ``sublevel_levels`` inverts it
+reduction and the pushforward distance.  ``_invert_sublevel`` inverts it
 exactly on only the ramps that overlap a k window: a sorted strided
 subsample of s_y places the window around both levels, and the full
 table is built only when a level falls outside it.
@@ -185,11 +185,13 @@ def _sublevel_window(model: Model, sl: SurplusSlice, lo_mass: float,
 
 def _invert_sublevel(model: Model, y: float, lo_mass: float,
                      hi_mass: float):
-    """``sublevel_levels`` with its path: the two levels, the window
-    (k_lo, k_hi) whose knots gave them, and the share of ramps sorted
-    there.  The levels are kept only when both lie strictly inside the
-    window, where its knot masses are exact; otherwise (an infinite level
-    included) the full knots are inverted."""
+    """The smallest k with sublevel_mass(model, y, k) >= lo_mass and the
+    largest k with mass <= hi_mass (-inf or +inf when every k qualifies),
+    with the window (k_lo, k_hi) whose knots gave them and the share of
+    ramps sorted there.  The levels are kept only when both lie strictly
+    inside the window, where its knot masses are exact; otherwise (an
+    infinite level included) the full knots are inverted.  Raises
+    BracketFailure when hi_mass < 0 or lo_mass exceeds the total."""
     total = model.total_mass
     if hi_mass < 0 or lo_mass > total:
         raise BracketFailure(f"sublevel mass never enters [{lo_mass:.6g}, "
@@ -202,16 +204,6 @@ def _invert_sublevel(model: Model, y: float, lo_mass: float,
                   _invert_knots(knots, mass, hi_mass, "right"))
         if window == full or all(window[0] < k < window[1] for k in levels):
             return levels, window, knots.size / (2 * sl.sy.size)
-
-
-def sublevel_levels(model: Model, y: float, lo_mass: float, hi_mass: float):
-    """The smallest k with sublevel_mass(model, y, k) >= lo_mass and the
-    largest k with mass <= hi_mass (-inf or +inf when every k qualifies).
-    A strided subsample of s_y places a k window around both levels; only
-    the ramps overlapping it are sorted and interpolated, and the full
-    ramp breakpoints are inverted when a level falls outside it.
-    Raises BracketFailure when hi_mass < 0 or lo_mass exceeds the total."""
-    return _invert_sublevel(model, y, lo_mass, hi_mass)[0]
 
 
 def sublevel_mass(model: Model, y: float, k):

@@ -223,8 +223,6 @@ def certify_nondegeneracy(model: Model) -> NondegeneracyCertificate:
     17-node y sample, polished by a compass search so interior zeros hiding
     between grid points are found; passes iff the minimum clears 1e-8 of
     the domain's scale."""
-    if model.grid.n_points == 0:
-        raise EmptyDomain("no interior quadrature points")
     thr = 1e-8 * model.domain.scale
     best = np.inf
     witness = None
@@ -280,8 +278,3 @@ def target_quantile(model: Model, q) -> np.ndarray:
     out = model._quantile(np.clip(q_arr, 0.0, 1.0))
     return out if np.ndim(q) else float(out[0])
 
-
-def region_mass(model: Model, predicate: Callable) -> float:
-    """mu-mass of {x : predicate(x)}; empty regions give 0."""
-    mask = np.asarray(predicate(model.grid.points), dtype=bool)
-    return float(np.sum(model.point_mass[mask]))

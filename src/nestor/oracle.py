@@ -88,11 +88,6 @@ class DiscretePlan:
     objective: float
     n_pivots: int = 0
 
-    def to_dense(self, shape) -> np.ndarray:
-        out = np.zeros(shape)
-        out[self.rows, self.cols] = self.values
-        return out
-
     @property
     def support(self):
         keep = self.values > 0

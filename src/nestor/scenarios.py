@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InsufficientRange, UnknownScenario
 from .geometry import (Quadrature, TargetInterval, annulus_domain,
                        interval_domain, paraboloid_domain, pie_slice_domain)
+from .levelsets import _mass_knots
 from .model import DensityPair, Model, default_quadrature
 from .surplus import arc_surplus, bilinear_surplus
 
@@ -218,8 +219,8 @@ def holder_probe(model: Model, *, curve) -> float:
     log-log regression over the nodes with y - y_lo between 0.005 and 0.08
     of the target length.
 
-    k(y_lo) is the essential infimum of s_y(., y_lo) over the domain: the
-    split level sinks to the bottom of the slope range as the target mass
+    k(y_lo) is the lowest knot of the sublevel mass at y_lo: the split
+    level sinks to the bottom of the slope range as the target mass
     vanishes.  Raises InsufficientRange below 5 usable nodes in the window.
     """
     length = model.target.length
@@ -229,9 +230,7 @@ def holder_probe(model: Model, *, curve) -> float:
     if int(np.sum(mask)) < 5:
         raise InsufficientRange(
             f"only {int(np.sum(mask))} nodes in the fit window")
-    sl = model.slice_at(y0 + 1e-12 * length)
-    # a tensor sample's ramp reaches half a cell span below it
-    k_floor = float(np.min(sl.sy if sl.span is None else sl.sy - 0.5 * sl.span))
+    k_floor = _mass_knots(model, model.slice_at(y0 + 1e-12 * length))[0][0]
     dk = curve.k_plus[mask] - k_floor
     dy = curve.y_grid[mask] - y0
     good = dk > 0

@@ -175,10 +175,11 @@ def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
     band area in boundary-adjacent cells, or an empty level set) get
     difference-quotient derivatives instead of -h_y/h_k, whose hypotheses
     fail there.  The plateau, tangential and empty-level-set nodes are
-    logged at DEBUG, and so are the counts of nodes inverted on a k window
-    and on the full knots (see ``sublevel_levels``) or on the one knot set,
-    the contour pass's segment, clipped-segment and empty-contour counts,
-    and the rows the normals were taken on and the band samples reading them.
+    logged at DEBUG, and so are the counts of nodes inverted on
+    ``_invert_sublevel``'s k window (placed by a strided subsample of s_y)
+    and on the full knots or on the one knot set, the contour pass's
+    segment, clipped-segment and empty-contour counts, and the rows the
+    normals were taken on and the band samples reading them.
     """
     y_grid = np.asarray(model.target.interior_grid(n_nodes) if y_grid is None
                         else y_grid, dtype=float)

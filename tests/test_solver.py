@@ -12,8 +12,8 @@ from nestor import levelsets, solver
 from nestor import scenarios as sc
 from nestor.errors import BracketFailure, EmptyBand, ZeroSpeed
 from nestor.geometry import Quadrature, TargetInterval, interval_domain
-from nestor.levelsets import (grad_h, level_set, sublevel_levels,
-                              sublevel_mass, surface_integral)
+from nestor.levelsets import (grad_h, level_set, sublevel_mass,
+                              surface_integral)
 from nestor.model import Model, target_cdf
 from nestor.nestedness import nestedness_report
 from nestor.solver import (SplitCurve, balance_residual, interpolation_error,
@@ -159,9 +159,9 @@ def test_bracket_failure_when_mass_cannot_reach_target():
     model = Model(interval_domain(), TargetInterval(0, 1),
                   bilinear_surplus([1.0]))
     with pytest.raises(BracketFailure):
-        sublevel_levels(model, 0.5, 1.5, 1.5)
+        levelsets._invert_sublevel(model, 0.5, 1.5, 1.5)
     with pytest.raises(BracketFailure):
-        sublevel_levels(model, 0.5, -0.5, -0.5)
+        levelsets._invert_sublevel(model, 0.5, -0.5, -0.5)
 
 
 def test_target_payoff_examples(uni1d, par2):

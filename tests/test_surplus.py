@@ -22,7 +22,7 @@ TGT = TargetInterval(0.0, 1.0)
     polynomial_surplus([(1.0, (1, 0), 1), (0.5, (2, 1), 2), (-0.3, (0, 3), 1)], 2),
 ])
 def test_finite_difference_consistency(bundle):
-    report = bundle.check_consistency(DOM, TGT, n_probes=100, seed=0)
+    report = bundle.check_consistency(DOM, TGT)
     assert max(report.values()) <= 1e-5
 
 
