@@ -181,7 +181,7 @@ def _write_csv(out_dir: str, name: str, columns: dict):
 def _write_json(out_dir: str, name: str, payload: dict):
     with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True,
-                            default=_jsonable, allow_nan=False) + "\n")
+                            allow_nan=False) + "\n")
 
 
 def _dump_level_set(model, curve, y: float, out_dir: str):
@@ -270,9 +270,7 @@ def run(config: dict) -> int:
     if out["nestedness_json"]:
         _write_json(out_dir, "nestedness.json", result.report.to_dict())
     if result.oracle is not None:
-        # regression fixtures: the instance and plan round-trip through JSON
-        for name, part in zip(("instance", "plan"), result.oracle):
-            _write_json(out_dir, f"oracle_{name}.json", part.to_dict())
+        _write_json(out_dir, "oracle_plan.json", result.oracle[1].to_dict())
     if result.map1d is not None:
         _write_csv(out_dir, "map1d.csv", result.map1d)
     _write_json(out_dir, "summary.json", _jsonable(summary))

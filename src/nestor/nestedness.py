@@ -147,7 +147,10 @@ def dynamic_criterion(model: Model, curve: SplitCurve) -> CriterionResult:
     maximum somewhere; strict positivity everywhere with no tangential
     nodes additionally certifies the model nested.  At node i, k' - s_yy
     spans kprime - syy_max .. kprime - syy_min (the curve's own sample);
-    tangential nodes and empty level sets are skipped and counted apart.
+    tangential nodes are skipped, and so are nodes without samples, counted
+    apart.  A solved curve flags a node with an empty level set tangential,
+    so only a curve built without samples (``SplitCurve.from_function``)
+    counts any under ``skipped_empty``.
 
     The tolerance combines the usual discretization-noise floor
     with the speed resolution of the grid (one cell of s_yy variation):

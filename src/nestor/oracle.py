@@ -68,13 +68,6 @@ class DiscreteInstance:
     def shape(self):
         return self.surplus_matrix.shape
 
-    def to_dict(self) -> dict:
-        return _fields_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscreteInstance":
-        return cls(*(np.asarray(d[f.name], dtype=float) for f in fields(cls)))
-
 
 @dataclass
 class DiscretePlan:
@@ -94,13 +87,9 @@ class DiscretePlan:
         return self.rows[keep], self.cols[keep], self.values[keep]
 
     def to_dict(self) -> dict:
-        return _fields_to_dict(self)
-
-
-def _fields_to_dict(obj) -> dict:
-    """A dataclass's fields as JSON-ready lists and scalars."""
-    return {f.name: np.asarray(getattr(obj, f.name)).tolist()
-            for f in fields(obj)}
+        """The fields as JSON-ready lists and scalars."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist()
+                for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,15 @@ def run_main(args):
     return main(args)
 
 
+def load_strict_json(path):
+    """Parse a JSON file, rejecting the NaN and Infinity tokens RFC 8259
+    does not allow."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_scenario_list(capsys):
     assert run_main(["scenario-list"]) == 0
     out = capsys.readouterr().out.split()
@@ -60,11 +69,7 @@ def test_json_artifacts_are_strict(tmp_path):
     # null, which RFC 8259 allows, not as Infinity or NaN
     assert run_main(["solve", "paraboloid-segment", "--resolution", "32",
                      "--y-nodes", "33", "--out", str(tmp_path)]) == 0
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON token {token}")
-
-    payloads = {path.name: json.loads(path.read_text(), parse_constant=reject)
+    payloads = {path.name: load_strict_json(path)
                 for path in tmp_path.glob("*.json")}
     assert set(payloads) == {"nestedness.json", "summary.json"}
     assert payloads["summary.json"]["speed_limit"] is None
@@ -138,6 +143,13 @@ def test_oracle_subcommand(tmp_path):
     oracle = summary["oracle"]
     assert abs(oracle["surplus_gap"]) < 5e-3
     assert abs(oracle["strong_duality_gap"]) < 1e-9
+    # the plan is the oracle's one artifact, and it is the library's plan
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "curve.csv", "map.csv", "oracle_plan.json", "summary.json"]
+    written = load_strict_json(tmp_path / "oracle_plan.json")
+    run = nestor.solve(nestor.build("uniform-1d").model, y_nodes=65,
+                       oracle_atoms={"n_source": 80, "n_target": 20})
+    assert written == run.oracle[1].to_dict()
 
 
 def test_reduce_1d_subcommand(tmp_path):
@@ -548,6 +560,14 @@ def _inline(**model):
     pytest.param(_inline(density_f={"polynomial": [
         {"coeff": 1.0, "x_powers": [0, 0], "y_power": 3}]}), [],
         id="density-term-with-y-power"),
+    # a density has no type: its one value, "uniform", was read by nothing,
+    # so a polynomial beside it was solved as given
+    pytest.param(_inline(density_f={"type": "uniform", "polynomial": [
+        {"coeff": 1.0, "x_powers": [0, 0]},
+        {"coeff": 3.0, "x_powers": [1, 0]}]}), [], id="density_f-with-type"),
+    pytest.param(_inline(density_g={"type": "uniform",
+                                    "polynomial": [0.5, 1.0]}), [],
+                 id="density_g-with-type"),
     pytest.param(None, ["paraboloid-segment", "--m", "1"],
                  id="bad-scenario-param"),
     pytest.param(None, ["uniform-1d", "--m", "2"], id="stray-scenario-param"),

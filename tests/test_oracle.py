@@ -243,8 +243,6 @@ def test_degenerate_single_target(par2):
 
 def test_serialization_roundtrip():
     inst = _instance([0.5, 0.5], [0.25, 0.75], [[1.0, 2.0], [3.0, 4.0]])
-    clone = DiscreteInstance.from_dict(inst.to_dict())
-    assert np.array_equal(clone.surplus_matrix, inst.surplus_matrix)
     plan = solve_transport(inst)
     d = plan.to_dict()
     assert d["objective"] == plan.objective
