@@ -164,18 +164,11 @@ def build_model_from_config(config: dict):
 # a run: the pipeline, then the artifact writers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    return format(float(x), ".17g")
-
-
 def _write_csv(out_dir: str, name: str, columns: dict):
-    """One CSV column per entry of ``columns``, headed by its key."""
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values()):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """One CSV column per key of ``columns``; values as ``%.17g`` writes them."""
+    np.savetxt(os.path.join(out_dir, name),
+               np.column_stack(list(columns.values())), fmt="%.17g",
+               delimiter=",", header=",".join(columns), comments="")
 
 
 def _write_json(out_dir: str, name: str, payload: dict):
@@ -185,26 +178,17 @@ def _write_json(out_dir: str, name: str, payload: dict):
 
 
 def _dump_level_set(model, curve, y: float, out_dir: str):
-    """Diagnostic dump of the ``auto`` samples of one indifference set: the
-    clipped contour polyline (segment, x1, x2) on planar tensor grids, band
-    points with their surface measure (x1..xm, measure) otherwise.  A level
-    set with no samples gives a header-only file."""
+    """Diagnostic dump of the ``auto`` samples of one indifference set:
+    their points and surface measures (x1..xm, measure), which sum to its
+    area.  A level set with no samples gives a header-only file."""
     tag = repr(float(y)).replace("-", "m").replace(".", "p")
     try:
         ls = level_set(model, y, curve.k_at(y))
-        estimator = ls.estimator
-    except EmptyBand as exc:
-        ls, estimator = None, exc.estimator
-    if estimator == "contour2d":
-        segments = np.empty((0, 2, 2)) if ls is None else ls.segments
-        flat = segments.reshape(-1, 2)
-        cols = {"segment": np.repeat(np.arange(segments.shape[0]), 2),
-                "x1": flat[:, 0], "x2": flat[:, 1]}
-    else:
-        points = np.empty((0, model.domain.dim)) if ls is None else ls.points
-        cols = {**_coordinates(points),
-                "measure": np.empty(0) if ls is None else ls.measure}
-    _write_csv(out_dir, f"levelset_{tag}.csv", cols)
+        points, measure = ls.points, ls.measure
+    except EmptyBand:
+        points, measure = np.empty((0, model.domain.dim)), np.empty(0)
+    _write_csv(out_dir, f"levelset_{tag}.csv",
+               {**_coordinates(points), "measure": measure})
 
 
 def _coordinates(points: np.ndarray) -> dict:

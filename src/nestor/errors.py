@@ -21,11 +21,7 @@ class OutOfRange(NestorError):
 
 class EmptyBand(NestorError):
     """The level-set sampler found no sample: the level is outside the
-    domain or the band half-width is too small; names the estimator."""
-
-    def __init__(self, message, estimator=None):
-        super().__init__(message)
-        self.estimator = estimator
+    domain or the band half-width is too small."""
 
 
 class Degenerate(NestorError):

@@ -238,16 +238,16 @@ class LevelSet:
     """Samples of the indifference set {s_y(., y) = k}.
 
     Sample j sits at ``points[j]`` and carries surface measure
-    ``measure[j]``; ``f``, ``grad``, ``gnorm`` and ``syy`` are the source
-    density, grad_x s_y, its norm and s_yy there, taken at the samples
-    only: the band reads f and grad_x s_y at its rows of the grid and the
-    slice, and evaluates the norm and s_yy there.  ``rows`` holds the band
-    samples' quadrature rows (increasing), ``boundary`` flags those in
-    boundary-adjacent cells and ``segments`` holds the contour polyline;
-    each is None for the other estimator.  The properties are the sums
-    surface integrals reduce to: area, h_k (of f / |grad_x s_y|), flux (of
-    f s_yy / |grad_x s_y|, so h_y = -g(y) - flux) and, for the band, the
-    share of the area on boundary-adjacent samples.
+    ``measure[j]`` (what ``--dump-level`` writes); ``f``, ``grad``,
+    ``gnorm`` and ``syy`` are the source density, grad_x s_y, its norm and
+    s_yy there, taken at the samples only: the band reads f and grad_x s_y
+    at its rows of the grid and the slice, and evaluates the norm and s_yy
+    there.  ``rows`` holds the band samples' quadrature rows (increasing)
+    and ``boundary`` flags those in boundary-adjacent cells; both are None
+    for contour2d.  The properties are the sums surface integrals reduce
+    to: area, h_k (of f / |grad_x s_y|), flux (of f s_yy / |grad_x s_y|, so
+    h_y = -g(y) - flux) and, for the band, the share of the area on
+    boundary-adjacent samples.
     """
     estimator: str                  # "band" | "contour2d"
     epsilon: float                  # band half-width; 0 for contour2d
@@ -259,7 +259,6 @@ class LevelSet:
     syy: np.ndarray                 # (S,)
     rows: Optional[np.ndarray]      # (S,) int, band only
     boundary: Optional[np.ndarray]  # (S,) bool, band only
-    segments: Optional[np.ndarray]  # (S, 2, 2), contour2d only
 
     @property
     def area(self) -> float:
@@ -304,8 +303,7 @@ def level_set(model: Model, y: float, k: float,
     t = np.abs(sl.sy - k)
     idx = np.flatnonzero(t < eps)
     if idx.size == 0:
-        raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}",
-                        estimator=estimator)
+        raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}")
     points, grad = (np.take(a, idx, axis=0) for a in (model.grid.points, sl.grad))
     gnorm = grad_norm(grad)
     kernel = (1.0 - t[idx] / eps) / eps
@@ -314,7 +312,7 @@ def level_set(model: Model, y: float, k: float,
         measure=model.grid.weights[idx] * gnorm * kernel,
         f=model.f_vals[idx], grad=grad, gnorm=gnorm,
         syy=model.surplus.s_yy(points, y),
-        rows=idx, boundary=model.grid.boundary_adjacent[idx], segments=None)
+        rows=idx, boundary=model.grid.boundary_adjacent[idx])
 
 
 def _contour_level_set(model: Model, y: float, k: float,
@@ -323,8 +321,7 @@ def _contour_level_set(model: Model, y: float, k: float,
     segments: their midpoints, each carrying its length.  Raises EmptyBand
     when there is no segment."""
     if segments.shape[0] == 0:
-        raise EmptyBand(f"level {k:g} has no contour inside the domain",
-                        estimator="contour2d")
+        raise EmptyBand(f"level {k:g} has no contour inside the domain")
     points = segments.mean(axis=1)
     grad = model.surplus.grad_x_s_y(points, y)
     return LevelSet(
@@ -332,7 +329,7 @@ def _contour_level_set(model: Model, y: float, k: float,
         measure=np.linalg.norm(segments[:, 1, :] - segments[:, 0, :], axis=1),
         f=model.f_at(points), grad=grad, gnorm=grad_norm(grad),
         syy=model.surplus.s_yy(points, y),
-        rows=None, boundary=None, segments=segments)
+        rows=None, boundary=None)
 
 
 # ---------------------------------------------------------------------------

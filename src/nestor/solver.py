@@ -38,10 +38,12 @@ _CHUNK = 8192  # rows per block of the node scans, which stream over the
 class SplitCurve:
     """Solved level curve k(y) on a target grid.
 
-    k_minus/k_plus bracket the zero set of h(y, .) at each node (they
-    differ by more than the gap tolerance only when the data carries a
-    mass plateau, which is flagged); kprime holds -h_y/h_k at clean nodes
-    and one-sided difference quotients at tangential ones.  h_k, h_y,
+    ``y_grid`` holds at least 2 strictly increasing finite nodes (else a
+    ValueError).  k_minus/k_plus bracket the zero set of h(y, .) at each
+    node (they differ by more than the gap tolerance only when the data
+    carries a mass plateau, which is flagged); kprime holds -h_y/h_k at
+    clean nodes and ``np.gradient``'s difference quotients at tangential
+    ones (central inside, one-sided at the two end nodes).  h_k, h_y,
     syy_min, syy_max and x_syy_max (where s_yy peaks) reduce the ``auto``
     sample of each node's level set X(y, k_plus), tangential or not, and
     are NaN where it is empty; the balance residual and the speed criteria
@@ -72,7 +74,11 @@ class SplitCurve:
     interpolation: Pchip = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.y_grid = np.asarray(self.y_grid, dtype=float)
+        self.y_grid = y = np.asarray(self.y_grid, dtype=float)
+        if y.ndim != 1 or y.size < 2 or not (np.all(np.isfinite(y))
+                                             and np.all(np.diff(y) > 0)):
+            raise ValueError("split-curve nodes must be at least 2 strictly "
+                             f"increasing finite values, got {y}")
         self.k_plus = np.asarray(self.k_plus, dtype=float)
         self.k_minus = np.asarray(self.k_minus, dtype=float)
         self.y_lo = float(self.y_lo)
@@ -85,15 +91,17 @@ class SplitCurve:
         """Wrap an explicit level curve (e.g. an analytic v') as a curve."""
         y_grid = np.asarray(y_grid, dtype=float)
         k = np.asarray(k_fn(y_grid), dtype=float)
-        kp = np.gradient(k, y_grid) if kprime_fn is None \
-            else np.asarray(kprime_fn(y_grid), dtype=float)
         flags = np.zeros(y_grid.size, dtype=bool)
         nan = np.full(y_grid.size, np.nan)
-        return cls(y_grid=y_grid, k_minus=k.copy(), k_plus=k, kprime=kp,
-                   tangential_flags=flags, plateau_flags=flags.copy(),
-                   y_lo=target.y_lo, y_hi=target.y_hi, h_k=nan, h_y=nan,
-                   syy_min=nan, syy_max=nan, x_syy_max=np.empty((nan.size, 0)),
-                   area=nan, transversality=nan)
+        curve = cls(y_grid=y_grid, k_minus=k.copy(), k_plus=k, kprime=nan,
+                    tangential_flags=flags, plateau_flags=flags.copy(),
+                    y_lo=target.y_lo, y_hi=target.y_hi, h_k=nan, h_y=nan,
+                    syy_min=nan, syy_max=nan, x_syy_max=np.empty((nan.size, 0)),
+                    area=nan, transversality=nan)
+        # set once the nodes are checked: np.gradient divides by their steps
+        curve.kprime = np.gradient(k, y_grid) if kprime_fn is None \
+            else np.asarray(kprime_fn(y_grid), dtype=float)
+        return curve
 
     # -- evaluation (constant extension beyond the node range) -------------
 
@@ -153,39 +161,34 @@ def interpolation_error(curve: SplitCurve) -> float:
 # split-curve solve
 # ---------------------------------------------------------------------------
 
-def solve_split_curve(model: Model, y_grid: Optional[np.ndarray] = None,
-                      n_nodes: int = 65) -> SplitCurve:
+def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
     """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
-    The nodes are ``y_grid``, else ``n_nodes`` Chebyshev roots; fewer than
-    3 is a ValueError.
-    k_minus and k_plus are the edges of the mass band {k : |h(y, k)| <= 1e-6},
-    clamped to the padded range of s_y.  The solve makes two passes.  The
-    first builds each node's slice once (s_y, grad_x s_y and the cell spans
-    on every quadrature point; |grad_x s_y| and s_yy are taken on the band
-    samples only), inverts its mass and reduces the band sample of
-    X(y, k_plus) at once to the area, the tangential flag and the boundary
-    transversality (and, off planar tensor grids, to h_k, h_y and the s_yy
-    figures), so no sample outlives its node; when s_y is free of y, one
-    slice and one knot set serve every node.  One boundary-normal pass over
-    the boundary-adjacent rows serves every band, which reads it by row.  On
-    planar tensor grids one contour pass over all nodes then gives the
-    contour samples that h_k, h_y and the s_yy figures reduce.  Nodes flagged
-    tangential (more than ``default_tangential_threshold(model)`` of the
-    band area in boundary-adjacent cells, or an empty level set) get
-    difference-quotient derivatives instead of -h_y/h_k, whose hypotheses
-    fail there.  The plateau, tangential and empty-level-set nodes are
-    logged at DEBUG, and so are the counts of nodes inverted on
-    ``_invert_sublevel``'s k window (placed by a strided subsample of s_y)
-    and on the full knots or on the one knot set, the contour pass's
-    segment, clipped-segment and empty-contour counts, and the rows the
-    normals were taken on and the band samples reading them.
+    The nodes are the ``n_nodes`` Chebyshev roots of the target interval (fewer
+    than 3 is a ValueError); k_minus and k_plus are the edges of the mass band
+    {k : |h(y, k)| <= 1e-6}, clamped to the padded range of s_y.  The solve
+    makes two passes.  The first builds each node's slice once (s_y, grad_x s_y
+    and the cell spans on every quadrature point; |grad_x s_y| and s_yy are
+    taken on the band samples only), inverts its mass and reduces the band
+    sample of X(y, k_plus) at once to the area, the tangential flag and the
+    boundary transversality (and, off planar tensor grids, to h_k, h_y and the
+    s_yy figures), so no sample outlives its node; when s_y is free of y, one
+    slice and one knot set serve every node.  One boundary-normal pass over the
+    boundary-adjacent rows serves every band, which reads it by row.  On planar
+    tensor grids one contour pass over all nodes then gives the contour samples
+    that h_k, h_y and the s_yy figures reduce.  Nodes flagged tangential (more
+    than ``default_tangential_threshold(model)`` of the band area in
+    boundary-adjacent cells, or an empty level set) get difference-quotient
+    derivatives instead of -h_y/h_k, whose hypotheses fail there.  The plateau,
+    tangential and empty-level-set nodes are logged at DEBUG, and so are the
+    counts of nodes inverted on ``_invert_sublevel``'s k window (placed by a
+    strided subsample of s_y) and on the full knots or on the one knot set, the
+    contour pass's segment, clipped-segment and empty-contour counts, and the
+    rows the normals were taken on and the band samples reading them.
     """
-    y_grid = np.asarray(model.target.interior_grid(n_nodes) if y_grid is None
-                        else y_grid, dtype=float)
-    n = y_grid.size
-    if n < 3:
-        raise ValueError(f"the split solve needs at least 3 nodes, got {n}")
+    if n_nodes < 3:
+        raise ValueError(f"the split solve needs at least 3 nodes, got {n_nodes}")
+    y_grid, n = model.target.interior_grid(n_nodes), n_nodes
     model.require_nondegenerate()
     tangential_threshold = default_tangential_threshold(model)
     planar = _planar_tensor(model)

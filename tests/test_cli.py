@@ -283,18 +283,54 @@ def test_every_tolerance_settable_and_echoed(tmp_path):
     assert summary["tolerances"] == {"nestedness_probes": 50, "scan_nodes": 101}
 
 
-def test_dump_level_2d_writes_contour_segments(tmp_path):
-    assert run_main(["solve", "paraboloid-segment", "--resolution", "64",
-                     "--y-nodes", "33", "--dump-level", "0.5",
+def _check_dump(tmp_path, scenario, y, resolution, **params):
+    """Run ``solve`` with --dump-level y at 33 nodes and check that the dump
+    holds the ``auto`` samples at the run's k(y): 17 digits round-trip, so
+    its rows are their points and measures bit for bit, and the measures
+    sum to the level set's area.  Returns the rows, model, k and samples."""
+    from nestor.levelsets import level_set
+    from nestor.scenarios import build
+    from nestor.solver import solve_split_curve
+    flags = [f"--{key}={value}" for key, value in params.items()]
+    assert run_main(["solve", scenario, *flags, "--resolution", str(resolution),
+                     "--y-nodes", "33", "--dump-level", str(y),
                      "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "levelset_0p5.csv").read_text().splitlines()
-    assert lines[0] == "segment,x1,x2"
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert rows.shape[0] >= 2
-    # two endpoints per segment, ids 0, 0, 1, 1, ...
-    assert np.array_equal(rows[:, 0], np.repeat(np.arange(rows.shape[0] // 2), 2))
+    model = build(scenario, resolution=resolution, **params).model
+    k = solve_split_curve(model, n_nodes=33).k_at(y)
+    ls = level_set(model, y, k)
+    dim = model.domain.dim
+    path = next(tmp_path.glob("levelset_*.csv"))
+    assert path.read_text().splitlines()[0] == ",".join(
+        [f"x{j + 1}" for j in range(dim)] + ["measure"])
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] > 0
+    assert np.array_equal(rows[:, :dim], ls.points)
+    assert np.array_equal(rows[:, dim], ls.measure)
+    assert np.sum(rows[:, dim]) == ls.area
+    return rows, model, k, ls
+
+
+def test_dump_level_2d_writes_contour_segments(tmp_path):
+    # one row per contour segment: its midpoint and its length
+    rows, _, _, ls = _check_dump(tmp_path, "paraboloid-segment", 0.5, 64)
+    assert ls.estimator == "contour2d"
     # s_y = x1 on the bowl, so the level set at y is the chord x1 = y^(2/3)
-    assert np.max(np.abs(rows[:, 1] - 0.5 ** (2 / 3))) < 1e-2
+    assert np.max(np.abs(rows[:, 0] - 0.5 ** (2 / 3))) < 1e-2
+
+
+@pytest.mark.parametrize("scenario, y, resolution, params", [
+    # near the sector's edge the contour leaves the domain: clipped segments
+    pytest.param("pie-slice", -1.19, 64, {"theta0": 1.2}, id="clipped-contour"),
+    pytest.param("paraboloid-segment", 0.5, 24, {"m": 3}, id="band-m3"),
+])
+def test_dump_level_writes_the_level_set_samples(tmp_path, scenario, y,
+                                                 resolution, params):
+    from nestor.levelsets import _contour_segments
+    _, model, k, ls = _check_dump(tmp_path, scenario, y, resolution, **params)
+    if ls.estimator == "contour2d":
+        assert _contour_segments(model, [y], [k])[1][0] > 0
+    else:
+        assert model.domain.dim == 3
 
 
 def test_close_dump_levels_write_two_files(tmp_path):
@@ -669,7 +705,7 @@ def test_dump_level_missing_level_is_header_only(tmp_path):
     from nestor.model import Model
     from nestor.solver import SplitCurve
     from nestor.surplus import bilinear_surplus
-    cases = [(box_domain([0, 0], [1, 1]), [1.0, 0.0], 32, "segment,x1,x2"),
+    cases = [(box_domain([0, 0], [1, 1]), [1.0, 0.0], 32, "x1,x2,measure"),
              (interval_domain(), [1.0], 256, "x1,measure")]
     for i, (domain, direction, res, header) in enumerate(cases):
         model = Model(domain, TargetInterval(0, 1), bilinear_surplus(direction),
@@ -681,3 +717,23 @@ def test_dump_level_missing_level_is_header_only(tmp_path):
         out.mkdir()
         _dump_level_set(model, far, 0.5, str(out))
         assert (out / "levelset_0p5.csv").read_text() == header + "\n"
+
+
+def test_csv_values_are_written_as_17_digit_floats(tmp_path):
+    from nestor.cli import _write_csv
+    flags = np.array([True, False, True, False, True, False])
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300])
+    for name, columns in (("mixed.csv", {"flag": flags, "v": values}),
+                          ("flags.csv", {"flag": flags})):
+        _write_csv(str(tmp_path), name, columns)
+        lines = [",".join(columns)] + [
+            ",".join(format(float(v), ".17g") for v in row)
+            for row in zip(*columns.values())]
+        assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
+    assert (tmp_path / "mixed.csv").read_text().splitlines()[1:] == [
+        "1,nan", "0,inf", "1,-inf", "0,-0", "1,4.9406564584124654e-324",
+        "0,1.0000000000000001e+300"]
+    # no rows: the header alone
+    _write_csv(str(tmp_path), "empty.csv",
+               {"x1": np.empty(0), "x2": np.empty(0), "measure": np.empty(0)})
+    assert (tmp_path / "empty.csv").read_text() == "x1,x2,measure\n"

@@ -68,9 +68,8 @@ def test_level_set_sampler(request, name, y, k, auto):
         assert ls.measure.sum() == surface_integral(model, y, k,
                                                     estimator=est).value
         assert ls.points.shape == (ls.measure.size, model.domain.dim)
-        with pytest.raises(EmptyBand) as err:
+        with pytest.raises(EmptyBand):
             level_set(model, y, 50.0, estimator=est)
-        assert err.value.estimator == est
     if auto == "band":
         with pytest.raises(ValueError):
             level_set(model, y, k, estimator="contour2d")
@@ -371,7 +370,7 @@ def test_closed_contour_has_no_ends():
     model = Model(box_domain([-1, -1], [1, 1]), TargetInterval(0.5, 1.0),
                   rings, quadrature=Quadrature("tensor", 128))
     # radius-0.5 circle: every contour endpoint is shared by two segments
-    ends = level_set(model, 0.75, 0.25, "contour2d").segments.reshape(-1, 2)
+    ends = levelsets._contour_segments(model, [0.75], [0.25])[0][0].reshape(-1, 2)
     _, counts = np.unique(np.rint(ends * 1e9), axis=0, return_counts=True)
     assert np.all(counts == 2)
     assert abs(level_set(model, 0.75, 0.25, "band").area - np.pi) < 0.03
@@ -386,7 +385,7 @@ def test_saddle_cell_keeps_quadrants_apart(k):
     model = Model(box_domain([-1, -1], [1, 1]), TargetInterval(0.5, 1.5),
                   polynomial_surplus([(1.0, (1, 1), 1)], 2),
                   quadrature=Quadrature("tensor", 7))
-    seg = level_set(model, 1.0, k, "contour2d").segments
+    seg = levelsets._contour_segments(model, [1.0], [k])[0][0]
     assert np.all(np.sign(seg[:, 0, :]) == np.sign(seg[:, 1, :]))
 
 

@@ -146,13 +146,25 @@ def test_balance_residual_reads_the_curve(name, request, monkeypatch):
 
 
 def test_too_few_nodes_are_a_value_error(par2):
-    # from n_nodes through the library solve, and from a given y grid
+    # through the library solve and the split solve itself
     import nestor
     for call in (lambda: nestor.solve(par2.model, y_nodes=2),
                  lambda: nestor.solve(par2.model, y_nodes=1),
-                 lambda: solve_split_curve(par2.model, y_grid=[0.3, 0.6])):
+                 lambda: solve_split_curve(par2.model, n_nodes=2)):
         with pytest.raises(ValueError, match="needs at least 3 nodes"):
             call()
+
+
+@pytest.mark.parametrize("y_grid", [
+    pytest.param([0.7, 0.2, 0.5, 0.9], id="unsorted"),
+    pytest.param([0.2, 0.5, 0.5, 0.9], id="repeated"),
+    pytest.param([0.2, np.nan, 0.9], id="nan"),
+    pytest.param([0.5], id="one-node")])
+def test_split_curve_nodes_must_strictly_increase(y_grid):
+    # unsorted nodes used to give a wrong k between them without a word,
+    # repeated ones divide-by-zero warnings from the difference quotients
+    with pytest.raises(ValueError, match="strictly increasing finite"):
+        SplitCurve.from_function(TargetInterval(0, 1), y_grid, lambda y: y)
 
 
 def test_bracket_failure_when_mass_cannot_reach_target():
@@ -514,7 +526,8 @@ def test_one_slice_matches_the_general_path(request, name):
         solved = request.getfixturevalue(name)
         model, curve = solved.model, solved.curve
     general = _general_path(model)
-    ref = solve_split_curve(general, y_grid=curve.y_grid)
+    ref = solve_split_curve(general, n_nodes=curve.y_grid.size)
+    assert np.array_equal(ref.y_grid, curve.y_grid)
     assert np.max(np.abs(curve.k_minus - ref.k_minus)) <= 1e-11
     assert np.max(np.abs(curve.k_plus - ref.k_plus)) <= 1e-11
     assert np.array_equal(curve.tangential_flags, ref.tangential_flags)
@@ -610,7 +623,7 @@ def test_split_curve_debug_records(caplog):
     gap = Model(Domain(dim=1, bbox=np.array([[0.0], [1.0]]), inside=inside),
                 TargetInterval(0, 1), bilinear_surplus([1.0]))
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
-        solve_split_curve(gap, y_grid=np.array([0.25, 0.5, 0.75]))
+        solve_split_curve(gap, n_nodes=3)
     assert "1 of 3 nodes plateau at y = [0.5]" in caplog.text
     assert "0 of 3 nodes with an empty level set at y = []" in caplog.text
     caplog.clear()
@@ -689,10 +702,10 @@ def test_one_boundary_normal_pass_per_solve(request, name, monkeypatch, caplog):
     # band reads it by quadrature row: the transversality is a per-node
     # recomputation from a fresh band and the oracle, bit for bit
     if name == "pie":
-        model, y_grid = sc.build("pie-slice", theta0=1.2, resolution=96).model, None
+        model, n_nodes = sc.build("pie-slice", theta0=1.2, resolution=96).model, 65
     else:
         solved = request.getfixturevalue(name)
-        model, y_grid = solved.model, solved.curve.y_grid
+        model, n_nodes = solved.model, solved.curve.y_grid.size
     normal = model.domain.boundary_normal
     calls = []
 
@@ -703,9 +716,9 @@ def test_one_boundary_normal_pass_per_solve(request, name, monkeypatch, caplog):
     monkeypatch.setattr(model, "domain",
                         replace(model.domain, boundary_normal=counting))
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
-        curve = solve_split_curve(model, y_grid=y_grid)
+        curve = solve_split_curve(model, n_nodes=n_nodes)
     assert calls == [np.sum(model.grid.boundary_adjacent)]
-    if y_grid is not None:
+    if name != "pie":
         assert np.array_equal(curve.transversality, solved.curve.transversality,
                               equal_nan=True)
     read = 0
