@@ -15,7 +15,8 @@ estimators are provided:
   the band a few cells thick.  The triangular kernel (rather than a flat
   window) is what makes midpoint sums of grid-aligned bands exact and the
   estimator smooth in (y, k); a flat window would jitter by a whole grid
-  column.  Boundary-adjacent samples are flagged.
+  column.  Boundary-adjacent samples are flagged.  Where s_y is free of
+  y, one ranking of s_y gives every band the scan's rows (``_band_rows``).
 
 * contour2d (m = 2 only): marching-squares extraction (Lorensen & Cline,
   SIGGRAPH 1987) of the polyline {s_y = k} on the node grid, clipped to
@@ -300,19 +301,40 @@ def level_set(model: Model, y: float, k: float,
         raise ValueError(f"unknown estimator {estimator!r}")
     sl = model.slice_at(y)
     eps = band_epsilon(model, sl)
-    t = np.abs(sl.sy - k)
-    idx = np.flatnonzero(t < eps)
-    if idx.size == 0:
+    return _band_level_set(model, sl, y, k, eps, _band_rows(sl, k, eps)[0])
+
+
+def _band_rows(sl: SurplusSlice, k: float, eps: float, order=None):
+    """The rows with |s_y - k| < eps, increasing, and how many rows were
+    tested: every row, or with ``order`` (an argsort of ``sl.sy``) only the
+    ranked window of [k - eps, k + eps], padded by a few ulps so that it
+    holds every row that passes, and sorted back to row order."""
+    if order is None:
+        return np.flatnonzero(np.abs(sl.sy - k) < eps), sl.sy.size
+    pad = 4 * np.spacing(abs(k) + eps)
+    lo, hi = np.searchsorted(sl.sy, [k - eps - pad, k + eps + pad],
+                             sorter=order)
+    rows = np.sort(order[lo:hi])
+    return rows[np.abs(sl.sy[rows] - k) < eps], rows.size
+
+
+def _band_level_set(model: Model, sl: SurplusSlice, y: float, k: float,
+                    eps: float, rows: np.ndarray, gnorms=None) -> LevelSet:
+    """The band sample of {s_y(., y) = k} on the slice rows ``rows``
+    (those with |s_y - k| < eps, increasing), reading |grad_x s_y| off
+    ``gnorms`` (every row's) when given.  Raises EmptyBand when there is
+    none."""
+    if rows.size == 0:
         raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}")
-    points, grad = (np.take(a, idx, axis=0) for a in (model.grid.points, sl.grad))
-    gnorm = grad_norm(grad)
-    kernel = (1.0 - t[idx] / eps) / eps
+    points, grad = (np.take(a, rows, axis=0) for a in (model.grid.points, sl.grad))
+    gnorm = grad_norm(grad) if gnorms is None else gnorms[rows]
+    kernel = (1.0 - np.abs(sl.sy[rows] - k) / eps) / eps
     return LevelSet(
-        estimator=estimator, epsilon=eps, points=points,
-        measure=model.grid.weights[idx] * gnorm * kernel,
-        f=model.f_vals[idx], grad=grad, gnorm=gnorm,
+        estimator="band", epsilon=eps, points=points,
+        measure=model.grid.weights[rows] * gnorm * kernel,
+        f=model.f_vals[rows], grad=grad, gnorm=gnorm,
         syy=model.surplus.s_yy(points, y),
-        rows=idx, boundary=model.grid.boundary_adjacent[idx])
+        rows=rows, boundary=model.grid.boundary_adjacent[rows])
 
 
 def _contour_level_set(model: Model, y: float, k: float,

@@ -281,9 +281,13 @@ def unique_splitting_check(model: Model, curve: SplitCurve,
 def transversality_diagnostic(model: Model, curve: SplitCurve) -> float:
     """Least stored transversality 1 - (n_X . n_levelset)^2 over all
     nodes, 1.0 when none has a boundary-adjacent sample; values near 0
-    flag tangential intersections with the domain boundary."""
+    flag tangential intersections with the domain boundary.  NaN on an
+    interval (m = 1), where a level set is a point and both normals are
+    +-1, so the modulus is 0 by construction."""
     if model.domain.boundary_normal is None:
         raise NoBoundaryOracle("domain carries no boundary-normal oracle")
+    if model.domain.dim == 1:
+        return np.nan
     vals = curve.transversality[np.isfinite(curve.transversality)]
     return float(np.min(vals)) if vals.size else 1.0
 

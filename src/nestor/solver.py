@@ -9,8 +9,9 @@ to the y whose indifference set passes through x, by rooting
 phi(y) = s_y(x, y) - k(y) (as v' = k, phi is the y-slope of s(x, .) - v,
 so u reads its sup off this node walk and root).  When the surplus declares
 s_y free of y (``SurplusBundle.sy_free_of_y``), one knot set gives every
-node's levels, and on a nondecreasing k a search of s_y(x) in k gives the
-walk's bracket.
+node's levels, one ranking of s_y every node's band, on a nondecreasing k a
+search of s_y(x) in k gives the walk's bracket, and the root reads each
+row's s_y off the bracket pass.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 
 from ._pchip import Pchip
 from .errors import EmptyBand, ZeroSpeed
-from .levelsets import (_contour_level_set, _contour_segments, _invert_knots,
-                        _invert_sublevel, _mass_knots, _planar_tensor,
-                        _ramp_knots, default_tangential_threshold, level_set)
-from .model import Model, target_cdf
+from .levelsets import (_band_level_set, _band_rows, _contour_level_set,
+                        _contour_segments, _invert_knots, _invert_sublevel,
+                        _mass_knots, _planar_tensor, _ramp_knots, band_epsilon,
+                        default_tangential_threshold)
+from .model import Model, grad_norm, target_cdf
 
 logger = logging.getLogger(__name__)
 _ROOT_ITERS = 60  # Newton step cap; plain bisection needs about 30 steps
@@ -172,9 +174,12 @@ def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
     taken on the band samples only), inverts its mass and reduces the band
     sample of X(y, k_plus) at once to the area, the tangential flag and the
     boundary transversality (and, off planar tensor grids, to h_k, h_y and the
-    s_yy figures), so no sample outlives its node; when s_y is free of y, one
-    slice and one knot set serve every node.  One boundary-normal pass over the
-    boundary-adjacent rows serves every band, which reads it by row.  On planar
+    s_yy figures), so no sample outlives its node.  When s_y is free of y, one
+    slice, one knot set and one argsort of s_y serve every node: each band
+    takes the scan's rows from a ranked window (``levelsets._band_rows``).
+    One boundary-normal pass over the boundary-adjacent rows serves every band,
+    which reads it by row; when s_y is free of y, so is 1 - (n_X . n_level)^2,
+    taken once per row.  On planar
     tensor grids one contour pass over all nodes then gives the contour samples
     that h_k, h_y and the s_yy figures reduce.  Nodes flagged tangential (more
     than ``default_tangential_threshold(model)`` of the band area in
@@ -183,8 +188,9 @@ def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
     tangential and empty-level-set nodes are logged at DEBUG, and so are the
     counts of nodes inverted on ``_invert_sublevel``'s k window (placed by a
     strided subsample of s_y) and on the full knots or on the one knot set, the
-    contour pass's segment, clipped-segment and empty-contour counts, and the
-    rows the normals were taken on and the band samples reading them.
+    contour pass's segment, clipped-segment and empty-contour counts, the
+    ranked windows' median size and the share of their rows the bands keep,
+    and the rows the normals were taken on and the band samples reading them.
     """
     if n_nodes < 3:
         raise ValueError(f"the split solve needs at least 3 nodes, got {n_nodes}")
@@ -200,11 +206,27 @@ def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
     windowed = np.zeros(n, dtype=bool)
     sorted_share = np.empty(n)
     h_k, h_y, syy_min, syy_max, area, transversality = np.full((6, n), np.nan)
+    g_targets = target_cdf(model, y_grid)
+    one_slice = model.surplus.sy_free_of_y
+    order = gnorms = None  # the one slice's s_y ranking and |grad_x s_y|
+    ranked = np.zeros((2, n), dtype=np.intp)  # rows tested, rows kept
+    if one_slice:  # one knot set; one search per side for every node
+        knots, mass = _mass_knots(model, model.slice_at(float(y_grid[0])))
+        k_minus[:] = _invert_knots(knots, mass, g_targets - 1e-6, "left")
+        k_plus[:] = _invert_knots(knots, mass, g_targets + 1e-6, "right")
+        del knots, mass  # 2N knots, not kept through the band samples
+        logger.debug("split curve: s_y is free of y, so all %d nodes are "
+                     "inverted on one knot set", n)
     normal = model.domain.boundary_normal
     if normal is not None:  # one oracle pass; the bands read it by row
         adjacent, read = np.flatnonzero(model.grid.boundary_adjacent), 0
         normals = np.atleast_2d(normal(np.take(model.grid.points, adjacent, axis=0)))
+        at = np.full(model.grid.n_points, -1, dtype=np.intp)  # row -> position
+        at[adjacent] = np.arange(adjacent.size)
     x_syy_max = np.full((n, model.domain.dim), np.nan)
+
+    def modulus(grad, gnorm, pos):  # 1 - (n_X . n_level)^2 at adjacent[pos]
+        return 1.0 - np.sum(normals[pos] * (grad / gnorm[:, None]), axis=1) ** 2
 
     def keep_sample(i, ls):
         h_k[i] = ls.h_k
@@ -213,23 +235,20 @@ def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
         syy_min[i], syy_max[i] = np.min(ls.syy), ls.syy[j]
         x_syy_max[i] = ls.points[j]
 
-    g_targets = target_cdf(model, y_grid)
-    one_slice = model.surplus.sy_free_of_y
-    if one_slice:  # one knot set; one search per side for every node
-        knots, mass = _mass_knots(model, model.slice_at(float(y_grid[0])))
-        k_minus[:] = _invert_knots(knots, mass, g_targets - 1e-6, "left")
-        k_plus[:] = _invert_knots(knots, mass, g_targets + 1e-6, "right")
-        del knots, mass  # 2N knots, not kept through the band samples
-        logger.debug("split curve: s_y is free of y, so all %d nodes are "
-                     "inverted on one knot set", n)
     for i, y in enumerate(y_grid):
         y = float(y)
         if i == 0 or not one_slice:  # one slice serves every node
             sl = model.slice_at(y)
+            eps = band_epsilon(model, sl)
             sy_lo, sy_hi = np.min(sl.sy), np.max(sl.sy)
             k_range = max(float(sy_hi - sy_lo), 1e-12)
             pad = 1e-3 * k_range + 10 * sl.max_span if sl.span is not None \
                 else 1e-2 * k_range
+            if one_slice:  # ranking, norms and boundary terms for every node
+                order, gnorms = np.argsort(sl.sy), grad_norm(sl.grad)
+                if normal is not None:
+                    term = modulus(np.take(sl.grad, adjacent, axis=0),
+                                   gnorms[adjacent], slice(None))
         if not one_slice:
             g = float(g_targets[i])
             (k_minus[i], k_plus[i]), window, sorted_share[i] = \
@@ -239,8 +258,10 @@ def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
                                         sy_lo - pad, sy_hi + pad)
         plateau[i] = k_plus[i] - k_minus[i] > 1e-4 * k_range
 
+        rows, ranked[0, i] = _band_rows(sl, k_plus[i], eps, order)
+        ranked[1, i] = rows.size
         try:
-            band = level_set(model, y, k_plus[i], "band")
+            band = _band_level_set(model, sl, y, k_plus[i], eps, rows, gnorms)
         except EmptyBand:
             tangential[i] = True
             continue
@@ -248,17 +269,20 @@ def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
         tangential[i] = band.boundary_fraction > tangential_threshold
         b = band.boundary
         if normal is not None and np.any(b):
-            n_level = band.grad[b] / band.gnorm[b][:, None]
-            at = np.searchsorted(adjacent, band.rows[b])
-            dots = np.sum(normals[at] * n_level, axis=1)
-            transversality[i] = np.min(1.0 - dots ** 2)
-            read += at.size
+            pos = at[band.rows[b]]
+            transversality[i] = np.min(term[pos] if one_slice else modulus(
+                band.grad[b], band.gnorm[b], pos))
+            read += pos.size
         if not planar:
             keep_sample(i, band)
+    if one_slice:
+        logger.debug("split curve: s_y ranked once for every band: a median "
+                     "window of %d rows, %.6g of them kept by |s_y - k| < eps",
+                     np.median(ranked[0]), np.sum(ranked[1]) / max(1, np.sum(ranked[0])))
     if normal is not None:
         logger.debug("split curve: boundary normals taken once, on %d boundary-"
                      "adjacent rows, and read at %d band samples", adjacent.size, read)
-    band = normals = adjacent = None  # none of them outlives the node loop
+    band = normals = adjacent = at = term = order = gnorms = None  # not kept
 
     if planar:
         segments, clipped = _contour_segments(model, y_grid, k_plus)
@@ -319,43 +343,49 @@ def optimal_map(model: Model, curve: SplitCurve, x: np.ndarray):
 
 def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
                 b: np.ndarray, fa: np.ndarray, fb: np.ndarray, y_tol: float,
-                j: Optional[np.ndarray] = None):
+                j: Optional[np.ndarray] = None, sy: Optional[np.ndarray] = None):
     """Root of phi(y) = s_y(x, y) - k(y) per row of x in [a, b], where
     phi(a) = fa and phi(b) = fb differ in sign: safeguarded Newton (rtsafe;
     Press et al., Numerical Recipes, 3rd ed., sec. 9.4) from the secant
     point, with phi' = s_yy - k' (k' of the interpolant, and 0 past the
     end nodes, where k_at holds k constant), bisecting where the Newton
-    point would leave the bracket.  A row stops, and is not evaluated
-    again, once its step or its bracket is within y_tol.  ``j`` is given where
-    [a, b] is the curve interval [y_j, y_j+1], which the iterates never leave."""
-    a, b, pos_a = a.copy(), b.copy(), fa > 0
+    point would leave the bracket.  A row stops, and leaves the working
+    arrays, once its step or its bracket is within y_tol.  ``j`` is given
+    where [a, b] is the curve interval [y_j, y_j+1], which the iterates
+    never leave.  ``sy``, given where s_y is free of y, holds each row's
+    s_y: phi is then sy - k and phi' = -k' (s_yy = 0), with no surplus
+    call."""
+    pos_a, rows = fa > 0, np.arange(a.size)
     y = a - fa * (b - a) / (fb - fa)
-    rows = np.arange(y.size)
+    out = y.copy()
+    data = x if sy is None else sy  # what phi reads per working row
     for _ in range(_ROOT_ITERS):
         if not rows.size:
             break
-        xr, yr = x[rows], y[rows]
-        yc = np.clip(yr, curve.y_grid[0], curve.y_grid[-1])
-        k, kp = curve.interpolation.value_and_slope(yc, None if j is None else j[rows])
-        f = model.surplus.s_y(xr, yr) - k
-        df = model.surplus.s_yy(xr, yr) - np.where(yc == yr, kp, 0.0)
-        keep_a = (f > 0) != pos_a[rows]
-        a[rows] = ar = np.where(keep_a, a[rows], yr)
-        b[rows] = br = np.where(keep_a, yr, b[rows])
+        yc = np.clip(y, curve.y_grid[0], curve.y_grid[-1])
+        k, kp = curve.interpolation.value_and_slope(yc, j)
+        f = (model.surplus.s_y(data, y) if sy is None else data) - k
+        df = (model.surplus.s_yy(data, y) if sy is None else 0.0) \
+            - np.where(yc == y, kp, 0.0)
+        keep_a = (f > 0) != pos_a
+        a, b = np.where(keep_a, a, y), np.where(keep_a, y, b)
         # a zero slope makes the step infinite (a bisection) off a root
         step = np.divide(f, df, out=np.where(f == 0, 0.0, np.inf), where=df != 0)
-        new = np.clip(yr - step, ar, br)
+        new = np.clip(y - step, a, b)
         # a step within y_tol is final even where it lands on (or an ulp
         # past) a bracket end: bisecting it would walk away from the root
         done = np.abs(step) <= y_tol
-        bisect = ~done & ~((new > ar) & (new < br))
-        new[bisect] = 0.5 * (ar + br)[bisect]
-        y[rows] = new
-        rows = rows[~(done | (np.abs(new - yr) <= y_tol) | (br - ar <= y_tol))]
+        bisect = ~done & ~((new > a) & (new < b))
+        new[bisect] = 0.5 * (a + b)[bisect]
+        out[rows] = new
+        live = ~(done | (np.abs(new - y) <= y_tol) | (b - a <= y_tol))
+        rows, y, a, b, pos_a, data = (v[live] for v in (rows, new, a, b,
+                                                        pos_a, data))
+        j = None if j is None else j[live]
     if rows.size:
         logger.debug("by-level root: %d of %d rows hit the %d-step cap", rows.size,
-                     y.size, _ROOT_ITERS)
-    return y
+                     out.size, _ROOT_ITERS)
+    return out
 
 
 def _node_walk(model: Model, curve: SplitCurve, xb: np.ndarray):
@@ -410,6 +440,7 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
     settled = np.empty(x.shape[0], dtype=bool)
     node = np.empty(x.shape[0], dtype=np.intp)
     ys, k = curve.y_grid, curve.k_plus
+    free = model.surplus.sy_free_of_y  # fa is then each row's s_y
     for start in range(0, x.shape[0], _CHUNK):
         xb = x[start:start + _CHUNK]
         idx, fa, fb, has_down, all_pos, first_up = _node_walk(model, curve, xb)
@@ -420,7 +451,7 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
         j = idx[rows]
         out[start + rows] = _level_root(model, curve, xb[rows], ys[j], ys[j + 1],
                                         fa[rows] - k[j], fb[rows] - k[j + 1],
-                                        y_tol, j)
+                                        y_tol, j, fa[rows] if free else None)
     return out, settled, node
 
 

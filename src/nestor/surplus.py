@@ -24,7 +24,8 @@ from .geometry import Domain, TargetInterval
 class SurplusBundle:
     """``sy_free_of_y`` declares that s_y does not depend on y: a model
     then keeps one slice for every y, the split solve inverts all nodes on
-    one knot set and the by-level map brackets by one search over k."""
+    one knot set and takes every band from one ranking of s_y, and the
+    by-level map brackets by one search over k and roots with s_yy = 0."""
     s: Callable
     s_y: Callable
     grad_x_s_y: Callable

@@ -264,6 +264,18 @@ def test_transversality_needs_oracle(par2):
         transversality_diagnostic(stripped, curve)
 
 
+def test_transversality_is_nan_on_an_interval(uni1d_linear):
+    # a level set is a point and both normals are +-1: the stored per-node
+    # figures are 0 or NaN by construction, so the diagnostic reads NaN,
+    # which the report writes as null
+    model, curve = uni1d_linear.model, uni1d_linear.curve
+    assert np.all(np.nan_to_num(curve.transversality) == 0.0)
+    assert np.isnan(transversality_diagnostic(model, curve))
+    report = nestedness_report(model, curve)
+    assert np.isnan(report.transversality_min)
+    assert report.to_dict()["transversality_min"] is None
+
+
 def _resampled_transversality(model, curve):
     """Per-node 1 - (n_X . n_level)^2 minimum over a fresh band sample at
     (y, k(y)), NaN where the band is empty or misses the boundary."""

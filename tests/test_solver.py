@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from nestor import levelsets, solver
 from nestor import scenarios as sc
 from nestor.errors import BracketFailure, EmptyBand, ZeroSpeed
-from nestor.geometry import Quadrature, TargetInterval, interval_domain
+from nestor.geometry import (Quadrature, TargetInterval, box_domain,
+                             interval_domain)
 from nestor.levelsets import (grad_h, level_set, sublevel_mass,
                               surface_integral)
-from nestor.model import Model, target_cdf
+from nestor.model import Model, grad_norm, target_cdf
 from nestor.nestedness import nestedness_report
 from nestor.solver import (SplitCurve, balance_residual, interpolation_error,
                            map_gradient, optimal_map, pushforward_distance,
@@ -134,7 +135,7 @@ def test_balance_residual_reads_the_curve(name, request, monkeypatch):
     def no_sample(*args, **kwargs):
         raise AssertionError("balance_residual sampled the surplus")
 
-    monkeypatch.setattr(solver, "level_set", no_sample)
+    monkeypatch.setattr(solver, "_band_level_set", no_sample)
     monkeypatch.setattr(levelsets, "level_set", no_sample)
     monkeypatch.setattr(levelsets, "grad_h", no_sample)
     monkeypatch.setattr(Model, "slice_at", no_sample)
@@ -545,19 +546,104 @@ def test_one_slice_matches_the_general_path(request, name):
     assert report.verdict == report_ref.verdict
 
 
+def _ranked_band(model, y, k):
+    """The band the one-slice solve builds: rows from the ranked window,
+    |grad_x s_y| from every row's."""
+    sl = model.slice_at(y)
+    eps = levelsets.band_epsilon(model, sl)
+    rows, window = levelsets._band_rows(sl, k, eps, np.argsort(sl.sy))
+    assert window >= rows.size
+    return levelsets._band_level_set(model, sl, y, k, eps, rows,
+                                     grad_norm(sl.grad))
+
+
+@pytest.mark.parametrize("name", ["par2", "par3-24", "par4", "columns"])
+def test_ranked_band_is_the_scanned_band(request, name):
+    if name == "par2":
+        solved = request.getfixturevalue("par2")
+        model, curve = solved.model, solved.curve
+    else:
+        model = {
+            "par3-24": lambda: sc.build("paraboloid-segment", m=3,
+                                        resolution=24).model,
+            "par4": lambda: sc.build("paraboloid-segment", m=4,
+                                     resolution=20_000).model,
+            # s_y = x1 ties along whole grid columns, so windows end inside
+            # runs of equal s_y
+            "columns": lambda: Model(box_domain([0, 0], [1, 1]),
+                                     TargetInterval(0, 1),
+                                     bilinear_surplus([1, 0]),
+                                     quadrature=Quadrature("tensor", 48)),
+        }[name]()
+        curve = solve_split_curve(model)
+    y0 = float(curve.y_grid[0])
+    sl = model.slice_at(y0)
+    eps = levelsets.band_epsilon(model, sl)
+    # a middle row on the lower band edge: the test flips within a few ulps
+    r = int(np.argsort(sl.sy)[sl.sy.size // 2])
+    edge = float(sl.sy[r]) + eps
+    edge_ks = edge + np.arange(-3, 4) * np.spacing(edge)
+    levels = ([(float(y), float(k)) for y, k in zip(curve.y_grid, curve.k_plus)]
+              + [(y0, float(k)) for k in edge_ks]
+              + [(y0, float(np.max(sl.sy)) + 3 * eps)])  # an empty band
+    empty, at_edge = 0, set()
+    for i, (y, k) in enumerate(levels):
+        try:
+            scan = level_set(model, y, k, "band")
+        except EmptyBand:
+            with pytest.raises(EmptyBand):
+                _ranked_band(model, y, k)
+            empty += 1
+            continue
+        ranked = _ranked_band(model, y, k)
+        for f in ("rows", "measure", "points", "grad", "gnorm", "syy",
+                  "boundary", "f", "epsilon", "estimator"):
+            assert np.array_equal(getattr(ranked, f), getattr(scan, f)), f
+        if i < curve.y_grid.size:  # the solve's own band is the same one
+            assert curve.area[i] == scan.area
+        elif i < len(levels) - 1:
+            at_edge.add(bool(np.isin(r, scan.rows)))
+    assert at_edge == {True, False}
+    assert empty >= 1
+
+
+def test_one_slice_root_reads_the_searched_s_y(request, monkeypatch):
+    # the one-slice root reads each row's s_y off the bracket search; the
+    # same search with the root evaluating s_y and s_yy gives the same bits
+    for name in ("par2", "par3"):
+        solved = request.getfixturevalue(name)
+        model, curve = solved.model, solved.curve
+        lo, hi = model.domain.bbox
+        x = np.concatenate([model.grid.points, [2 * lo - hi, 2 * hi - lo]])
+        fast = solver.map_and_payoff(model, curve, x)
+        root = solver._level_root
+        with monkeypatch.context() as m:  # drop the sy argument
+            m.setattr(solver, "_level_root", lambda *args: root(*args[:9]))
+            slow = solver.map_and_payoff(model, curve, x)
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
+        assert fast[0][-2] == curve.y_lo and fast[0][-1] == curve.y_hi
+
+
 def test_map_searches_only_a_nondecreasing_curve(par2):
     # k dips below y^(2/3) around y = 0.5, so s_y - k changes sign three
     # times on some rows; the search would take a wrong bracket there
     nodes = []  # s_y calls at one y: the bracket's (the roots pass arrays)
+    calls = []  # every s_y and s_yy call
     bundle = par2.model.surplus
 
     def s_y(x, y):
+        calls.append("s_y")
         if np.ndim(y) == 0:
             nodes.append(y)
         return bundle.s_y(x, y)
 
+    def s_yy(x, y):
+        calls.append("s_yy")
+        return bundle.s_yy(x, y)
+
     model = Model(par2.model.domain, par2.model.target,
-                  replace(bundle, s_y=s_y), par2.model.densities,
+                  replace(bundle, s_y=s_y, s_yy=s_yy), par2.model.densities,
                   par2.model.quadrature)
     dip = SplitCurve.from_function(
         model.target, par2.curve.y_grid,
@@ -567,8 +653,11 @@ def test_map_searches_only_a_nondecreasing_curve(par2):
     blocks = -(-x.shape[0] // solver._CHUNK)
     y_tol = 1e-8 * model.target.length
     nodes.clear()
+    calls.clear()
     solver._map_by_level(model, par2.curve, x, y_tol)
     assert len(nodes) == blocks  # the search: s_y once per block
+    # the roots read s_y off the search and take s_yy as 0: no other call
+    assert calls == ["s_y"] * blocks
     nodes.clear()
     f, settled, _ = solver._map_by_level(model, dip, x, y_tol)
     assert len(nodes) == blocks * dip.y_grid.size  # the walk: at every node
@@ -626,6 +715,10 @@ def test_split_curve_debug_records(caplog):
         solve_split_curve(gap, n_nodes=3)
     assert "1 of 3 nodes plateau at y = [0.5]" in caplog.text
     assert "0 of 3 nodes with an empty level set at y = []" in caplog.text
+    # s_y = x1 is free of y: one ranking, and windows of 4 rows (eps is two
+    # cells), every row of them kept
+    assert ("split curve: s_y ranked once for every band: a median window of "
+            "4 rows, 1 of them kept by |s_y - k| < eps" in caplog.text)
     caplog.clear()
     pie = sc.build("pie-slice", theta0=1.2, resolution=96).model
     with caplog.at_level(logging.DEBUG, logger="nestor.solver"):
