@@ -66,7 +66,9 @@ class Pchip:
 
     def value_and_slope(self, t, hint=None):
         """Both from one interval lookup."""
-        i, s = self._locate(t, hint)
+        return self.value_and_slope_on(*self._locate(t, hint))
+
+    def value_and_slope_on(self, i, s):  # at x[i] + s, on interval i's cubic
         c3, c2, c1 = self.c3[i], self.c2[i], self.c1[i]
         return ((c3 * s + c2) * s + c1) * s + self.c0[i], (3 * c3 * s + 2 * c2) * s + c1
 

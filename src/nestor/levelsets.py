@@ -318,20 +318,25 @@ def _band_rows(sl: SurplusSlice, k: float, eps: float, order=None):
     return rows[np.abs(sl.sy[rows] - k) < eps], rows.size
 
 
+def _band_measure(model: Model, sl: SurplusSlice, k: float, eps: float,
+                  rows: np.ndarray, gnorm: np.ndarray) -> np.ndarray:
+    """dA_i = w_i |grad_x s_y| K_eps(s_y - k) on the band rows (``gnorm``)."""
+    kernel = (1.0 - np.abs(sl.sy[rows] - k) / eps) / eps
+    return model.grid.weights[rows] * gnorm * kernel
+
+
 def _band_level_set(model: Model, sl: SurplusSlice, y: float, k: float,
-                    eps: float, rows: np.ndarray, gnorms=None) -> LevelSet:
+                    eps: float, rows: np.ndarray) -> LevelSet:
     """The band sample of {s_y(., y) = k} on the slice rows ``rows``
-    (those with |s_y - k| < eps, increasing), reading |grad_x s_y| off
-    ``gnorms`` (every row's) when given.  Raises EmptyBand when there is
-    none."""
+    (those with |s_y - k| < eps, increasing).  Raises EmptyBand when there
+    is none."""
     if rows.size == 0:
         raise EmptyBand(f"no quadrature point within {eps:g} of level {k:g}")
     points, grad = (np.take(a, rows, axis=0) for a in (model.grid.points, sl.grad))
-    gnorm = grad_norm(grad) if gnorms is None else gnorms[rows]
-    kernel = (1.0 - np.abs(sl.sy[rows] - k) / eps) / eps
+    gnorm = grad_norm(grad)
     return LevelSet(
         estimator="band", epsilon=eps, points=points,
-        measure=model.grid.weights[rows] * gnorm * kernel,
+        measure=_band_measure(model, sl, k, eps, rows, gnorm),
         f=model.f_vals[rows], grad=grad, gnorm=gnorm,
         syy=model.surplus.s_yy(points, y),
         rows=rows, boundary=model.grid.boundary_adjacent[rows])

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NoBoundaryOracle
 from .model import Model, grad_norm
-from .solver import _CHUNK, SplitCurve, _node_walk
+from .solver import _CHUNK, SplitCurve, _node_walk, _search_table
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +100,8 @@ def check_sublevel_monotonicity(model: Model,
     ``from_function`` curve gets a verdict too."""
     x = model.grid.points
     ys, k = curve.y_grid, curve.k_plus
-    first_up = np.concatenate([_node_walk(model, curve, x[s:s + _CHUNK])[-1]
+    table = _search_table(model, curve)
+    first_up = np.concatenate([_node_walk(model, curve, x[s:s + _CHUNK], table)[-1]
                                for s in range(0, x.shape[0], _CHUNK)])
     rows = np.flatnonzero(first_up >= 0)
     j = first_up[rows]

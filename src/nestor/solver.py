@@ -8,10 +8,10 @@ generalized conjugate u(x) = sup_y s(x, y) - v(y), and the map F sends x
 to the y whose indifference set passes through x, by rooting
 phi(y) = s_y(x, y) - k(y) (as v' = k, phi is the y-slope of s(x, .) - v,
 so u reads its sup off this node walk and root).  When the surplus declares
-s_y free of y (``SurplusBundle.sy_free_of_y``), one knot set gives every
-node's levels, one ranking of s_y every node's band, on a nondecreasing k a
-search of s_y(x) in k gives the walk's bracket, and the root reads each
-row's s_y off the bracket pass.
+s_y free of y (``SurplusBundle.sy_free_of_y``, so s_yy = 0), one knot set
+gives every node's levels and one ranking of s_y every node's band, which
+is reduced on its rows; on a nondecreasing k a branchless search of s_y(x)
+in k gives the walk's bracket, and the root reads each row's s_y off it.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._pchip import Pchip
-from .errors import EmptyBand, ZeroSpeed
-from .levelsets import (_band_level_set, _band_rows, _contour_level_set,
-                        _contour_segments, _invert_knots, _invert_sublevel,
-                        _mass_knots, _planar_tensor, _ramp_knots, band_epsilon,
-                        default_tangential_threshold)
+from .errors import ZeroSpeed
+from .levelsets import (_band_level_set, _band_measure, _band_rows,
+                        _contour_level_set, _contour_segments, _invert_knots,
+                        _invert_sublevel, _mass_knots, _planar_tensor,
+                        _ramp_knots, band_epsilon, default_tangential_threshold)
 from .model import Model, grad_norm, target_cdf
 
 logger = logging.getLogger(__name__)
@@ -166,31 +166,28 @@ def interpolation_error(curve: SplitCurve) -> float:
 def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
     """Solve h(y, k(y)) = 0 at every node by inverting the sublevel mass.
 
-    The nodes are the ``n_nodes`` Chebyshev roots of the target interval (fewer
-    than 3 is a ValueError); k_minus and k_plus are the edges of the mass band
-    {k : |h(y, k)| <= 1e-6}, clamped to the padded range of s_y.  The solve
-    makes two passes.  The first builds each node's slice once (s_y, grad_x s_y
-    and the cell spans on every quadrature point; |grad_x s_y| and s_yy are
-    taken on the band samples only), inverts its mass and reduces the band
-    sample of X(y, k_plus) at once to the area, the tangential flag and the
-    boundary transversality (and, off planar tensor grids, to h_k, h_y and the
-    s_yy figures), so no sample outlives its node.  When s_y is free of y, one
-    slice, one knot set and one argsort of s_y serve every node: each band
-    takes the scan's rows from a ranked window (``levelsets._band_rows``).
-    One boundary-normal pass over the boundary-adjacent rows serves every band,
-    which reads it by row; when s_y is free of y, so is 1 - (n_X . n_level)^2,
-    taken once per row.  On planar
-    tensor grids one contour pass over all nodes then gives the contour samples
-    that h_k, h_y and the s_yy figures reduce.  Nodes flagged tangential (more
-    than ``default_tangential_threshold(model)`` of the band area in
+    The nodes are the ``n_nodes`` Chebyshev roots of the target interval
+    (fewer than 3 is a ValueError); k_minus and k_plus are the edges of the
+    mass band {k : |h(y, k)| <= 1e-6}, clamped to the padded range of s_y.
+    A first pass builds each node's slice once, inverts its mass and reduces
+    the band sample of X(y, k_plus) at once to the area, the tangential flag
+    and the boundary transversality (and, off planar tensor grids, to h_k,
+    h_y and the s_yy figures), so no sample outlives its node.  One
+    boundary-normal pass over the boundary-adjacent rows serves every band,
+    which reads it by row.  When s_y is free of y, one slice, one knot set
+    and one argsort of s_y serve every node, |grad_x s_y| and
+    1 - (n_X . n_level)^2 are taken once per row, and each band's rows
+    (``levelsets._band_rows``) are reduced in place: s_yy = 0, so no point
+    or gradient is gathered and s_yy is not called.  On planar tensor grids
+    one contour pass over all nodes then gives the contour samples that h_k,
+    h_y and the s_yy figures reduce.  Nodes flagged tangential (more than
+    ``default_tangential_threshold(model)`` of the band area in
     boundary-adjacent cells, or an empty level set) get difference-quotient
-    derivatives instead of -h_y/h_k, whose hypotheses fail there.  The plateau,
-    tangential and empty-level-set nodes are logged at DEBUG, and so are the
-    counts of nodes inverted on ``_invert_sublevel``'s k window (placed by a
-    strided subsample of s_y) and on the full knots or on the one knot set, the
-    contour pass's segment, clipped-segment and empty-contour counts, the
-    ranked windows' median size and the share of their rows the bands keep,
-    and the rows the normals were taken on and the band samples reading them.
+    derivatives instead of -h_y/h_k, whose hypotheses fail there.  DEBUG
+    logs the plateau, tangential and empty-level-set nodes, the nodes
+    inverted on a k window (``_invert_sublevel``), on the full knots or on
+    the one knot set, the contour pass's counts, the ranked windows' median
+    size and kept share, and the rows the normals were taken and read at.
     """
     if n_nodes < 3:
         raise ValueError(f"the split solve needs at least 3 nodes, got {n_nodes}")
@@ -260,20 +257,30 @@ def solve_split_curve(model: Model, n_nodes: int = 65) -> SplitCurve:
 
         rows, ranked[0, i] = _band_rows(sl, k_plus[i], eps, order)
         ranked[1, i] = rows.size
-        try:
-            band = _band_level_set(model, sl, y, k_plus[i], eps, rows, gnorms)
-        except EmptyBand:
+        if not rows.size:  # an empty band
             tangential[i] = True
             continue
-        area[i] = band.area
-        tangential[i] = band.boundary_fraction > tangential_threshold
-        b = band.boundary
+        if one_slice:  # the band's sums straight off its rows
+            gnorm = gnorms[rows]
+            measure = _band_measure(model, sl, k_plus[i], eps, rows, gnorm)
+            b = model.grid.boundary_adjacent[rows]
+        else:
+            band = _band_level_set(model, sl, y, k_plus[i], eps, rows)
+            measure, b = band.measure, band.boundary
+        area[i] = np.sum(measure)
+        tangential[i] = (np.sum(measure[b]) / area[i] if area[i] > 0
+                         else 1.0) > tangential_threshold
         if normal is not None and np.any(b):
-            pos = at[band.rows[b]]
+            pos = at[rows[b]]
             transversality[i] = np.min(term[pos] if one_slice else modulus(
                 band.grad[b], band.gnorm[b], pos))
             read += pos.size
-        if not planar:
+        if one_slice and not planar:  # s_yy = 0: no flux; argmax picks row 0
+            h_k[i] = np.sum(measure * model.f_vals[rows] / gnorm)
+            h_y[i] = -float(model.g_at(y)[0])
+            syy_min[i] = syy_max[i] = 0.0
+            x_syy_max[i] = model.grid.points[rows[0]]
+        elif not planar:
             keep_sample(i, band)
     if one_slice:
         logger.debug("split curve: s_y ranked once for every band: a median "
@@ -351,19 +358,25 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
     end nodes, where k_at holds k constant), bisecting where the Newton
     point would leave the bracket.  A row stops, and leaves the working
     arrays, once its step or its bracket is within y_tol.  ``j`` is given
-    where [a, b] is the curve interval [y_j, y_j+1], which the iterates
-    never leave.  ``sy``, given where s_y is free of y, holds each row's
-    s_y: phi is then sy - k and phi' = -k' (s_yy = 0), with no surplus
-    call."""
-    pos_a, rows = fa > 0, np.arange(a.size)
+    where [a, b] is the curve interval [y_j, y_j+1]: no iterate falls below
+    y_j and none passes y_j+1 by more than the secant point's rounding, so
+    the PCHIP interval is j, or j + 1 from y_j+1 on, with no search.
+    ``sy``, given where s_y is free of y, holds each row's s_y: phi is then
+    sy - k and phi' = -k' (s_yy = 0), with no surplus call."""
+    pos_a, rows, ys = fa > 0, np.arange(a.size), curve.y_grid
     y = a - fa * (b - a) / (fb - fa)
     out = y.copy()
     data = x if sy is None else sy  # what phi reads per working row
+    upper = np.append(ys[1:-1], np.inf)  # y_j+1; none after the last interval
     for _ in range(_ROOT_ITERS):
         if not rows.size:
             break
-        yc = np.clip(y, curve.y_grid[0], curve.y_grid[-1])
-        k, kp = curve.interpolation.value_and_slope(yc, j)
+        yc = np.clip(y, ys[0], ys[-1])
+        if j is None:
+            k, kp = curve.interpolation.value_and_slope(yc)
+        else:
+            i = j + (yc >= upper[j])
+            k, kp = curve.interpolation.value_and_slope_on(i, yc - ys[i])
         f = (model.surplus.s_y(data, y) if sy is None else data) - k
         df = (model.surplus.s_yy(data, y) if sy is None else 0.0) \
             - np.where(yc == y, kp, 0.0)
@@ -379,16 +392,40 @@ def _level_root(model: Model, curve: SplitCurve, x: np.ndarray, a: np.ndarray,
         new[bisect] = 0.5 * (a + b)[bisect]
         out[rows] = new
         live = ~(done | (np.abs(new - y) <= y_tol) | (b - a <= y_tol))
-        rows, y, a, b, pos_a, data = (v[live] for v in (rows, new, a, b,
-                                                        pos_a, data))
-        j = None if j is None else j[live]
+        y = new
+        if not live.all():  # settled rows leave the working arrays
+            rows, y, a, b, pos_a, data = (v[live] for v in (rows, y, a, b,
+                                                            pos_a, data))
+            j = None if j is None else j[live]
     if rows.size:
         logger.debug("by-level root: %d of %d rows hit the %d-step cap", rows.size,
                      out.size, _ROOT_ITERS)
     return out
 
 
-def _node_walk(model: Model, curve: SplitCurve, xb: np.ndarray):
+def _search_table(model: Model, curve: SplitCurve):
+    """k padded with +inf to a power of two (one pad at least) for
+    ``_node_walk``'s search, where s_y is free of y and k nondecreasing;
+    else None, and the walk visits every node."""
+    k = curve.k_plus
+    if not (model.surplus.sy_free_of_y and np.all(np.diff(k) >= 0)):
+        return None
+    return np.append(k, np.full((1 << k.size.bit_length()) - k.size, np.inf))
+
+
+def _lower_bound(table: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """np.searchsorted(table[:n], t, "left") bit for bit, by a branchless
+    binary search (Khuong & Morin, ACM JEA 22, 2017) that sets the bits of
+    the count of k below t from the highest down; a NaN key ends at n."""
+    pos = np.zeros(t.shape, dtype=np.intp)
+    h = table.size // 2
+    while h:
+        pos += h * ~(np.take(table, pos + (h - 1)) >= t)
+        h //= 2
+    return np.minimum(pos, n)
+
+
+def _node_walk(model: Model, curve: SplitCurve, xb: np.ndarray, table):
     """Bracket phi = s_y - k on the curve grid for the rows of xb.
 
     The nodes are walked from last to first, keeping per row the bracket
@@ -397,16 +434,17 @@ def _node_walk(model: Model, curve: SplitCurve, xb: np.ndarray):
     at y_j, > 0 at y_j+1; -1 for none): the smallest j is written last.
     Returns (j, s_y at y_j and y_j+1, has a downcrossing, phi > 0 at every
     node, first upcrossing node); s_y is kept raw, k comes off once.  With
-    s_y free of y and k nondecreasing, a search gives the same, and no
-    row crosses upward."""
+    s_y free of y and k nondecreasing (``table``, the curve's
+    ``_search_table``, is not None), one search of s_y in k gives the
+    same, and no row crosses upward."""
     ys, k = curve.y_grid, curve.k_plus
     n = xb.shape[0]
     first_up = np.full(n, -1, dtype=np.intp)
     right = model.surplus.s_y(xb, float(ys[-1]))
-    if model.surplus.sy_free_of_y and np.all(np.diff(k) >= 0):
+    if table is not None:
         # phi > 0 exactly at the nodes below J = searchsorted(k, s_y): one
         # downcrossing, [y_J-1, y_J]
-        j = np.searchsorted(k, right, "left")
+        j = _lower_bound(table, right, ys.size)
         return (np.maximum(j - 1, 0), right, right, (j > 0) & (j < ys.size),
                 j == ys.size, first_up)
     idx, fa, fb = np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n)
@@ -441,17 +479,18 @@ def _map_by_level(model: Model, curve: SplitCurve, x: np.ndarray,
     node = np.empty(x.shape[0], dtype=np.intp)
     ys, k = curve.y_grid, curve.k_plus
     free = model.surplus.sy_free_of_y  # fa is then each row's s_y
+    table = _search_table(model, curve)
     for start in range(0, x.shape[0], _CHUNK):
         xb = x[start:start + _CHUNK]
-        idx, fa, fb, has_down, all_pos, first_up = _node_walk(model, curve, xb)
+        idx, fa, fb, has_down, all_pos, first_up = _node_walk(model, curve, xb, table)
         out[start:start + _CHUNK] = np.where(all_pos, curve.y_hi, curve.y_lo)
         settled[start:start + _CHUNK] = has_down & (first_up < 0)
         node[start:start + _CHUNK] = idx
         rows = np.nonzero(has_down | (first_up >= 0))[0]
         j = idx[rows]
-        out[start + rows] = _level_root(model, curve, xb[rows], ys[j], ys[j + 1],
-                                        fa[rows] - k[j], fb[rows] - k[j + 1],
-                                        y_tol, j, fa[rows] if free else None)
+        out[start + rows] = _level_root(  # np.take gathers rows 4x faster than xb[rows]
+            model, curve, np.take(xb, rows, axis=0), ys[j], ys[j + 1],
+            fa[rows] - k[j], fb[rows] - k[j + 1], y_tol, j, fa[rows] if free else None)
     return out, settled, node
 
 

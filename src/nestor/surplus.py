@@ -22,10 +22,10 @@ from .geometry import Domain, TargetInterval
 
 @dataclass(frozen=True)
 class SurplusBundle:
-    """``sy_free_of_y`` declares that s_y does not depend on y: a model
-    then keeps one slice for every y, the split solve inverts all nodes on
-    one knot set and takes every band from one ranking of s_y, and the
-    by-level map brackets by one search over k and roots with s_yy = 0."""
+    """``sy_free_of_y`` declares that s_y does not depend on y, so s_yy = 0
+    (model assembly checks both): a model then keeps one slice for every y,
+    the split solve inverts all nodes on one knot set and reduces every band
+    from one ranking of s_y, and the map searches k and roots with s_yy = 0."""
     s: Callable
     s_y: Callable
     grad_x_s_y: Callable
@@ -44,7 +44,7 @@ class SurplusBundle:
         smaller steps).  Errors are relative to the larger of |exact| and
         the sampled magnitude of s_y.  Raises ValueError when any probe
         exceeds 1e-5, or when s_y declared free of y differs bitwise between
-        two y values.
+        two y values or has an s_yy that is not exactly 0 at a probe.
         """
         rng = np.random.default_rng(0)
         x = dom.sample_interior(100, seed=0)
@@ -66,16 +66,18 @@ class SurplusBundle:
                         f"{getattr(out, 'dtype', type(out).__name__)} "
                         f"of shape {np.shape(out)}")
 
-        sy = self.s_y(x, ys)
+        sy, syy = self.s_y(x, ys), self.s_yy(x, ys)
         if self.sy_free_of_y and not np.array_equal(sy, self.s_y(x, ys[::-1])):
             raise ValueError(f"surplus bundle {self.name!r} declares s_y free "
                              f"of y, but s_y differs between two y values")
+        if self.sy_free_of_y and np.any(syy != 0):
+            raise ValueError(f"surplus bundle {self.name!r} declares s_y free "
+                             f"of y, but s_yy is not 0")
         ref = max(1.0, float(np.max(np.abs(sy))))
 
         fd_sy = (self.s(x, ys + h) - self.s(x, ys - h)) / (2 * h)
         err_sy = np.max(np.abs(fd_sy - sy)) / max(ref, float(np.max(np.abs(sy))))
 
-        syy = self.s_yy(x, ys)
         fd_syy = (self.s_y(x, ys + h2) - self.s_y(x, ys - h2)) / (2 * h2)
         err_syy = np.max(np.abs(fd_syy - syy)) / max(ref, float(np.max(np.abs(syy))))
 

@@ -2,6 +2,7 @@ import logging
 import re
 import tracemalloc
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from nestor.geometry import (Quadrature, TargetInterval, box_domain,
                              interval_domain)
 from nestor.levelsets import (grad_h, level_set, sublevel_mass,
                               surface_integral)
-from nestor.model import Model, grad_norm, target_cdf
+from nestor.model import Model, target_cdf
 from nestor.nestedness import nestedness_report
 from nestor.solver import (SplitCurve, balance_residual, interpolation_error,
                            map_gradient, optimal_map, pushforward_distance,
@@ -532,6 +533,14 @@ def test_one_slice_matches_the_general_path(request, name):
     assert np.max(np.abs(curve.k_minus - ref.k_minus)) <= 1e-11
     assert np.max(np.abs(curve.k_plus - ref.k_plus)) <= 1e-11
     assert np.array_equal(curve.tangential_flags, ref.tangential_flags)
+    # the one-slice band sums, with s_yy taken as 0, are the general
+    # path's at every node the two inversions put on the same level
+    same = curve.k_plus == ref.k_plus
+    assert np.sum(same) >= 10
+    for f in ("h_k", "h_y", "area", "syy_min", "syy_max", "x_syy_max",
+              "transversality"):
+        assert np.array_equal(getattr(curve, f)[same], getattr(ref, f)[same],
+                              equal_nan=True), f
     # every grid point, and two points past the box that clamp to the ends
     lo, hi = model.domain.bbox
     x = np.concatenate([model.grid.points, [2 * lo - hi, 2 * hi - lo]])
@@ -547,14 +556,13 @@ def test_one_slice_matches_the_general_path(request, name):
 
 
 def _ranked_band(model, y, k):
-    """The band the one-slice solve builds: rows from the ranked window,
-    |grad_x s_y| from every row's."""
+    """The band on the rows the one-slice solve reduces: those of the
+    ranked window that pass the scan's test."""
     sl = model.slice_at(y)
     eps = levelsets.band_epsilon(model, sl)
     rows, window = levelsets._band_rows(sl, k, eps, np.argsort(sl.sy))
     assert window >= rows.size
-    return levelsets._band_level_set(model, sl, y, k, eps, rows,
-                                     grad_norm(sl.grad))
+    return levelsets._band_level_set(model, sl, y, k, eps, rows)
 
 
 @pytest.mark.parametrize("name", ["par2", "par3-24", "par4", "columns"])
@@ -623,6 +631,109 @@ def test_one_slice_root_reads_the_searched_s_y(request, monkeypatch):
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
         assert fast[0][-2] == curve.y_lo and fast[0][-1] == curve.y_hi
+
+
+@st.composite
+def _search_cases(draw):
+    """A nondecreasing k of 3 to 300 nodes with runs of equal values."""
+    values = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1,
+                                  max_size=40)))
+    reps = draw(st.lists(st.integers(1, 12), min_size=len(values),
+                         max_size=len(values)))
+    k = np.repeat(values, reps)[:300]
+    return np.concatenate([k, np.full(max(0, 3 - k.size), k[-1])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=_search_cases())
+def test_lower_bound_matches_searchsorted(k):
+    # the map's branchless search is numpy's left searchsorted, bit for
+    # bit: keys on the nodes and an ulp either side, past both ends, +-inf,
+    # NaN and no key at all (the table reads only the model's declaration
+    # and the curve's k)
+    table = solver._search_table(SimpleNamespace(surplus=bilinear_surplus([1])),
+                                 SimpleNamespace(k_plus=k))
+    assert table is not None and table.size & (table.size - 1) == 0
+    assert table.size > k.size and np.all(table[k.size:] == np.inf)
+    keys = np.concatenate([k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf),
+                           [k[0] - 1.0, k[-1] + 1.0, -np.inf, np.inf, np.nan,
+                            0.0, -0.0]])
+    for t in (keys, keys[::-1], np.empty(0)):
+        got = solver._lower_bound(table, t, k.size)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(k, t, "left"))
+
+
+def _reference_root(model, curve, x, a, b, fa, fb, y_tol, j=None, sy=None):
+    """``solver._level_root`` as it was when it found each iterate's PCHIP
+    interval by the interpolant's hinted lookup and gathered its working
+    arrays on every step."""
+    pos_a, rows = fa > 0, np.arange(a.size)
+    y = a - fa * (b - a) / (fb - fa)
+    out = y.copy()
+    data = x if sy is None else sy
+    for _ in range(solver._ROOT_ITERS):
+        if not rows.size:
+            break
+        yc = np.clip(y, curve.y_grid[0], curve.y_grid[-1])
+        k, kp = curve.interpolation.value_and_slope(yc, j)
+        f = (model.surplus.s_y(data, y) if sy is None else data) - k
+        df = (model.surplus.s_yy(data, y) if sy is None else 0.0) \
+            - np.where(yc == y, kp, 0.0)
+        keep_a = (f > 0) != pos_a
+        a, b = np.where(keep_a, a, y), np.where(keep_a, y, b)
+        step = np.divide(f, df, out=np.where(f == 0, 0.0, np.inf), where=df != 0)
+        new = np.clip(y - step, a, b)
+        done = np.abs(step) <= y_tol
+        bisect = ~done & ~((new > a) & (new < b))
+        new[bisect] = 0.5 * (a + b)[bisect]
+        out[rows] = new
+        live = ~(done | (np.abs(new - y) <= y_tol) | (b - a <= y_tol))
+        rows, y, a, b, pos_a, data = (v[live] for v in (rows, new, a, b,
+                                                        pos_a, data))
+        j = None if j is None else j[live]
+    return out
+
+
+@pytest.mark.parametrize("name", ["par2", "par3"])
+def test_level_root_takes_the_bracket_interval(request, name):
+    # given the bracket node j, the root takes each iterate's PCHIP interval
+    # from it; the roots are the hinted lookup's bit for bit.  Rows: the
+    # map's on the grid points, and on a coarse curve rows whose secant
+    # point lands on y_j+1 (j = last among them) or an ulp past it
+    solved = request.getfixturevalue(name)
+    model, curve = solved.model, solved.curve
+    y_tol = 1e-8 * model.target.length
+    x = model.grid.points
+    idx, fa, fb, has_down, _, _ = solver._node_walk(
+        model, curve, x, solver._search_table(model, curve))
+    rows = np.flatnonzero(has_down)
+    j = idx[rows]
+    ys, k = curve.y_grid, curve.k_plus
+    cases = [(curve, x[rows], ys[j], ys[j + 1], fa[rows] - k[j],
+              fb[rows] - k[j + 1], j)]
+    coarse = SplitCurve.from_function(model.target,
+                                      [0.0, 0.013, 0.1, 0.37, 1.0],
+                                      lambda y: y ** (2 / 3))
+    rng = np.random.default_rng(7)
+    n, last = 4000, coarse.y_grid.size - 2
+    j = rng.integers(0, last + 1, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    fa = sign * rng.uniform(0.1, 10, n)
+    fb = -fa * 10.0 ** -rng.uniform(10, 20, n)  # the secant point near y_j+1
+    a, b = coarse.y_grid[j], coarse.y_grid[j + 1]
+    secant = a - fa * (b - a) / (fb - fa)
+    assert np.any((secant == b) & (j == last)) and np.any(secant > b)
+    assert np.all(secant <= np.nextafter(b, np.inf))
+    cases.append((coarse, x[rng.integers(0, x.shape[0], n)], a, b, fa, fb, j))
+    for c, xr, a, b, fa, fb, j in cases:
+        sy = model.surplus.s_y(xr, 0.0)
+        for data in ({"sy": sy}, {}):
+            got = solver._level_root(model, c, xr, a, b, fa, fb, y_tol, j,
+                                     **data)
+            want = _reference_root(model, c, xr, a, b, fa, fb, y_tol, j,
+                                   **data)
+            assert np.array_equal(got, want)
 
 
 def test_map_searches_only_a_nondecreasing_curve(par2):
@@ -770,20 +881,28 @@ def test_contour_clip_does_not_scale_with_nodes(par2, monkeypatch):
 
 
 def test_solve_takes_syy_on_band_samples_only(par3, monkeypatch):
-    # s_yy is evaluated on each node's band samples, not on the grid: over
-    # a 257-node m = 3 solve under a quarter of nodes x grid points pass
-    # through the bundle's s_yy, and the curve is the fixture's bit for bit
-    model = par3.model
+    # on the general path s_yy is evaluated on each node's band samples,
+    # not on the grid: over a 257-node m = 3 solve under a quarter of
+    # nodes x grid points pass through the bundle's s_yy.  Where s_y is
+    # free of y, s_yy = 0 and the solve makes no s_yy call, and the curve
+    # is the fixture's bit for bit
     evaluated = [0]
-    s_yy = model.surplus.s_yy
+    s_yy = par3.model.surplus.s_yy
 
     def counting(x, y):
         evaluated[0] += np.asarray(x).shape[0]
         return s_yy(x, y)
 
+    general = _general_path(par3.model)
+    monkeypatch.setattr(general, "surplus",
+                        replace(general.surplus, s_yy=counting))
+    curve = solve_split_curve(general, n_nodes=257)
+    assert 0 < evaluated[0] < 0.25 * curve.y_grid.size * general.grid.n_points
+    model = par3.model
     monkeypatch.setattr(model, "surplus", replace(model.surplus, s_yy=counting))
+    evaluated[0] = 0
     curve = solve_split_curve(model, n_nodes=257)
-    assert 0 < evaluated[0] < 0.25 * curve.y_grid.size * model.grid.n_points
+    assert evaluated[0] == 0
     for name in ("k_plus", "h_k", "h_y", "syy_max", "area"):
         assert np.array_equal(getattr(curve, name), getattr(par3.curve, name),
                               equal_nan=True)

@@ -144,3 +144,17 @@ def test_y_free_sy_declaration_is_checked_at_assembly():
     Model(DOM, TGT, honest, quadrature=quad)
     with pytest.raises(ValueError, match="'wobbly' declares s_y free of y"):
         Model(DOM, TGT, dishonest, quadrature=quad)
+
+
+def test_y_free_sy_needs_an_exactly_zero_syy():
+    # the split solve and the map take s_yy = 0 where s_y is free of y
+    # without calling it; s_yy = 1e-12 x1 is inside the finite-difference
+    # tolerance, so only the exact test catches it
+    bundle = bilinear_surplus([1, 0])
+    wobbly = replace(bundle, name="wobbly", s_yy=lambda x, y: 1e-12 * x[:, 0])
+    quad = Quadrature("tensor", 16)
+    Model(DOM, TGT, bundle, quadrature=quad)
+    Model(DOM, TGT, replace(wobbly, sy_free_of_y=False), quadrature=quad)
+    with pytest.raises(ValueError, match=re.escape(
+            "'wobbly' declares s_y free of y, but s_yy is not 0")):
+        Model(DOM, TGT, wobbly, quadrature=quad)
